@@ -114,12 +114,24 @@ def _parse_distribution(n: int, text: str) -> bounds.GroupDistribution:
     weights = []
     for tok in text.split(","):
         name, _, w = tok.partition(":")
-        tab = (CliffordTableau.identity(n) if name == "I"
-               else get_gate(name).tableau)
+        try:
+            tab = (CliffordTableau.identity(n) if name == "I"
+                   else get_gate(name).tableau)
+            weight = float(w) if w else 1.0
+            if not 0 <= weight < float("inf"):
+                raise ValueError(w)
+        except KeyError:
+            raise click.BadParameter(f"unknown gate {name!r}",
+                                     param_hint="'--dist'") from None
+        except ValueError:
+            raise click.BadParameter(f"bad weight {w!r} for {name}",
+                                     param_hint="'--dist'") from None
         if tab.n_qubits != n:
             raise click.BadParameter(f"{name} is not an {n}-qubit gate")
-        weights.append((tab, float(w) if w else 1.0))
+        weights.append((tab, weight))
     total = sum(w for _, w in weights)
+    if total <= 0:
+        raise click.BadParameter("weights sum to zero", param_hint="'--dist'")
     weights = [(t, w / total) for t, w in weights]
     return bounds.GroupDistribution.from_weights(n, weights)
 
@@ -141,13 +153,8 @@ _seed_opt = click.option("--seed", type=int, default=None,
 
 
 @click.group()
-@click.option("--threads", type=int, default=1,
-              help="Worker count; results are independent of this value.")
-@click.pass_context
-def main(ctx, threads):
+def main():
     """Clifford-group and randomized-benchmarking toolbox."""
-    ctx.ensure_object(dict)
-    ctx.obj["threads"] = threads
 
 
 @main.command("enumerate")
@@ -296,6 +303,15 @@ def gen_sequences_cmd(protocol, n, lengths, n_seq, gate, seed, output, pretty):
     _emit(report, output, pretty)
 
 
+def _depolarizing(n: int, p: float, option: str) -> PauliChannel:
+    try:
+        return PauliChannel.depolarizing(n, p)
+    except ValueError:
+        raise click.BadParameter(
+            f"{p} is not a valid {n}-qubit depolarizing strength "
+            f"(0 <= p <= {4 ** n}/{4 ** n - 1})", param_hint=option) from None
+
+
 @main.command("simulate")
 @click.option("--protocol", type=click.Choice(["exact", "interleaved"]),
               default="exact")
@@ -316,17 +332,17 @@ def gen_sequences_cmd(protocol, n, lengths, n_seq, gate, seed, output, pretty):
 def simulate_cmd(protocol, n, lengths, n_seq, shots, gate, model_path,
                  depolarizing, spam, seed, output):
     """Simulate an experiment and write the shot-count dataset."""
-    seed = _resolve_seed(seed)
     if model_path:
         model = ErrorModel.from_json(json.loads(Path(model_path).read_text()),
                                      n)
     elif depolarizing is not None:
         model = ErrorModel(
-            PauliChannel.depolarizing(n, depolarizing),
-            spam_channel=(PauliChannel.depolarizing(n, spam)
+            _depolarizing(n, depolarizing, "'--depolarizing'"),
+            spam_channel=(_depolarizing(n, spam, "'--spam'")
                           if spam else None))
     else:
         raise click.BadParameter("provide --error-model or --depolarizing")
+    seed = _resolve_seed(seed)
     design = ExperimentDesign(_parse_lengths(lengths), n_seq, shots,
                               master_seed=seed)
     gate_tab = get_gate(gate).tableau if gate else None

@@ -5,6 +5,20 @@ A tableau stores the conjugation images C(X_i) and C(Z_i) as sign-bit Paulis
 as packed 2n-bit GF(2) vectors ``x_mask | (z_mask << n)`` plus one sign bit
 each; phases beyond the sign never survive because tableaux act on the Pauli
 group modulo scalars.
+
+The group operations run on one integer-only kernel, `_image`.  Inside it a
+Pauli is written in X^x Z^z form: ``i**e * X^x Z^z`` with every X factor
+ordered before every Z factor.  A signed image with packed vec v and sign s
+has ``e = 2s + popcount(x & z)`` (each Y = i·X·Z contributes one i).  Two
+such operators multiply by XOR-ing their vecs and adding
+``2·popcount(z_1 & x_2)`` to the summed exponents (Z_1 moved past X_2);
+`_to_factor_phase` converts back with ``- popcount(x & z)``.
+
+Conjugating packed rows by a named one- or two-qubit gate does not need a
+full tableau product (Aaronson & Gottesman, quant-ph/0406196): the gate only
+rewrites the 2 or 4 bits of each row on its qubits and flips the row's sign.
+`_local_table` tabulates that rewrite for every local (x, z) pattern and
+`_local_update` applies it to a list of rows in place, O(rows) per gate.
 """
 
 from __future__ import annotations
@@ -17,7 +31,6 @@ from .pauli import (
     PauliDimensionError,
     PauliOperator,
     pauli_commutes,
-    pauli_multiply,
     pauli_support,
 )
 
@@ -190,43 +203,75 @@ class GateSequence:
 # group operations
 
 
+def _image(vecs: Sequence[int], signs: int, n: int, w: int, e: int
+           ) -> Tuple[int, int]:
+    """Image of ``i**e * X^x Z^z`` (w = x | z << n) under the tableau given
+    by its packed images and sign mask, as (packed vec, e) in X^x Z^z form.
+
+    The X^x Z^z product takes the images in packed-bit order (all X's, then
+    all Z's), so each factor costs one XOR and one popcount for its own Y's
+    plus two for moving the accumulated Z part past its X part."""
+    e += 2 * (signs & w).bit_count()
+    acc = 0
+    while w:
+        low = w & -w
+        v = vecs[low.bit_length() - 1]
+        e += (v & (v >> n)).bit_count() + 2 * ((acc >> n) & v).bit_count()
+        acc ^= v
+        w ^= low
+    return acc, e
+
+
+def _to_factor_phase(vec: int, e: int, n: int) -> int:
+    """Phase of ``i**e * X^x Z^z`` in I/X/Y/Z factor form, mod 4."""
+    return (e - (vec & (vec >> n)).bit_count()) & 3
+
+
+def _pauli_product(u: int, v: int, n: int) -> Tuple[int, int]:
+    """Product of the phase-0 factor-form Paulis u·v as (vec, phase mod 4)."""
+    e = ((u & (u >> n)).bit_count() + (v & (v >> n)).bit_count()
+         + 2 * ((u >> n) & v).bit_count())
+    return u ^ v, _to_factor_phase(u ^ v, e, n)
+
+
+def _image_phase(c: CliffordTableau, w: int, e: int) -> Tuple[int, int]:
+    """`_image` under c, returned as (packed vec, real factor-form phase)."""
+    out, e = _image(c.vecs, c.signs, c.n_qubits, w, e)
+    e = _to_factor_phase(out, e, c.n_qubits)
+    if e & 1:
+        raise ValueError("invalid tableau: image has imaginary phase")
+    return out, e
+
+
+def _image_sign(c: CliffordTableau, vec: int, sign: int) -> Tuple[int, int]:
+    """Image of the signed factor-form Pauli (vec, sign) as (vec, sign)."""
+    out, e = _image_phase(
+        c, vec, 2 * sign + (vec & (vec >> c.n_qubits)).bit_count())
+    return out, e >> 1
+
+
 def clifford_apply(c: CliffordTableau, p: PauliOperator) -> PauliOperator:
     """Conjugation image ±P' of p under c (exact sign, global phase fixed by
     the Y = i·X·Z convention)."""
     if c.n_qubits != p.n_qubits:
         raise PauliDimensionError("tableau / operator size mismatch")
     n = c.n_qubits
-    # p = i^{phase + #Y} * prod_j X_j^{x_j} Z_j^{z_j}; substitute the images.
-    acc = PauliOperator(n, 0, 0,
-                        (p.phase + (p.x_mask & p.z_mask).bit_count()) % 4)
-    xm, zm = p.x_mask, p.z_mask
-    j = 0
-    while xm or zm:
-        if xm & 1:
-            acc = pauli_multiply(acc, c.image_x(j))
-        if zm & 1:
-            acc = pauli_multiply(acc, c.image_z(j))
-        xm >>= 1
-        zm >>= 1
-        j += 1
-    if acc.phase % 2:
-        raise ValueError("invalid tableau: image has imaginary phase")
-    return acc
+    out, e = _image_phase(c, p.x_mask | (p.z_mask << n),
+                          p.phase + (p.x_mask & p.z_mask).bit_count())
+    return PauliOperator(n, out & ((1 << n) - 1), out >> n, e)
 
 
 def clifford_compose(c: CliffordTableau, d: CliffordTableau) -> CliffordTableau:
     """Tableau of C∘D (apply d first)."""
     if c.n_qubits != d.n_qubits:
         raise PauliDimensionError("tableau size mismatch")
-    n = c.n_qubits
     vecs = []
     signs = 0
-    for i in range(2 * n):
-        sign = (d.signs >> i) & 1
-        img = clifford_apply(c, _unpack(d.vecs[i], n, sign))
-        vecs.append(_pack(img))
-        signs |= img.sign_bit << i
-    return CliffordTableau(n, tuple(vecs), signs)
+    for i, v in enumerate(d.vecs):
+        out, sign = _image_sign(c, v, (d.signs >> i) & 1)
+        vecs.append(out)
+        signs |= sign << i
+    return CliffordTableau(c.n_qubits, tuple(vecs), signs)
 
 
 def _gf2_invert(rows: List[int], nbits: int) -> List[int]:
@@ -248,14 +293,11 @@ def clifford_inverse(c: CliffordTableau) -> CliffordTableau:
     """Inverse tableau via GF(2) symplectic inversion plus sign fix, O(n³)."""
     n = c.n_qubits
     inv_rows = _gf2_invert(list(c.vecs), 2 * n)
-    vecs = []
     signs = 0
-    for i in range(2 * n):
-        q = _unpack(inv_rows[i], n)
-        # c(q) = ±(X_i or Z_i); absorbing that sign makes c(image_i) exact.
-        signs |= clifford_apply(c, q).sign_bit << i
-        vecs.append(inv_rows[i])
-    return CliffordTableau(n, tuple(vecs), signs)
+    for i, v in enumerate(inv_rows):
+        # c(v) = ±(X_i or Z_i); absorbing that sign makes c(image_i) exact.
+        signs |= _image_sign(c, v, 0)[1] << i
+    return CliffordTableau(n, tuple(inv_rows), signs)
 
 
 def pauli_tableau(p: PauliOperator) -> CliffordTableau:
@@ -458,6 +500,43 @@ def embed_tableau(t: CliffordTableau, positions: Sequence[int], n: int) -> Cliff
         vecs[slot] = big
         signs |= ((t.signs >> i) & 1) << slot
     return CliffordTableau(n, tuple(vecs), signs)
+
+
+def _local_table(t: CliffordTableau) -> Tuple[Tuple[int, int], ...]:
+    """Local update table of an m-qubit gate: entry k = x | z << m is the
+    (image pattern, sign flip) of the phase-0 factor-form Pauli k under t."""
+    return tuple(_image_sign(t, k, 0) for k in range(4 ** t.n_qubits))
+
+
+def _local_update(vecs: List[int], signs: int, n: int,
+                  table: Sequence[Tuple[int, int]],
+                  positions: Sequence[int]) -> int:
+    """Conjugate the packed n-qubit rows `vecs` in place by the gate whose
+    `_local_table` is `table`, acting on `positions`; return the new sign
+    mask.  Only the gate's bits and the sign of each row change."""
+    if len(positions) == 1:
+        a, = positions
+        b = a + n
+        clear = ~((1 << a) | (1 << b))
+        new = [((img & 1) << a) | ((img >> 1) << b) for img, _ in table]
+        for r, v in enumerate(vecs):
+            k = ((v >> a) & 1) | ((v >> b) & 1) << 1
+            if k:
+                vecs[r] = (v & clear) | new[k]
+                signs ^= table[k][1] << r
+        return signs
+    a0, a1 = positions
+    b0, b1 = a0 + n, a1 + n
+    clear = ~((1 << a0) | (1 << a1) | (1 << b0) | (1 << b1))
+    new = [((img & 1) << a0) | ((img >> 1 & 1) << a1)
+           | ((img >> 2 & 1) << b0) | ((img >> 3) << b1) for img, _ in table]
+    for r, v in enumerate(vecs):
+        k = ((v >> a0) & 1 | (v >> a1 & 1) << 1
+             | (v >> b0 & 1) << 2 | (v >> b1 & 1) << 3)
+        if k:
+            vecs[r] = (v & clear) | new[k]
+            signs ^= table[k][1] << r
+    return signs
 
 
 def apply_named_gate(p: PauliOperator, name: str, positions: Sequence[int]) -> PauliOperator:

@@ -11,6 +11,10 @@ Two routes:
 
 The Choi matrix has 2n rows over 2n qubits: row i is X_i (x) C(X_i), row
 n+i is Z_i (x) C(Z_i); elementary gates act on the right-hand n qubits only.
+Rows are packed 4n-bit vectors ``x | z << 2n`` (left half in the low n bits
+of each mask) plus one sign mask; a gate rewrites each row with the gate's
+local update table, and row products use the packed Pauli product of
+`clifford`.
 Quadrants are numbered clockwise from the top-left (1 = top-left block,
 2 = top-right, 3 = bottom-right, 4 = bottom-left).
 """
@@ -24,13 +28,15 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .clifford import (
     CliffordTableau,
     GateSequence,
+    _local_update,
+    _pauli_product,
     clifford_apply,
     clifford_compose,
     embed_tableau,
     group_order,
 )
-from .gates import INVERSE_NAMES, GateSet, get_gate, sequence_tableau
-from .pauli import PauliOperator, pauli_multiply
+from .gates import INVERSE_NAMES, GateSet, get_gate
+from .pauli import PauliOperator
 
 # one-qubit palette covering the six quotient cosets, all with named inverses
 _PALETTE = ("I", "S", "H", "X90", "T", "T2")
@@ -166,37 +172,52 @@ def _quotient_cayley_search(moves, n: int):
 # -- algorithmic block decomposition -------------------------------------------
 
 
+_FACTOR = "IXZY"  # indexed by x | z << 1
+
+
 class _ChoiMatrix:
-    """Mutable 2n-row stabilizer matrix of the Choi state of a Clifford."""
+    """Mutable 2n-row stabilizer matrix of the Choi state of a Clifford,
+    as packed 2n-qubit rows plus a sign mask."""
 
     def __init__(self, c: CliffordTableau):
         n = c.n_qubits
         self.n = n
-        self.rows: List[PauliOperator] = []
-        imgs = c.images()
-        for i in range(2 * n):
-            left = PauliOperator.single(n, i % n, "X" if i < n else "Z")
-            right = imgs[i].with_phase(0)
-            self.rows.append(PauliOperator(
-                2 * n,
-                left.x_mask | (right.x_mask << n),
-                left.z_mask | (right.z_mask << n),
-                2 * ((c.signs >> i) & 1)))
+        low = (1 << n) - 1
+        # X_i / Z_i on the left, C(X_i) / C(Z_i) on the right
+        self.rows: List[int] = [
+            (1 << i if i < n else 1 << (n + i))
+            | (v & low) << n | (v >> n) << (3 * n)
+            for i, v in enumerate(c.vecs)]
+        self.signs = c.signs
 
     def entry(self, r: int, col: int) -> str:
         """Factor of row r at right-half column col (0-based)."""
-        return self.rows[r].factor(self.n + col)
+        v = self.rows[r] >> (self.n + col)
+        return _FACTOR[(v & 1) | (v >> (2 * self.n) & 1) << 1]
+
+    def left_z(self, r: int, col: int) -> int:
+        """Z bit of row r at left-half column col."""
+        return (self.rows[r] >> (2 * self.n + col)) & 1
+
+    def sign(self, r: int) -> int:
+        return (self.signs >> r) & 1
 
     def mul_rows(self, dst: int, src: int) -> None:
-        self.rows[dst] = pauli_multiply(self.rows[dst], self.rows[src])
+        vec, phase = _pauli_product(self.rows[dst], self.rows[src], 2 * self.n)
+        if phase & 1:
+            raise ValueError("Choi rows do not commute")
+        self.rows[dst] = vec
+        self.signs ^= (self.sign(src) ^ (phase >> 1)) << dst
 
     def swap_rows(self, a: int, b: int) -> None:
         self.rows[a], self.rows[b] = self.rows[b], self.rows[a]
+        if self.sign(a) != self.sign(b):
+            self.signs ^= (1 << a) | (1 << b)
 
     def apply(self, name: str, idxs: Tuple[int, ...]) -> None:
-        tab = embed_tableau(get_gate(name).tableau,
-                            tuple(self.n + i for i in idxs), 2 * self.n)
-        self.rows = [clifford_apply(tab, r) for r in self.rows]
+        self.signs = _local_update(self.rows, self.signs, 2 * self.n,
+                                   get_gate(name).local,
+                                   tuple(self.n + i for i in idxs))
 
 
 _ANTI = {"X": ("Y", "Z"), "Y": ("X", "Z"), "Z": ("X", "Y")}
@@ -226,9 +247,9 @@ def block_decompose(c: CliffordTableau, fix_signs: bool = True) -> GateSequence:
     # 8. optional Pauli sign fix
     if fix_signs:
         for k in range(n):
-            if m.rows[k].sign_bit:
+            if m.sign(k):
                 emit("Z", k)
-            if m.rows[n + k].sign_bit:
+            if m.sign(n + k):
                 emit("X", k)
 
     # the collected gates reduce C to the identity; C is their inverse chain
@@ -263,11 +284,10 @@ def _reduce_to_bell(m: "_ChoiMatrix", n: int, emit) -> None:
 
     # 4. row operations diagonalize quadrant 4 (left halves, I/Z entries)
     for k in range(n):
-        pivot = next(r for r in range(k, n)
-                     if (m.rows[n + r].z_mask >> k) & 1)
+        pivot = next(r for r in range(k, n) if m.left_z(n + r, k))
         m.swap_rows(n + k, n + pivot)
         for r in range(n):
-            if r != k and (m.rows[n + r].z_mask >> k) & 1:
+            if r != k and m.left_z(n + r, k):
                 m.mul_rows(n + r, n + k)
 
     # 5. CX gates diagonalize quadrant 3 (I/X entries, full rank)

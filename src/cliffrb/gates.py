@@ -17,11 +17,14 @@ import numpy as np
 from .clifford import (
     CliffordTableau,
     GateSequence,
+    _local_table,
+    _local_update,
     clifford_apply,
     clifford_compose,
     embed_tableau,
+    group_order,
 )
-from .clifford import group_order
+from .dense import dense_pauli
 from .pauli import PauliOperator
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -38,10 +41,15 @@ def _hi(mat: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GateDefinition:
+    """A named gate.  `local` is its local update table (see
+    `clifford._local_table`), used to apply the gate to packed rows."""
+
     name: str
     arity: int
     tableau: CliffordTableau
     dense: np.ndarray
+    local: Tuple[Tuple[int, int], ...] = field(init=False, repr=False,
+                                               compare=False)
 
     def __post_init__(self):
         if self.tableau.n_qubits != self.arity:
@@ -49,19 +57,7 @@ class GateDefinition:
         if self.dense.shape != (2 ** self.arity, 2 ** self.arity):
             raise ValueError("dense matrix shape mismatch")
         _check_consistency(self)
-
-
-def _dense_pauli(p: PauliOperator) -> np.ndarray:
-    mats = {
-        "I": np.eye(2, dtype=complex),
-        "X": np.array([[0, 1], [1, 0]], dtype=complex),
-        "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    }
-    out = np.eye(1, dtype=complex)
-    for j in range(p.n_qubits):
-        out = np.kron(mats[p.factor(j)], out)
-    return (1j ** p.phase) * out
+        object.__setattr__(self, "local", _local_table(self.tableau))
 
 
 def _check_consistency(g: GateDefinition) -> None:
@@ -71,8 +67,8 @@ def _check_consistency(g: GateDefinition) -> None:
     for i in range(g.arity):
         for p in (PauliOperator.single(g.arity, i, "X"),
                   PauliOperator.single(g.arity, i, "Z")):
-            want = _dense_pauli(clifford_apply(g.tableau, p))
-            got = u @ _dense_pauli(p) @ u.conj().T
+            want = dense_pauli(clifford_apply(g.tableau, p))
+            got = u @ dense_pauli(p) @ u.conj().T
             if not np.allclose(got, want, atol=1e-12):
                 raise ValueError(
                     f"gate {g.name}: tableau and dense action disagree on {p}")
@@ -212,12 +208,17 @@ def standard_gate_set() -> GateSet:
 
 
 def sequence_tableau(seq: GateSequence) -> CliffordTableau:
-    """Compose a gate sequence against the builtin registry."""
-    acc = CliffordTableau.identity(seq.n_qubits)
+    """Compose a gate sequence against the builtin registry, one O(n) local
+    update of the packed images per gate."""
+    n = seq.n_qubits
+    vecs = [1 << i for i in range(2 * n)]
+    signs = 0
     for name, idxs in seq.gates:
-        acc = clifford_compose(
-            embed_tableau(get_gate(name).tableau, idxs, seq.n_qubits), acc)
-    return acc
+        gate = get_gate(name)
+        if len(idxs) != gate.arity:
+            raise ValueError(f"{name} takes {gate.arity} indices")
+        signs = _local_update(vecs, signs, n, gate.local, idxs)
+    return CliffordTableau(n, tuple(vecs), signs)
 
 
 def invert_sequence(seq: GateSequence) -> GateSequence:

@@ -26,7 +26,7 @@ from .clifford import (
     find_mapping,
     sequence_to_tableau,
 )
-from .pauli import PauliOperator, pauli_commutes, pauli_multiply, pauli_support
+from .pauli import PauliOperator, pauli_commutes, pauli_multiply
 
 _ANTICOMMUTERS = {"X": ("Z", "Y"), "Y": ("Z", "X"), "Z": ("X", "Y")}
 _NEIGHBOR_PREFERENCE = ("Z", "X", "Y")
@@ -210,11 +210,13 @@ def apply_clifford(state: StabilizerState,
         tab = embed_tableau(tab, tuple(indices), state.n_qubits)
     elif tab.n_qubits != state.n_qubits:
         raise ValueError("tableau size mismatch")
-    support: Set[int] = set()
-    for i in range(2 * tab.n_qubits):
-        if tab.vecs[i] != (1 << i) or (tab.signs >> i) & 1:
-            support.add(i % tab.n_qubits)
-            support |= pauli_support(tab.images()[i])
+    n = tab.n_qubits
+    mask = (1 << n) - 1
+    moved = 0  # qubits of every image that differs from its generator
+    for i, v in enumerate(tab.vecs):
+        if v != (1 << i) or (tab.signs >> i) & 1:
+            moved |= (1 << (i % n)) | ((v | v >> n) & mask)
+    support = {j for j in range(n) if (moved >> j) & 1}
     for r in range(len(state.rows)):
         state.rows[r] = clifford_apply(tab, state.rows[r])
     state._reduce(set(range(state.n_qubits)) - support)

@@ -195,3 +195,39 @@ class TestBoundsCommands:
     def test_bad_gate_rejected(self, runner):
         result = CliRunner().invoke(main, ["tv-decay", "--dist", "NOPE:1"])
         assert result.exit_code != 0
+
+
+def assert_usage_error(args, option):
+    """Bad input exits non-zero with one click usage line, no traceback."""
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    errors = [l for l in result.output.splitlines() if l.startswith("Error:")]
+    assert len(errors) == 1 and option in errors[0], result.output
+    assert "Traceback" not in result.output
+
+
+class TestBadInput:
+    def test_tv_decay_unknown_gate(self):
+        assert_usage_error(["tv-decay", "--dist", "FOO:1"], "--dist")
+
+    def test_bounds_unknown_gate(self):
+        assert_usage_error(["bounds", "--dist", "FOO:1", "--eps", "0.01"],
+                           "--dist")
+
+    def test_dist_bad_weights(self):
+        for dist in ("H:x", "H:-1,S:2", "H:0", "H:inf"):
+            assert_usage_error(["tv-decay", "--dist", dist], "--dist")
+
+    def test_simulate_depolarizing_out_of_range(self, tmp_path):
+        assert_usage_error(["simulate", "--n", "1", "--lengths", "1,2",
+                            "--depolarizing", "1.5", "--seed", "1",
+                            "-o", str(tmp_path / "d.csv")], "--depolarizing")
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_simulate_spam_out_of_range(self, tmp_path):
+        assert_usage_error(["simulate", "--n", "1", "--lengths", "1,2",
+                            "--depolarizing", "0.01", "--spam", "1.5",
+                            "--seed", "1", "-o", str(tmp_path / "d.csv")],
+                           "--spam")
+        assert not (tmp_path / "d.csv").exists()
