@@ -34,9 +34,8 @@ from .pauli import PauliChannel
 from .protocol import (
     ExperimentDesign,
     RBDataset,
-    gen_exact_sequence,
-    gen_interleaved_sequence,
     run_experiment,
+    sequence_factory,
     sequence_seed,
 )
 
@@ -106,7 +105,16 @@ def _write_csv(text: str, output: str, manifest: dict) -> None:
 
 
 def _parse_lengths(text: str) -> Tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(","))
+    """'1,3,8' -> (1, 3, 8): positive and ascending, else a usage error."""
+    try:
+        lengths = tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        lengths = ()
+    if not lengths or lengths[0] < 1 or list(lengths) != sorted(lengths):
+        raise click.BadParameter(
+            f"{text!r} is not an ascending list of positive integers",
+            param_hint="'--lengths'")
+    return lengths
 
 
 def _parse_distribution(n: int, text: str) -> bounds.GroupDistribution:
@@ -148,6 +156,7 @@ _output = click.option("--output", "-o", default=None,
                        help="Write the JSON report to this file.")
 _pretty = click.option("--pretty", is_flag=True,
                        help="Also print a human-readable rendering.")
+_positive = click.IntRange(min=1)
 _seed_opt = click.option("--seed", type=int, default=None,
                          help="Master seed (generated and printed if omitted).")
 
@@ -158,7 +167,7 @@ def main():
 
 
 @main.command("enumerate")
-@click.option("--n", "n", type=int, required=True)
+@click.option("--n", "n", type=_positive, required=True)
 @click.option("--quotient", is_flag=True, help="Count modulo Pauli factors.")
 @click.option("--elements", "list_elements", is_flag=True,
               help="Include the elements themselves (small groups only).")
@@ -177,7 +186,7 @@ def enumerate_cmd(n, quotient, list_elements, output, pretty):
 
 
 @main.command("search-decomp")
-@click.option("--n", "n", type=int, required=True)
+@click.option("--n", "n", type=_positive, required=True)
 @click.option("--gates", default="H,S,Sdg,X90,X90m,CX,CZ",
               help="Comma-separated gate vocabulary.")
 @click.option("--primary", default="CX",
@@ -208,7 +217,7 @@ def search_decomp_cmd(n, gates, primary, quotient, output, pretty):
 @main.command("decompose")
 @click.option("--input", "input_path", default=None,
               help="JSON file with a tableau (image_x/image_z strings).")
-@click.option("--n", "n", type=int, default=None,
+@click.option("--n", "n", type=_positive, default=None,
               help="With --random: number of qubits.")
 @click.option("--random", "randomize", is_flag=True,
               help="Decompose a uniformly random tableau instead.")
@@ -249,7 +258,7 @@ def decompose_cmd(input_path, n, randomize, target, seed, output, pretty):
 
 
 @main.command("sample-clifford")
-@click.option("--n", "n", type=int, required=True)
+@click.option("--n", "n", type=_positive, required=True)
 @click.option("--count", type=int, default=1)
 @_seed_opt
 @_output
@@ -265,23 +274,10 @@ def sample_clifford_cmd(n, count, seed, output, pretty):
     _emit(report, output, pretty)
 
 
-def _generate_sequences(protocol, n, lengths, n_seq, seed, gate_tab):
-    out = []
-    for l in lengths:
-        for i in range(n_seq):
-            rng = np.random.default_rng(sequence_seed(seed, protocol, l, i))
-            if protocol == "exact":
-                seq = gen_exact_sequence(n, l, rng)
-            else:
-                seq = gen_interleaved_sequence(n, l, gate_tab, rng)
-            out.append(seq)
-    return out
-
-
 @main.command("gen-sequences")
 @click.option("--protocol", type=click.Choice(["exact", "interleaved"]),
               default="exact")
-@click.option("--n", "n", type=int, required=True)
+@click.option("--n", "n", type=_positive, required=True)
 @click.option("--lengths", required=True, help="Comma-separated lengths.")
 @click.option("--n-seq", type=int, default=1, help="Sequences per length.")
 @click.option("--gate", default=None, help="Interleaved gate name.")
@@ -290,12 +286,14 @@ def _generate_sequences(protocol, n, lengths, n_seq, seed, gate_tab):
 @_pretty
 def gen_sequences_cmd(protocol, n, lengths, n_seq, gate, seed, output, pretty):
     """Generate benchmarking sequences with per-sequence derived seeds."""
-    seed = _resolve_seed(seed)
+    parsed_lengths = _parse_lengths(lengths)
     gate_tab = get_gate(gate).tableau if gate else None
     if protocol == "interleaved" and gate_tab is None:
         raise click.BadParameter("interleaved protocol needs --gate")
-    seqs = _generate_sequences(protocol, n, _parse_lengths(lengths), n_seq,
-                               seed, gate_tab)
+    seed = _resolve_seed(seed)
+    factory = sequence_factory(protocol, n, gate_tab)
+    seqs = [factory(l, np.random.default_rng(sequence_seed(seed, protocol, l, i)))
+            for l in parsed_lengths for i in range(n_seq)]
     report = {"manifest": _manifest("gen-sequences", {
         "protocol": protocol, "n": n, "lengths": lengths, "n_seq": n_seq,
         "gate": gate}, seed=seed),
@@ -315,10 +313,10 @@ def _depolarizing(n: int, p: float, option: str) -> PauliChannel:
 @main.command("simulate")
 @click.option("--protocol", type=click.Choice(["exact", "interleaved"]),
               default="exact")
-@click.option("--n", "n", type=int, required=True)
+@click.option("--n", "n", type=_positive, required=True)
 @click.option("--lengths", required=True)
-@click.option("--n-seq", type=int, default=10)
-@click.option("--shots", type=int, default=100)
+@click.option("--n-seq", type=_positive, default=10)
+@click.option("--shots", type=_positive, default=100)
 @click.option("--gate", default=None)
 @click.option("--error-model", "model_path", default=None,
               help="JSON error-model file.")
@@ -342,9 +340,9 @@ def simulate_cmd(protocol, n, lengths, n_seq, shots, gate, model_path,
                           if spam else None))
     else:
         raise click.BadParameter("provide --error-model or --depolarizing")
+    parsed_lengths = _parse_lengths(lengths)
     seed = _resolve_seed(seed)
-    design = ExperimentDesign(_parse_lengths(lengths), n_seq, shots,
-                              master_seed=seed)
+    design = ExperimentDesign(parsed_lengths, n_seq, shots, master_seed=seed)
     gate_tab = get_gate(gate).tableau if gate else None
     data = run_experiment(design, protocol, model, n, gate=gate_tab)
     man = _manifest("simulate", {
@@ -358,7 +356,7 @@ def simulate_cmd(protocol, n, lengths, n_seq, shots, gate, model_path,
 @click.option("--data", required=True, help="Dataset CSV.")
 @click.option("--model", type=click.Choice(sorted(analysis.MODELS)),
               default="main")
-@click.option("--n", "n", type=int, required=True)
+@click.option("--n", "n", type=_positive, required=True)
 @_output
 @_pretty
 def fit_cmd(data, model, n, output, pretty):
@@ -374,7 +372,7 @@ def fit_cmd(data, model, n, output, pretty):
 @click.option("--data", required=True)
 @click.option("--model", type=click.Choice(sorted(analysis.MODELS)),
               default="main")
-@click.option("--n", "n", type=int, required=True)
+@click.option("--n", "n", type=_positive, required=True)
 @click.option("--resamples", type=int, default=1000)
 @_seed_opt
 @_output
@@ -398,7 +396,7 @@ def bootstrap_cmd(data, model, n, resamples, seed, output, pretty):
               help="Interleaved dataset CSV.")
 @click.option("--model", type=click.Choice(sorted(analysis.MODELS)),
               default="main")
-@click.option("--n", "n", type=int, required=True)
+@click.option("--n", "n", type=_positive, required=True)
 @click.option("--printed-form", is_flag=True,
               help="Use the reciprocal prefactor variant.")
 @_output
@@ -421,7 +419,7 @@ def interleaved_cmd(reference, interleaved_data, model, n, printed_form,
 
 
 @main.command("tv-decay")
-@click.option("--n", "n", type=int, default=1)
+@click.option("--n", "n", type=_positive, default=1)
 @click.option("--dist", required=True,
               help="Step distribution, e.g. 'X90:0.4,Y90:0.4,I:0.2'.")
 @click.option("--steps", type=int, default=20)
@@ -442,7 +440,7 @@ def tv_decay_cmd(n, dist, steps, csv_path, output, pretty):
 
 
 @main.command("bounds")
-@click.option("--n", "n", type=int, default=1)
+@click.option("--n", "n", type=_positive, default=1)
 @click.option("--dist", required=True, help="Step distribution.")
 @click.option("--eps", type=float, required=True,
               help="Observed error per step (LP) / total error (kappa).")

@@ -1,80 +1,35 @@
-"""Exact stochastic-Pauli error propagation.
+"""Exact stochastic-Pauli error propagation in the Heisenberg picture.
 
-Instead of Monte-Carlo sampling of error insertions, track the full
-probability distribution over stabilizer sign lists.  A Pauli error flips
-the sign of exactly the rows it anticommutes with, i.e. it XORs a fixed
-pattern onto the sign list; a stochastic Pauli channel is therefore a convex
-combination of XOR permutations of the distribution.  The distribution is
-kept *relative to the ideal run* (error pattern e = actual signs XOR ideal
-signs), which makes it invariant under the ideal conjugations and lets the
-structural row operations of the stabilizer engine (swap / multiply /
-replace) act linearly on it.
+A sequence applies steps U_1 ... U_L to |0...0>, each step t followed by its
+Pauli channel Λ_t (weights w_E), then an optional SPAM channel, then measures
+commuting Paulis M_1 ... M_k.  A Pauli error E after step t flips the outcome
+of M_j exactly when E anticommutes with B_t^j, the operator M_j carried back
+through steps L, ..., t+1.  Averaging the indicator "no outcome flipped" over
+independent errors gives
+
+    F = 2^-k · Σ_{s ∈ {0,1}^k} λ_spam(B_L^s) · Π_t λ_t(B_t^s),
+
+where B_t^s is the product of the B_t^j that s selects and
+λ(v) = Σ_E w_E (-1)^<E,v> is the channel's Pauli eigenvalue at v.  Signs never
+enter, so every operator is a sign-free packed vector.  Carried back through
+all steps, M_j becomes R_j = U†M_jU with U = U_L ... U_1; the outcome of M_j is
+deterministic in the noise-free run exactly when R_j is Z-type (no X bits),
+and anything else is rejected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional
 
-import numpy as np
+from .clifford import CliffordTableau, _pack
+from .pauli import PauliChannel, PauliOperator
 
-from .pauli import PauliChannel, PauliOperator, pauli_commutes
-from .stabilizer import StabilizerState, apply_clifford, stabilizer_decomposition, zero_state
-
-DEFAULT_QUBIT_CAP = 20
+DEFAULT_QUBIT_CAP = 20  # most measured Paulis: the sum runs over 2^k terms
 
 
 class ResourceLimitError(RuntimeError):
     pass
-
-
-@dataclass
-class SignListDistribution:
-    """Dense probability vector over the 2ⁿ possible sign-flip patterns."""
-
-    n_qubits: int
-    probs: np.ndarray
-    cap: int = DEFAULT_QUBIT_CAP
-
-    def __post_init__(self):
-        if self.n_qubits > self.cap:
-            raise ResourceLimitError(
-                f"sign-list tracking capped at {self.cap} qubits")
-        self.probs = np.asarray(self.probs, dtype=float)
-        if self.probs.shape != (1 << self.n_qubits,):
-            raise ValueError("probability vector has wrong length")
-        if np.any(self.probs < -1e-15) or abs(self.probs.sum() - 1.0) > 1e-12:
-            raise ValueError("not a probability distribution")
-
-    @classmethod
-    def ideal(cls, n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> "SignListDistribution":
-        probs = np.zeros(1 << n_qubits)
-        probs[0] = 1.0
-        return cls(n_qubits, probs, cap)
-
-
-def _anticommute_pattern(p: PauliOperator, rows: Sequence[PauliOperator]) -> int:
-    pattern = 0
-    for i, row in enumerate(rows):
-        if not pauli_commutes(p, row):
-            pattern |= 1 << i
-    return pattern
-
-
-def propagate_channel(dist: SignListDistribution, state: StabilizerState,
-                      ch: PauliChannel) -> SignListDistribution:
-    """Mix the distribution over the channel's XOR patterns against the
-    current stabilizer rows."""
-    if ch.n_qubits != state.n_qubits or dist.n_qubits != state.n_qubits:
-        raise ValueError("size mismatch")
-    idx = np.arange(1 << dist.n_qubits)
-    out = np.zeros_like(dist.probs)
-    for op, weight in ch.weights.items():
-        if weight == 0.0:
-            continue
-        pattern = _anticommute_pattern(op, state.rows)
-        out += weight * dist.probs[idx ^ pattern]
-    return SignListDistribution(dist.n_qubits, out, dist.cap)
 
 
 @dataclass
@@ -125,54 +80,31 @@ class ErrorModel:
         )
 
 
-class SignTracker:
-    """Listener pairing a SignListDistribution with a StabilizerState so the
-    distribution co-transforms with the structural row operations."""
+def _eigenvalue(ch: PauliChannel, v: int) -> float:
+    """Pauli eigenvalue λ(v) = Σ_E w_E (-1)^<E,v> of the channel."""
+    n = ch.n_qubits
+    return sum(-w if ((op.x_mask & (v >> n)) ^ (op.z_mask & v)).bit_count() & 1
+               else w for op, w in ch.weights.items())
 
-    def __init__(self, state: StabilizerState, cap: int = DEFAULT_QUBIT_CAP):
-        self.state = state
-        self.dist = SignListDistribution.ideal(state.n_qubits, cap)
-        state.listeners.append(self)
 
-    def on_row_event(self, event: str, *args) -> None:
-        probs = self.dist.probs
-        idx = np.arange(len(probs))
-        if event == "swap":
-            a, b = args
-            differ = ((idx >> a) ^ (idx >> b)) & 1
-            self.dist.probs = probs[idx ^ (differ << a) ^ (differ << b)]
-        elif event == "mul":
-            dst, src = args
-            self.dist.probs = probs[idx ^ (((idx >> src) & 1) << dst)]
-        elif event == "replace":
-            # row j gets a fresh sign: marginalize its error bit away
-            (j,) = args
-            out = np.zeros_like(probs)
-            np.add.at(out, idx & ~(1 << j), probs)
-            self.dist.probs = out
-        elif event == "prepare":
-            self.dist = SignListDistribution(
-                self.dist.n_qubits + 1,
-                np.concatenate([probs, np.zeros_like(probs)]),
-                self.dist.cap)
+def _pull_back(tab: CliffordTableau, vecs: List[int]) -> List[int]:
+    """Sign-free U†QU for each packed Q, with U given by its tableau.  Since
+    U preserves the symplectic form, the X_i bit of U†QU is <Q, U Z_i U†> and
+    its Z_i bit is <Q, U X_i U†>."""
+    n = tab.n_qubits
+    mask = (1 << n) - 1
+    partners = [((w & mask) << n) | (w >> n)
+                for w in tab.vecs[n:] + tab.vecs[:n]]
+    return [sum(((q & w).bit_count() & 1) << i for i, w in enumerate(partners))
+            for q in vecs]
 
-    def propagate(self, ch: PauliChannel) -> None:
-        self.dist = propagate_channel(self.dist, self.state, ch)
 
-    def joint_parity_probability(self, masks: Sequence[int]) -> float:
-        """Probability that every masked parity of the error pattern is even
-        (i.e. every listed measurement matches its ideal outcome)."""
-        idx = np.arange(len(self.dist.probs))
-        ok = np.ones(len(idx), dtype=bool)
-        for mask in masks:
-            parity = np.zeros(len(idx), dtype=np.uint8)
-            m = mask
-            while m:
-                b = (m & -m).bit_length() - 1
-                parity ^= ((idx >> b) & 1).astype(np.uint8)
-                m &= m - 1
-            ok &= parity == 0
-        return float(self.dist.probs[ok].sum())
+def _subset_products(vecs: List[int]) -> List[int]:
+    """Packed product of every subset s of vecs; bit j of s selects vecs[j]."""
+    out = [0]
+    for v in vecs:
+        out += [u ^ v for u in out]
+    return out
 
 
 def expected_sequence_fidelity(sequence, model: ErrorModel) -> float:
@@ -183,17 +115,24 @@ def expected_sequence_fidelity(sequence, model: ErrorModel) -> float:
     final measurement, and all measured operators must be deterministic in
     the noise-free run (which they are for the generated RB protocols).
     """
-    state = zero_state(sequence.n_qubits)
-    tracker = SignTracker(state)
-    for t, (label, tab) in enumerate(sequence.steps, start=1):
-        apply_clifford(state, tab)
-        tracker.propagate(model.channel_for(label, t))
+    measured = sequence.measured_paulis
+    if len(measured) > DEFAULT_QUBIT_CAP:
+        raise ResourceLimitError(
+            f"fidelity sum capped at {DEFAULT_QUBIT_CAP} measured Paulis")
+    # (channel, the step it follows)
+    stages = [(model.channel_for(label, t), tab)
+              for t, (label, tab) in enumerate(sequence.steps, start=1)]
     if model.spam_channel is not None:
-        tracker.propagate(model.spam_channel)
-    masks = []
-    for p in sequence.measured_paulis:
-        dec = stabilizer_decomposition(state, p)
-        if dec is None:
+        stages.append((model.spam_channel, None))
+    back = [_pack(p) for p in measured]  # B_L^j = M_j
+    acc = [1.0] * (1 << len(back))
+    for ch, tab in reversed(stages):
+        acc = [a * _eigenvalue(ch, v)
+               for a, v in zip(acc, _subset_products(back))]
+        if tab is not None:
+            back = _pull_back(tab, back)  # B_{t-1}^j
+    mask = (1 << sequence.n_qubits) - 1
+    for p, r in zip(measured, back):  # back[j] is now R_j = U†M_jU
+        if r & mask:
             raise ValueError(f"measured operator {p} is not deterministic")
-        masks.append(dec[0])
-    return tracker.joint_parity_probability(masks)
+    return sum(acc) / len(acc)

@@ -23,8 +23,8 @@ import numpy as np
 
 from .clifford import (
     CliffordTableau,
+    _ONE_QUBIT_MAP,
     _rand_bits,
-    clifford_apply,
     clifford_compose,
     clifford_inverse,
     embed_tableau,
@@ -36,7 +36,6 @@ from .gates import get_gate
 from .pauli import PauliOperator
 from .stabilizer import (
     apply_clifford,
-    deterministic_z_outcome,
     random_stabilizer_element,
     stabilizer_decomposition,
     zero_state,
@@ -117,17 +116,10 @@ def _random_pauli(n: int, rng) -> PauliOperator:
     return PauliOperator(n, _rand_bits(rng, n), _rand_bits(rng, n), 0)
 
 
-def _ideal_z_outcomes(seq_steps, inversion, n) -> Tuple[int, ...]:
-    state = zero_state(n)
-    for _, tab in seq_steps:
-        apply_clifford(state, tab)
-    apply_clifford(state, inversion)
-    outs = []
-    for j in range(n):
-        out = deterministic_z_outcome(state, j)
-        assert out is not None, "exact inversion must leave Z outcomes fixed"
-        outs.append(out)
-    return tuple(outs)
+def _pauli_outcomes(pauli: PauliOperator) -> Tuple[int, ...]:
+    """Z outcomes after a sequence whose product is `pauli`: P|0...0> is
+    |x> up to phase, x the X bits of P."""
+    return tuple((pauli.x_mask >> j) & 1 for j in range(pauli.n_qubits))
 
 
 def gen_exact_sequence(n: int, l: int, rng) -> RBSequence:
@@ -143,7 +135,7 @@ def gen_exact_sequence(n: int, l: int, rng) -> RBSequence:
         protocol="exact", n_qubits=n, length=l, core_steps=steps,
         inversion=inversion, final_pauli=pauli,
         measured_qubits=tuple(range(n)),
-        ideal_outcomes=_ideal_z_outcomes(steps, inversion, n))
+        ideal_outcomes=_pauli_outcomes(pauli))
 
 
 def gen_interleaved_sequence(n: int, l: int, g: CliffordTableau, rng) -> RBSequence:
@@ -163,11 +155,7 @@ def gen_interleaved_sequence(n: int, l: int, g: CliffordTableau, rng) -> RBSeque
         protocol="interleaved", n_qubits=n, length=l, core_steps=steps,
         inversion=inversion, final_pauli=pauli,
         measured_qubits=tuple(range(n)),
-        ideal_outcomes=_ideal_z_outcomes(steps, inversion, n))
-
-
-# a gate mapping each single-qubit factor onto Z (up to sign)
-_TO_Z = {"Z": "I", "X": "H", "Y": "X90"}
+        ideal_outcomes=_pauli_outcomes(pauli))
 
 
 def gen_approximate_sequence(dist: Tuple[Optional[StepDistribution], StepDistribution],
@@ -197,7 +185,7 @@ def gen_approximate_sequence(dist: Tuple[Optional[StepDistribution], StepDistrib
         if f == "I":
             continue
         measured.append(j)
-        gate = _TO_Z[f]
+        gate = _ONE_QUBIT_MAP[(f, "Z")]
         if gate != "I":
             inversion = clifford_compose(
                 embed_tableau(get_gate(gate).tableau, (j,), n), inversion)

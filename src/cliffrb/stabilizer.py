@@ -7,10 +7,6 @@ operator, which anticommutes with the diagonal; and the identity pattern is
 symmetric.  Keeping this form makes gate application O(n²·m) and measurement
 O(n²)-ish (our dense rows give the same structure with simpler invariants,
 at O(n³) worst case for the restore step).
-
-Structural row operations (swap / multiply / replace) are reported to
-registered listeners so that the error simulator can co-transform its
-sign-list distribution.
 """
 
 from __future__ import annotations
@@ -44,7 +40,6 @@ class StabilizerState:
         self.rows = list(rows)
         self.n_qubits = rows[0].n_qubits if rows else 0
         self.neighbor: List[Optional[str]] = list(neighbor) if neighbor else [None] * len(rows)
-        self.listeners: list = []
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -58,15 +53,10 @@ class StabilizerState:
     def _entry(self, r: int, c: int) -> str:
         return self.rows[r].factor(c)
 
-    def _notify(self, event: str, *args) -> None:
-        for lis in self.listeners:
-            lis.on_row_event(event, *args)
-
     def _swap_rows(self, a: int, b: int) -> None:
         if a == b:
             return
         self.rows[a], self.rows[b] = self.rows[b], self.rows[a]
-        self._notify("swap", a, b)
 
     def _mul_row(self, dst: int, src: int) -> None:
         """rows[dst] *= rows[src] (commuting, so order is immaterial)."""
@@ -74,11 +64,6 @@ class StabilizerState:
         if prod.phase % 2:
             raise InvalidStateError("rows do not commute")
         self.rows[dst] = prod
-        self._notify("mul", dst, src)
-
-    def _replace_row(self, j: int, op: PauliOperator) -> None:
-        self.rows[j] = op
-        self._notify("replace", j)
 
     # -- GSSF ----------------------------------------------------------------
 
@@ -178,7 +163,6 @@ def prepare_zero(state: StabilizerState) -> StabilizerState:
     state.rows.append(PauliOperator.single(n, n - 1, "Z"))
     state.neighbor.append(None)
     state.n_qubits = n
-    state._notify("prepare", n - 1)
     return state
 
 
@@ -248,7 +232,7 @@ def measure_z(state: StabilizerState, j: int, rng) -> Tuple[int, StabilizerState
         state.neighbor[j] = "Z"
     # Step 3: random outcome; new stabilizer ±Z_j replaces row j.
     outcome = int(rng.integers(0, 2))
-    state._replace_row(j, PauliOperator.single(n, j, "Z", 2 * outcome))
+    state.rows[j] = PauliOperator.single(n, j, "Z", 2 * outcome)
     for r in range(n):
         if r != j and state._entry(r, j) != "I":
             state._mul_row(r, j)

@@ -5,16 +5,36 @@ internals: they are built from the four 2x2 Pauli matrices and numpy.kron.
 Basis convention: state index bit j is qubit j, so qubit 0 lives on the
 low-order tensor slot.
 
-The object-based Clifford action at the end is the slow path that the packed
-tableau kernel replaced: one `PauliOperator` per image factor, multiplied
-with `pauli_multiply`.  It uses only the public Pauli and tableau data types.
+The object-based Clifford action further down is the slow path that the
+packed tableau kernel replaced: one `PauliOperator` per image factor,
+multiplied with `pauli_multiply`.  It uses only the public Pauli and tableau
+data types.
+
+The sign-list fidelity at the end is the Schrödinger-picture path that the
+Heisenberg-picture `expected_sequence_fidelity` replaced: a probability vector
+over the 2ⁿ sign-flip patterns of the stabilizer rows, co-transformed with
+every row swap and product of a stabilizer simulation of the sequence.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from cliffrb.clifford import CliffordTableau, embed_tableau
+from cliffrb.errors import DEFAULT_QUBIT_CAP, ResourceLimitError
 from cliffrb.gates import get_gate
-from cliffrb.pauli import PauliDimensionError, PauliOperator, pauli_multiply
+from cliffrb.pauli import (
+    PauliDimensionError,
+    PauliOperator,
+    pauli_commutes,
+    pauli_multiply,
+)
+from cliffrb.stabilizer import (
+    StabilizerState,
+    apply_clifford,
+    stabilizer_decomposition,
+    zero_state,
+)
 
 PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -169,3 +189,136 @@ class ChoiMatrix:
         tab = embed_tableau(get_gate(name).tableau,
                             tuple(self.n + i for i in idxs), 2 * self.n)
         self.rows = [clifford_apply(tab, r) for r in self.rows]
+
+
+# ---------------------------------------------------------------------------
+# sign-list fidelity (Schrödinger picture)
+
+
+@dataclass
+class SignListDistribution:
+    """Dense probability vector over the 2ⁿ possible sign-flip patterns."""
+
+    n_qubits: int
+    probs: np.ndarray
+    cap: int = DEFAULT_QUBIT_CAP
+
+    def __post_init__(self):
+        if self.n_qubits > self.cap:
+            raise ResourceLimitError(
+                f"sign-list tracking capped at {self.cap} qubits")
+        self.probs = np.asarray(self.probs, dtype=float)
+        if self.probs.shape != (1 << self.n_qubits,):
+            raise ValueError("probability vector has wrong length")
+        if np.any(self.probs < -1e-15) or abs(self.probs.sum() - 1.0) > 1e-12:
+            raise ValueError("not a probability distribution")
+
+    @classmethod
+    def ideal(cls, n_qubits, cap=DEFAULT_QUBIT_CAP):
+        probs = np.zeros(1 << n_qubits)
+        probs[0] = 1.0
+        return cls(n_qubits, probs, cap)
+
+
+def _anticommute_pattern(p, rows):
+    pattern = 0
+    for i, row in enumerate(rows):
+        if not pauli_commutes(p, row):
+            pattern |= 1 << i
+    return pattern
+
+
+def propagate_channel(dist, state, ch):
+    """Mix the distribution over the channel's XOR patterns against the
+    current stabilizer rows."""
+    if ch.n_qubits != state.n_qubits or dist.n_qubits != state.n_qubits:
+        raise ValueError("size mismatch")
+    idx = np.arange(1 << dist.n_qubits)
+    out = np.zeros_like(dist.probs)
+    for op, weight in ch.weights.items():
+        if weight == 0.0:
+            continue
+        pattern = _anticommute_pattern(op, state.rows)
+        out += weight * dist.probs[idx ^ pattern]
+    return SignListDistribution(dist.n_qubits, out, dist.cap)
+
+
+class ReportingState(StabilizerState):
+    """StabilizerState that reports its row swaps and row products to
+    listeners (the only structural row operations gate application makes)."""
+
+    def __init__(self, rows, neighbor=None):
+        super().__init__(rows, neighbor)
+        self.listeners = []
+
+    def _swap_rows(self, a, b):
+        super()._swap_rows(a, b)
+        for lis in self.listeners:
+            lis.on_row_event("swap", a, b)
+
+    def _mul_row(self, dst, src):
+        super()._mul_row(dst, src)
+        for lis in self.listeners:
+            lis.on_row_event("mul", dst, src)
+
+
+class SignTracker:
+    """Listener pairing a SignListDistribution with a ReportingState so the
+    distribution co-transforms with the structural row operations.  The
+    distribution is kept relative to the ideal run (error pattern = actual
+    signs XOR ideal signs), which makes it invariant under the ideal
+    conjugations."""
+
+    def __init__(self, state, cap=DEFAULT_QUBIT_CAP):
+        self.state = state
+        self.dist = SignListDistribution.ideal(state.n_qubits, cap)
+        state.listeners.append(self)
+
+    def on_row_event(self, event, *args):
+        probs = self.dist.probs
+        idx = np.arange(len(probs))
+        if event == "swap":
+            a, b = args
+            differ = ((idx >> a) ^ (idx >> b)) & 1
+            self.dist.probs = probs[idx ^ (differ << a) ^ (differ << b)]
+        elif event == "mul":
+            dst, src = args
+            self.dist.probs = probs[idx ^ (((idx >> src) & 1) << dst)]
+
+    def propagate(self, ch):
+        self.dist = propagate_channel(self.dist, self.state, ch)
+
+    def joint_parity_probability(self, masks):
+        """Probability that every masked parity of the error pattern is even
+        (i.e. every listed measurement matches its ideal outcome)."""
+        idx = np.arange(len(self.dist.probs))
+        ok = np.ones(len(idx), dtype=bool)
+        for mask in masks:
+            parity = np.zeros(len(idx), dtype=np.uint8)
+            m = mask
+            while m:
+                b = (m & -m).bit_length() - 1
+                parity ^= ((idx >> b) & 1).astype(np.uint8)
+                m &= m - 1
+            ok &= parity == 0
+        return float(self.dist.probs[ok].sum())
+
+
+def sign_list_fidelity(sequence, model):
+    """`expected_sequence_fidelity` by sign-list tracking: simulate the
+    sequence, mix each step's channel into the sign-flip distribution, and
+    read off the probability that every measured parity is ideal."""
+    state = ReportingState(zero_state(sequence.n_qubits).rows)
+    tracker = SignTracker(state)
+    for t, (label, tab) in enumerate(sequence.steps, start=1):
+        apply_clifford(state, tab)
+        tracker.propagate(model.channel_for(label, t))
+    if model.spam_channel is not None:
+        tracker.propagate(model.spam_channel)
+    masks = []
+    for p in sequence.measured_paulis:
+        dec = stabilizer_decomposition(state, p)
+        if dec is None:
+            raise ValueError(f"measured operator {p} is not deterministic")
+        masks.append(dec[0])
+    return tracker.joint_parity_probability(masks)

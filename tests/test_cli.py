@@ -231,3 +231,28 @@ class TestBadInput:
                             "--seed", "1", "-o", str(tmp_path / "d.csv")],
                            "--spam")
         assert not (tmp_path / "d.csv").exists()
+
+    def test_bad_lengths(self, tmp_path):
+        for lengths in ("1,x", "0,3", "5,3", ""):
+            assert_usage_error(["simulate", "--n", "1", "--lengths", lengths,
+                                "--depolarizing", "0.01", "--seed", "1",
+                                "-o", str(tmp_path / "d.csv")], "--lengths")
+            assert_usage_error(["gen-sequences", "--n", "1",
+                                "--lengths", lengths, "--seed", "1"],
+                               "--lengths")
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_simulate_counts_must_be_positive(self, tmp_path):
+        for option in ("--n-seq", "--shots"):
+            assert_usage_error(["simulate", "--n", "1", "--lengths", "1,2",
+                                "--depolarizing", "0.01", option, "0",
+                                "--seed", "1", "-o", str(tmp_path / "d.csv")],
+                               option)
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_qubit_count_must_be_positive(self):
+        for n in ("0", "-1"):
+            assert_usage_error(["sample-clifford", "--n", n, "--seed", "1"],
+                               "--n")
+            assert_usage_error(["decompose", "--random", "--n", n,
+                                "--seed", "1"], "--n")

@@ -12,19 +12,19 @@ from cliffrb.clifford import (
     embed_tableau,
     sample_uniform,
 )
-from cliffrb.errors import (
-    ErrorModel,
-    ResourceLimitError,
-    SignListDistribution,
-    SignTracker,
-    expected_sequence_fidelity,
-    propagate_channel,
-)
+from cliffrb.errors import ErrorModel, ResourceLimitError, expected_sequence_fidelity
 from cliffrb.gates import get_gate
 from cliffrb.pauli import PauliChannel, PauliOperator
+from cliffrb.protocol import gen_exact_sequence, sequence_factory
 from cliffrb.stabilizer import apply_clifford, measure_z, stabilizer_decomposition, zero_state
 
-from oracles import dense_pauli, embed_unitary
+from oracles import (
+    SignListDistribution,
+    dense_pauli,
+    embed_unitary,
+    propagate_channel,
+    sign_list_fidelity,
+)
 
 
 @dataclass
@@ -246,3 +246,60 @@ class TestAgainstExhaustiveBranching:
             got = expected_sequence_fidelity(seq, model)
             want = self._oracle(seq, model, unitaries)
             assert got == pytest.approx(want, abs=1e-10), f"trial {trial}"
+
+
+def _random_channel(n, rng, terms=3, total=0.08):
+    """Pauli channel with a few random non-identity terms."""
+    weights = {}
+    while len(weights) < terms:
+        op = PauliOperator(n, int(rng.integers(0, 2 ** n)),
+                           int(rng.integers(0, 2 ** n)), 0)
+        if not op.is_identity():
+            weights[op] = float(rng.uniform(0, total / terms))
+    weights[PauliOperator.identity(n)] = 1.0 - sum(weights.values())
+    return PauliChannel(n, weights)
+
+
+class TestAgainstSignListOracle:
+    """The Heisenberg-picture fidelity equals the sign-list tracker it
+    replaced, on every sequence family and kind of error model."""
+
+    @staticmethod
+    def _models(n, rng):
+        return {
+            "per-gate": ErrorModel(
+                _random_channel(n, rng),
+                per_gate={"gate": _random_channel(n, rng, total=0.2),
+                          "inversion": _random_channel(n, rng)}),
+            "time-ramp": ErrorModel(PauliChannel.depolarizing(n, 0.03),
+                                    time_ramp=0.15),
+            "spam": ErrorModel(_random_channel(n, rng),
+                               spam_channel=_random_channel(n, rng, total=0.1)),
+        }
+
+    @staticmethod
+    def _factories(n):
+        gate = {1: get_gate("S").tableau, 2: get_gate("CX").tableau,
+                3: embed_tableau(get_gate("CX").tableau, (2, 0), 3)}[n]
+        out = {"exact": sequence_factory("exact", n),
+               "interleaved": sequence_factory("interleaved", n, gate)}
+        if n == 1:
+            out["knill-1q"] = sequence_factory("knill-1q", 1)
+        return out
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_oracle(self, n):
+        rng = np.random.default_rng(40 + n)
+        models = self._models(n, rng)
+        for proto, factory in self._factories(n).items():
+            for l in (1, 2, 7):
+                seq = factory(l, rng)
+                for name, model in models.items():
+                    got = expected_sequence_fidelity(seq, model)
+                    want = sign_list_fidelity(seq, model)
+                    assert abs(got - want) <= 1e-12, (proto, l, name)
+
+    def test_measured_pauli_cap(self):
+        seq = gen_exact_sequence(21, 1, np.random.default_rng(0))
+        with pytest.raises(ResourceLimitError):
+            expected_sequence_fidelity(seq, ErrorModel(PauliChannel.identity(21)))
