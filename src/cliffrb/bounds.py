@@ -23,11 +23,12 @@ import numpy as np
 
 from .clifford import (
     CliffordTableau,
-    clifford_apply,
-    clifford_compose,
+    _local_table,
+    _pack,
+    _symplectic,
     enumerate_group,
 )
-from .pauli import PauliOperator, pauli_commutes
+from .pauli import PauliOperator
 
 MAX_QUBITS = 2
 
@@ -51,6 +52,13 @@ def _group(n: int) -> Tuple[Tuple[CliffordTableau, ...], Dict[int, int]]:
 
 
 @lru_cache(maxsize=4)
+def _images(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """_images(n)[i][v]: packed image of the basis Pauli v under element i."""
+    return tuple(tuple(img for img, _ in _local_table(tab))
+                 for tab in _group(n)[0])
+
+
+@lru_cache(maxsize=4)
 def _compose_table_cache(n: int) -> Dict[Tuple[int, int], int]:
     return {}
 
@@ -61,8 +69,9 @@ def _compose_index(n: int, i: int, j: int) -> int:
     key = (i, j)
     if key not in table:
         elements, index = _group(n)
-        prod = clifford_compose(elements[i], elements[j])
-        table[key] = index[prod.strip_signs().encode()]
+        image = _images(n)[i]
+        prod = CliffordTableau(n, tuple(image[v] for v in elements[j].vecs))
+        table[key] = index[prod.encode()]
     return table[key]
 
 
@@ -215,12 +224,12 @@ def undetected_probability(p_prime: GroupDistribution, r: PauliOperator,
     """Probability that Pauli error r, pushed through an aggregate Clifford
     drawn from p_prime, commutes with the measured operator (goes unseen)."""
     n = p_prime.n_qubits
-    m = default_measurement(n) if measured is None else measured
-    elements, _ = _group(n)
+    m = _pack(default_measurement(n) if measured is None else measured)
+    v = _pack(r)
+    images = _images(n)
     q = 0.0
     for i in p_prime.support():
-        img = clifford_apply(elements[i], r)
-        if pauli_commutes(img, m):
+        if not _symplectic(images[i][v], m, n):
             q += float(p_prime.probs[i])
     return q
 

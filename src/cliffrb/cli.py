@@ -27,7 +27,12 @@ from .clifford import (
     group_order,
     sample_uniform,
 )
-from .decomp import block_decompose, cayley_search, translate_sequence
+from .decomp import (
+    CoverageError,
+    block_decompose,
+    cayley_search,
+    translate_sequence,
+)
 from .errors import ErrorModel
 from .gates import GateSet, get_gate, sequence_tableau
 from .pauli import PauliChannel
@@ -117,25 +122,45 @@ def _parse_lengths(text: str) -> Tuple[int, ...]:
     return lengths
 
 
+def _resolve_gate(name: str, option: str, n: Optional[int] = None):
+    """Registered gate by name (acting on n qubits when n is given), else a
+    usage error."""
+    try:
+        gate = get_gate(name)
+    except KeyError:
+        raise click.BadParameter(f"unknown gate {name!r}",
+                                 param_hint=option) from None
+    if n is not None and gate.arity != n:
+        raise click.BadParameter(
+            f"{name} acts on {gate.arity} qubit(s), not {n}",
+            param_hint=option)
+    return gate
+
+
+def _interleaved_gate(protocol: str, gate: Optional[str], n: int):
+    """Tableau of --gate; the interleaved protocol needs one."""
+    if gate is None:
+        if protocol == "interleaved":
+            raise click.BadParameter("interleaved protocol needs --gate",
+                                     param_hint="'--gate'")
+        return None
+    return _resolve_gate(gate, "'--gate'", n).tableau
+
+
 def _parse_distribution(n: int, text: str) -> bounds.GroupDistribution:
     """'X90:0.4,Y90:0.4,I:0.2' -> distribution over the quotient group."""
     weights = []
     for tok in text.split(","):
         name, _, w = tok.partition(":")
+        tab = (CliffordTableau.identity(n) if name == "I"
+               else _resolve_gate(name, "'--dist'", n).tableau)
         try:
-            tab = (CliffordTableau.identity(n) if name == "I"
-                   else get_gate(name).tableau)
             weight = float(w) if w else 1.0
             if not 0 <= weight < float("inf"):
                 raise ValueError(w)
-        except KeyError:
-            raise click.BadParameter(f"unknown gate {name!r}",
-                                     param_hint="'--dist'") from None
         except ValueError:
             raise click.BadParameter(f"bad weight {w!r} for {name}",
                                      param_hint="'--dist'") from None
-        if tab.n_qubits != n:
-            raise click.BadParameter(f"{name} is not an {n}-qubit gate")
         weights.append((tab, weight))
     total = sum(w for _, w in weights)
     if total <= 0:
@@ -198,11 +223,17 @@ def search_decomp_cmd(n, gates, primary, quotient, output, pretty):
     """Optimal-cost table over a gate set; reports the cost histogram."""
     entries = []
     for name in gates.split(","):
-        arity = get_gate(name).arity
-        entries.append((name, "each" if arity == 1 else "all-pairs", 1.0))
-    table = cayley_search(GateSet("cli", tuple(entries)), n,
-                          quotient=quotient,
-                          primary_gates=(primary,))
+        gate = _resolve_gate(name, "'--gates'")  # aliases -> registry names
+        entries.append((gate.name, "each" if gate.arity == 1 else "all-pairs",
+                        1.0))
+    primary_name = _resolve_gate(primary, "'--primary'").name
+    try:
+        table = cayley_search(GateSet("cli", tuple(entries)), n,
+                              quotient=quotient, primary_gates=(primary_name,))
+    except ValueError as err:
+        raise click.BadParameter(str(err), param_hint="'--n'") from None
+    except CoverageError as err:
+        raise click.BadParameter(str(err), param_hint="'--gates'") from None
     hist = table.cost_histogram()
     size = sum(hist.values())
     mean = sum(k * v for k, v in hist.items()) / size
@@ -279,7 +310,8 @@ def sample_clifford_cmd(n, count, seed, output, pretty):
               default="exact")
 @click.option("--n", "n", type=_positive, required=True)
 @click.option("--lengths", required=True, help="Comma-separated lengths.")
-@click.option("--n-seq", type=int, default=1, help="Sequences per length.")
+@click.option("--n-seq", type=_positive, default=1,
+              help="Sequences per length.")
 @click.option("--gate", default=None, help="Interleaved gate name.")
 @_seed_opt
 @_output
@@ -287,9 +319,7 @@ def sample_clifford_cmd(n, count, seed, output, pretty):
 def gen_sequences_cmd(protocol, n, lengths, n_seq, gate, seed, output, pretty):
     """Generate benchmarking sequences with per-sequence derived seeds."""
     parsed_lengths = _parse_lengths(lengths)
-    gate_tab = get_gate(gate).tableau if gate else None
-    if protocol == "interleaved" and gate_tab is None:
-        raise click.BadParameter("interleaved protocol needs --gate")
+    gate_tab = _interleaved_gate(protocol, gate, n)
     seed = _resolve_seed(seed)
     factory = sequence_factory(protocol, n, gate_tab)
     seqs = [factory(l, np.random.default_rng(sequence_seed(seed, protocol, l, i)))
@@ -341,9 +371,9 @@ def simulate_cmd(protocol, n, lengths, n_seq, shots, gate, model_path,
     else:
         raise click.BadParameter("provide --error-model or --depolarizing")
     parsed_lengths = _parse_lengths(lengths)
+    gate_tab = _interleaved_gate(protocol, gate, n)
     seed = _resolve_seed(seed)
     design = ExperimentDesign(parsed_lengths, n_seq, shots, master_seed=seed)
-    gate_tab = get_gate(gate).tableau if gate else None
     data = run_experiment(design, protocol, model, n, gate=gate_tab)
     man = _manifest("simulate", {
         "protocol": protocol, "n": n, "lengths": lengths, "n_seq": n_seq,

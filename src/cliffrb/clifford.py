@@ -19,6 +19,9 @@ full tableau product (Aaronson & Gottesman, quant-ph/0406196): the gate only
 rewrites the 2 or 4 bits of each row on its qubits and flips the row's sign.
 `_local_table` tabulates that rewrite for every local (x, z) pattern and
 `_local_update` applies it to a list of rows in place, O(rows) per gate.
+The same table of a whole small tableau is how the group layer (Cayley
+search, dense twirls, twirl subgroups, bounds) applies a Clifford to Pauli
+labels.
 """
 
 from __future__ import annotations
@@ -503,8 +506,10 @@ def embed_tableau(t: CliffordTableau, positions: Sequence[int], n: int) -> Cliff
 
 
 def _local_table(t: CliffordTableau) -> Tuple[Tuple[int, int], ...]:
-    """Local update table of an m-qubit gate: entry k = x | z << m is the
-    (image pattern, sign flip) of the phase-0 factor-form Pauli k under t."""
+    """Signed permutation of the 4^m Pauli labels under any m-qubit tableau
+    t: entry k = x | z << m is the (image label, sign flip) of the phase-0
+    factor-form Pauli k.  For a named gate it is the local update table; for
+    a whole tableau it is its action on every Pauli label."""
     return tuple(_image_sign(t, k, 0) for k in range(4 ** t.n_qubits))
 
 

@@ -4,7 +4,7 @@ Two routes:
 
 * `cayley_search` -- exhaustive Dijkstra over the group's Cayley graph with a
   lexicographic (two-qubit gates, total gates) weight; optimal but only
-  feasible for n <= 2 (n = 3 quotient behind an opt-in flag).
+  feasible for n <= 2 (n <= 3 for the Pauli quotient).
 * `block_decompose` -- O(n^2)-gate algorithmic decomposition for any n,
   reducing the Bell-pair (Choi) stabilizer matrix of the operator to the
   identity with blocks of one-qubit gates, CZ gates and CX gates.
@@ -28,15 +28,15 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .clifford import (
     CliffordTableau,
     GateSequence,
+    _local_table,
     _local_update,
     _pauli_product,
-    clifford_apply,
-    clifford_compose,
     embed_tableau,
     group_order,
 )
 from .gates import INVERSE_NAMES, GateSet, get_gate
-from .pauli import PauliOperator
+
+_FACTOR = "IXZY"  # indexed by x | z << 1
 
 # one-qubit palette covering the six quotient cosets, all with named inverses
 _PALETTE = ("I", "S", "H", "X90", "T", "T2")
@@ -45,15 +45,11 @@ _PALETTE = ("I", "S", "H", "X90", "T", "T2")
 def _pair_gate_table() -> Dict[Tuple[str, str], str]:
     """(A, B) -> palette gate g with g(A) = +-X and g(B) = +-Z."""
     table = {}
-    letters = {"X": PauliOperator.from_string("X"),
-               "Y": PauliOperator.from_string("Y"),
-               "Z": PauliOperator.from_string("Z")}
     for name in _PALETTE:
-        tab = get_gate(name).tableau
-        images = {k: clifford_apply(tab, p).representative()
-                  for k, p in letters.items()}
-        a = next(k for k, img in images.items() if img == letters["X"])
-        b = next(k for k, img in images.items() if img == letters["Z"])
+        image = {_FACTOR[k]: img for k, (img, _) in
+                 enumerate(get_gate(name).local)}
+        a = next(k for k in "XYZ" if image[k] == 1)
+        b = next(k for k in "XYZ" if image[k] == 2)
         table[(a, b)] = name
     assert len(table) == 6
     return table
@@ -88,91 +84,56 @@ class DecompositionTable:
 def cayley_search(gs: GateSet, n: int, quotient: bool = False,
                   primary_gates: Tuple[str, ...] = ("CX",)) -> DecompositionTable:
     """Dijkstra over the Cayley graph; first settlement is optimal under the
-    lexicographic (primary-gate count, total gates) weight."""
+    lexicographic (primary-gate count, total gates) weight.
+
+    A node is the tuple of the 2n signed rows ``vec | sign << 2n`` of a
+    tableau.  Composing a gate on the left maps every row through the gate's
+    signed Pauli-label table (`_local_table` of the embedded gate); in the
+    quotient the sign bit stays 0."""
+    if n >= (4 if quotient else 3):
+        raise ValueError(
+            f"group too large to search (n={n}, quotient={quotient})")
+    width = 2 * n
     moves = []
     for name, idxs, _w in gs.moves(n):
-        tab = embed_tableau(get_gate(name).tableau, idxs, n)
-        if quotient:
-            tab = tab.strip_signs()
-        moves.append((name, idxs, tab, 1 if name in primary_gates else 0))
-    if quotient:
-        entries = _quotient_cayley_search(moves, n)
-    else:
-        start = CliffordTableau.identity(n)
-        start_key = start.encode()
-        best: Dict[int, Tuple[int, int]] = {start_key: (0, 0)}
-        entries = {}
-        counter = 0
-        heap = [(0, 0, counter, start, ())]
-        while heap:
-            prim, tot, _, tab, seq = heapq.heappop(heap)
-            key = tab.encode()
-            if key in entries:
-                continue
-            entries[key] = (GateSequence(n, seq), (prim, tot))
-            for name, idxs, gtab, gprim in moves:
-                new = clifford_compose(gtab, tab)
-                nkey = new.encode()
-                cost = (prim + gprim, tot + 1)
-                if nkey not in entries and cost < best.get(nkey, (1 << 60, 0)):
-                    best[nkey] = cost
-                    counter += 1
-                    heapq.heappush(
-                        heap, (*cost, counter, new, seq + ((name, idxs),)))
-    expected = group_order(n) // (4 ** n if quotient else 1)
+        table = _local_table(embed_tableau(get_gate(name).tableau, idxs, n))
+        # step[row] is the image row; a signed row also carries the flip
+        step = [img if quotient else img | flip << width
+                for img, flip in table]
+        if not quotient:
+            step += [img | (flip ^ 1) << width for img, flip in table]
+        moves.append(((name, idxs), step, 1 if name in primary_gates else 0))
+    vec_mask = (1 << width) - 1
+    start = tuple(1 << i for i in range(width))
+    # a node is settled when popped at its best cost; every later push costs
+    # more than that, so settled nodes never re-enter the heap
+    best: Dict[Tuple[int, ...], Tuple[int, int]] = {start: (0, 0)}
+    entries: Dict[int, Tuple[GateSequence, Tuple[int, int]]] = {}
+    counter = 0
+    heap = [(0, 0, counter, start, ())]
+    while heap:
+        prim, tot, _, rows, seq = heapq.heappop(heap)
+        if best[rows] != (prim, tot):
+            continue
+        key = 0  # CliffordTableau.encode(): the sign mask, then the vecs
+        for i, r in enumerate(rows):
+            key |= (r >> width) << i | (r & vec_mask) << (width * (i + 1))
+        entries[key] = (GateSequence(n, seq), (prim, tot))
+        for gate, step, gprim in moves:
+            new = tuple(step[r] for r in rows)
+            cost = (prim + gprim, tot + 1)
+            if cost < best.get(new, (1 << 60, 0)):
+                best[new] = cost
+                counter += 1
+                heapq.heappush(heap, (*cost, counter, new, seq + (gate,)))
+    expected = group_order(n, quotient)
     if len(entries) != expected:
         raise CoverageError(
             f"gate set {gs.name!r} reached {len(entries)} of {expected} elements")
     return DecompositionTable(gs.name, n, quotient, entries)
 
 
-def _quotient_cayley_search(moves, n: int):
-    """Sign-free Dijkstra: composing a fixed gate on the left is GF(2)-linear,
-    so each move reduces to a per-row XOR table lookup on the packed vecs."""
-    two_n = 2 * n
-    size = 1 << two_n
-    fast = []
-    for name, idxs, gtab, gprim in moves:
-        # xt[mask] = XOR of gtab rows selected by the bits of mask, i.e. the
-        # image row of any tableau whose corresponding row equals mask
-        xt = [0] * size
-        for m in range(1, size):
-            low = m & -m
-            xt[m] = xt[m ^ low] ^ gtab.vecs[low.bit_length() - 1]
-        fast.append((name, idxs, xt, gprim))
-    start = tuple(1 << i for i in range(two_n))
-    best: Dict[Tuple[int, ...], Tuple[int, int]] = {start: (0, 0)}
-    settled: Dict[Tuple[int, ...], Tuple[Tuple, Tuple[int, int]]] = {}
-    counter = 0
-    heap = [(0, 0, counter, start, ())]
-    while heap:
-        prim, tot, _, vecs, seq = heapq.heappop(heap)
-        if vecs in settled:
-            continue
-        settled[vecs] = (seq, (prim, tot))
-        for name, idxs, xt, gprim in fast:
-            new = tuple(xt[v] for v in vecs)
-            cost = (prim + gprim, tot + 1)
-            if new not in settled and cost < best.get(new, (1 << 60, 0)):
-                best[new] = cost
-                counter += 1
-                heapq.heappush(heap, (*cost, counter, new,
-                                      seq + ((name, idxs),)))
-    entries: Dict[int, Tuple[GateSequence, Tuple[int, int]]] = {}
-    for vecs, (seq, cost) in settled.items():
-        key = 0
-        shift = two_n
-        for v in vecs:
-            key |= v << shift
-            shift += two_n
-        entries[key] = (GateSequence(n, seq), cost)
-    return entries
-
-
 # -- algorithmic block decomposition -------------------------------------------
-
-
-_FACTOR = "IXZY"  # indexed by x | z << 1
 
 
 class _ChoiMatrix:

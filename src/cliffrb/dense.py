@@ -1,10 +1,16 @@
-"""Brute-force dense superoperator engine (n <= 3).
+"""Dense superoperator engine (n <= 3).
 
-This is the reference implementation the fast paths are checked against:
-channels are held as 4^n x 4^n process matrices chi in the (unnormalized)
-Pauli basis, Lambda(rho) = sum_mn chi[m,n] P_m rho P_n.  With that
-normalization chi[0,0] is the entanglement fidelity with the identity, which
-keeps the depolarization and fidelity formulas short.
+This is the dense reference the stabilizer-based fast paths are checked
+against: channels are held as 4^n x 4^n process matrices chi in the
+(unnormalized) Pauli basis, Lambda(rho) = sum_mn chi[m,n] P_m rho P_n.  With
+that normalization chi[0,0] is the entanglement fidelity with the identity,
+which keeps the depolarization and fidelity formulas short.
+
+Every change of representation is one contraction with the cached stack of
+the 4^n basis matrices (shape 4^n x 2^n x 2^n); the loop forms over the 16^n
+Pauli pairs are kept as oracles in tests/oracles.py.  A Clifford acts on the
+basis as the signed permutation of Pauli labels given by its
+`clifford._local_table`.
 
 Basis ordering: Pauli index m = x_mask | (z_mask << n), so m = 0 is the
 identity; state index bit j is qubit j (qubit 0 = low-order bit).
@@ -13,11 +19,12 @@ identity; state index bit j is qubit j (qubit 0 = low-order bit).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Union
+from functools import lru_cache
+from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .clifford import CliffordTableau, clifford_apply, clifford_inverse, pauli_tableau
+from .clifford import CliffordTableau, _local_table, pauli_tableau
 from .pauli import PauliChannel, PauliOperator
 
 _MATS = {
@@ -43,8 +50,20 @@ def _basis(n: int) -> List[PauliOperator]:
             for m in range(4 ** n)]
 
 
-def _basis_mats(n: int) -> List[np.ndarray]:
-    return [dense_pauli(p) for p in _basis(n)]
+@lru_cache(maxsize=None)
+def _basis_stack(n: int) -> np.ndarray:
+    """P_m for every basis index m, stacked: shape (4^n, 2^n, 2^n)."""
+    out = np.array([dense_pauli(p) for p in _basis(n)])
+    out.setflags(write=False)
+    return out
+
+
+def _signed_perm(tab: CliffordTableau) -> Tuple[np.ndarray, np.ndarray]:
+    """C P_m C+ = sign[m] P_idx[m] for every basis index m."""
+    table = _local_table(tab)
+    idx = np.array([img for img, _ in table])
+    sign = 1 - 2 * np.array([flip for _, flip in table])
+    return idx, sign
 
 
 @dataclass(frozen=True)
@@ -65,18 +84,15 @@ class DenseSuperoperator:
     def from_kraus(cls, n_qubits: int, kraus: Iterable[np.ndarray],
                    require_tp: bool = True) -> "DenseSuperoperator":
         d = 2 ** n_qubits
-        mats = _basis_mats(n_qubits)
-        coeffs = []
-        total = np.zeros((d, d), dtype=complex)
-        for a in kraus:
-            a = np.asarray(a, dtype=complex)
-            if a.shape != (d, d):
-                raise ValueError("Kraus operator has wrong shape")
-            total += a.conj().T @ a
-            coeffs.append(np.array([np.trace(pm.conj().T @ a) / d for pm in mats]))
+        ops = [np.asarray(a, dtype=complex) for a in kraus]
+        if any(a.shape != (d, d) for a in ops):
+            raise ValueError("Kraus operator has wrong shape")
+        ops = np.array(ops).reshape(-1, d, d)
+        total = np.einsum("aji,ajk->ik", ops.conj(), ops)
         if require_tp and not np.allclose(total, np.eye(d), atol=1e-10):
             raise ValueError("Kraus set is not trace-preserving")
-        c = np.array(coeffs)
+        # c[a, m] = tr(P_m+ A_a) / d
+        c = np.einsum("mij,aij->am", _basis_stack(n_qubits).conj(), ops) / d
         return cls(n_qubits, c.T @ c.conj())
 
     @classmethod
@@ -107,59 +123,40 @@ class DenseSuperoperator:
         """Channel rho -> C rho C+ of a Clifford, built from its signed
         Pauli permutation (no dense unitary needed)."""
         n = tab.n_qubits
-        d2 = 4 ** n
-        phases = np.zeros(d2, dtype=complex)
-        idx = np.zeros(d2, dtype=int)
-        for m, p in enumerate(_basis(n)):
-            img = clifford_apply(tab, p)
-            idx[m] = img.x_mask | (img.z_mask << n)
-            phases[m] = (1j) ** img.phase
-        return cls.from_natural(n, _signed_perm_natural(n, idx, phases))
+        return cls.from_natural(n, _signed_perm_natural(n, *_signed_perm(tab)))
 
     @classmethod
     def from_natural(cls, n_qubits: int, nat: np.ndarray) -> "DenseSuperoperator":
+        """chi[m, k] = tr(kron(P_k^T, P_m)+ nat) / d^2."""
         d = 2 ** n_qubits
-        mats = _basis_mats(n_qubits)
-        chi = np.zeros((4 ** n_qubits, 4 ** n_qubits), dtype=complex)
-        for m, pm in enumerate(mats):
-            for k, pk in enumerate(mats):
-                basis_elt = np.kron(pk.T, pm)
-                chi[m, k] = np.trace(basis_elt.conj().T @ nat) / (d * d)
-        return cls(n_qubits, chi)
+        b = _basis_stack(n_qubits).conj()
+        chi = np.einsum("kca,mbe,abce->mk", b, b,
+                        np.asarray(nat).reshape(d, d, d, d), optimize=True)
+        return cls(n_qubits, chi / (d * d))
 
     # -- representations ------------------------------------------------------
 
     def natural(self) -> np.ndarray:
-        """Matrix acting on column-stacked vec(rho)."""
+        """Matrix acting on column-stacked vec(rho):
+        sum_mk chi[m, k] kron(P_k^T, P_m)."""
         d = 2 ** self.n_qubits
-        mats = _basis_mats(self.n_qubits)
-        nat = np.zeros((d * d, d * d), dtype=complex)
-        for m, pm in enumerate(mats):
-            for k, pk in enumerate(mats):
-                if self.chi[m, k] != 0:
-                    nat += self.chi[m, k] * np.kron(pk.T, pm)
-        return nat
+        b = _basis_stack(self.n_qubits)
+        nat = np.einsum("mk,kca,mbe->abce", self.chi, b, b, optimize=True)
+        return nat.reshape(d * d, d * d)
 
     def kraus(self, tol: float = 1e-12) -> List[np.ndarray]:
         vals, vecs = np.linalg.eigh((self.chi + self.chi.conj().T) / 2)
-        mats = _basis_mats(self.n_qubits)
-        out = []
-        for lam, v in zip(vals, vecs.T):
-            if lam < -1e-9:
-                raise ValueError("process matrix is not completely positive")
-            if lam > tol:
-                out.append(np.sqrt(lam) *
-                           sum(v[m] * mats[m] for m in range(len(mats))))
-        return out
+        if np.any(vals < -1e-9):
+            raise ValueError("process matrix is not completely positive")
+        keep = vals > tol
+        weighted = (vecs[:, keep] * np.sqrt(vals[keep])).T
+        return list(np.tensordot(weighted, _basis_stack(self.n_qubits), 1))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        mats = _basis_mats(self.n_qubits)
-        out = np.zeros_like(np.asarray(rho, dtype=complex))
-        for m, pm in enumerate(mats):
-            for k, pk in enumerate(mats):
-                if self.chi[m, k] != 0:
-                    out += self.chi[m, k] * (pm @ rho @ pk)
-        return out
+        """sum_mk chi[m, k] P_m rho P_k."""
+        b = _basis_stack(self.n_qubits)
+        return np.einsum("mk,mab,bc,kce->ae", self.chi, b,
+                         np.asarray(rho, dtype=complex), b, optimize=True)
 
     def compose(self, other: "DenseSuperoperator") -> "DenseSuperoperator":
         """self after other."""
@@ -169,30 +166,21 @@ class DenseSuperoperator:
             self.n_qubits, self.natural() @ other.natural())
 
     def is_trace_preserving(self, tol: float = 1e-10) -> bool:
-        d = 2 ** self.n_qubits
-        mats = _basis_mats(self.n_qubits)
-        total = np.zeros((d, d), dtype=complex)
-        for m, pm in enumerate(mats):
-            for k, pk in enumerate(mats):
-                if self.chi[m, k] != 0:
-                    total += self.chi[m, k] * (pk @ pm)
-        return bool(np.allclose(total, np.eye(d), atol=tol))
+        """sum_mk chi[m, k] P_k P_m is the identity."""
+        b = _basis_stack(self.n_qubits)
+        total = np.einsum("mk,kab,mbc->ac", self.chi, b, b, optimize=True)
+        return bool(np.allclose(total, np.eye(2 ** self.n_qubits), atol=tol))
 
     def distance(self, other: "DenseSuperoperator") -> float:
         return float(np.max(np.abs(self.chi - other.chi)))
 
 
-def _signed_perm_natural(n: int, idx: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Natural representation of P_m -> phases[m] * P_idx[m] acting by
-    conjugation, assembled in the Pauli basis."""
-    d = 2 ** n
-    mats = _basis_mats(n)
-    nat = np.zeros((d * d, d * d), dtype=complex)
-    for m in range(4 ** n):
-        src = mats[m].reshape(-1, order="F")  # vec(P_m), column stacking
-        dst = phases[m] * mats[idx[m]].reshape(-1, order="F")
-        nat += np.outer(dst, src.conj()) / d
-    return nat
+def _signed_perm_natural(n: int, idx: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Natural representation of P_m -> sign[m] * P_idx[m] acting by
+    conjugation: sum_m vec(sign[m] P_idx[m]) vec(P_m)+ / d."""
+    # rows are the column-stacked vec(P_m)
+    vecs = _basis_stack(n).transpose(0, 2, 1).reshape(4 ** n, -1)
+    return (sign[:, None] * vecs[idx]).T @ vecs.conj() / 2 ** n
 
 
 def superoperator_trace(s: DenseSuperoperator) -> float:
@@ -209,19 +197,13 @@ def depolarization_strength(s: DenseSuperoperator) -> float:
 
 
 def conjugate_by_tableau(s: DenseSuperoperator, tab: CliffordTableau) -> DenseSuperoperator:
-    """Process matrix of C+ . s . C (twirl summand for Clifford C)."""
-    n = s.n_qubits
-    inv = clifford_inverse(tab)
-    d2 = 4 ** n
-    idx = np.zeros(d2, dtype=int)
-    sign = np.zeros(d2, dtype=complex)
-    for m, p in enumerate(_basis(n)):
-        img = clifford_apply(inv, p)
-        idx[m] = img.x_mask | (img.z_mask << n)
-        sign[m] = (1j) ** img.phase
-    chi = np.zeros_like(s.chi)
-    chi[np.ix_(idx, idx)] = np.outer(sign, sign.conj()) * s.chi
-    return DenseSuperoperator(n, chi)
+    """Process matrix of C+ . s . C (twirl summand for Clifford C).
+
+    With C P_j C+ = t_j P_f(j), C+ P_f(j) C = t_j P_j, so
+    chi'[j, l] = t_j t_l chi[f(j), f(l)]."""
+    idx, sign = _signed_perm(tab)
+    return DenseSuperoperator(s.n_qubits,
+                              np.outer(sign, sign) * s.chi[np.ix_(idx, idx)])
 
 
 def group_twirl(s: DenseSuperoperator,

@@ -10,7 +10,7 @@ including its sign.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -20,9 +20,6 @@ from .clifford import (
     _local_table,
     _local_update,
     clifford_apply,
-    clifford_compose,
-    embed_tableau,
-    group_order,
 )
 from .dense import dense_pauli
 from .pauli import PauliOperator
@@ -238,26 +235,10 @@ def generates_clifford_group(gs: GateSet, n: int, quotient: bool = False) -> boo
     (or its Pauli quotient)."""
     if n > 2:
         raise ValueError("generation check enumerates the group; n <= 2 only")
-    target = group_order(n, quotient)
-    move_tabs = [embed_tableau(get_gate(g).tableau, idxs, n)
-                 for g, idxs, _ in gs.moves(n)]
+    from .decomp import CoverageError, cayley_search  # decomp imports gates
 
-    def key(t: CliffordTableau) -> int:
-        return (t.strip_signs() if quotient else t).encode()
-
-    start = CliffordTableau.identity(n)
-    seen = {key(start)}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for m in move_tabs:
-                u = clifford_compose(m, t)
-                k = key(u)
-                if k not in seen:
-                    seen.add(k)
-                    nxt.append(u)
-        if len(seen) == target:
-            return True
-        frontier = nxt
-    return len(seen) == target
+    try:
+        cayley_search(gs, n, quotient, primary_gates=())
+    except CoverageError:
+        return False
+    return True

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .clifford import CliffordTableau, _solve_affine, clifford_apply, clifford_compose
+from .clifford import CliffordTableau, _local_table, _solve_affine, clifford_compose
 from .gates import get_gate
 from .pauli import PauliOperator
 
@@ -197,10 +197,8 @@ def verify_twirl_set(k_set: Sequence[CliffordTableau]) -> bool:
     size = (1 << (2 * n)) - 1
     counts = [[0] * size for _ in range(size)]
     for tab in k_set:
+        table = _local_table(tab)
         for m in range(1, size + 1):
-            p = PauliOperator(n, m & ((1 << n) - 1), m >> n, 0)
-            img = clifford_apply(tab, p).representative()
-            j = img.x_mask | (img.z_mask << n)
-            counts[m - 1][j - 1] += 1
+            counts[m - 1][table[m][0] - 1] += 1
     want = counts[0][0]
     return all(c == want for row in counts for c in row)

@@ -14,13 +14,24 @@ The sign-list fidelity at the end is the Schrödinger-picture path that the
 Heisenberg-picture `expected_sequence_fidelity` replaced: a probability vector
 over the 2ⁿ sign-flip patterns of the stabilizer rows, co-transformed with
 every row swap and product of a stabilizer simulation of the sequence.
+
+The Cayley-graph Dijkstra over tableau objects and the loop forms of the
+dense superoperator engine are the paths that the signed Pauli-label tables
+(`clifford._local_table`) and the stacked-basis contractions replaced.
 """
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
-from cliffrb.clifford import CliffordTableau, embed_tableau
+from cliffrb import clifford as packed
+from cliffrb.clifford import (
+    CliffordTableau,
+    GateSequence,
+    clifford_inverse,
+    embed_tableau,
+)
 from cliffrb.errors import DEFAULT_QUBIT_CAP, ResourceLimitError
 from cliffrb.gates import get_gate
 from cliffrb.pauli import (
@@ -189,6 +200,157 @@ class ChoiMatrix:
         tab = embed_tableau(get_gate(name).tableau,
                             tuple(self.n + i for i in idxs), 2 * self.n)
         self.rows = [clifford_apply(tab, r) for r in self.rows]
+
+
+# ---------------------------------------------------------------------------
+# Cayley-graph Dijkstra over tableau objects
+
+
+def cayley_search_entries(gs, n, quotient=False, primary_gates=("CX",)):
+    """`DecompositionTable.entries` of `decomp.cayley_search`, composing one
+    embedded gate tableau per edge (packed `clifford_compose`); the quotient
+    keys drop the signs."""
+
+    def key(t):
+        return (CliffordTableau(n, t.vecs, 0) if quotient else t).encode()
+
+    moves = []
+    for name, idxs, _w in gs.moves(n):
+        tab = embed_tableau(get_gate(name).tableau, idxs, n)
+        if quotient:
+            tab = CliffordTableau(n, tab.vecs, 0)
+        moves.append((name, idxs, tab, 1 if name in primary_gates else 0))
+    start = CliffordTableau.identity(n)
+    best = {key(start): (0, 0)}
+    entries = {}
+    counter = 0
+    heap = [(0, 0, counter, start, ())]
+    while heap:
+        prim, tot, _, tab, seq = heapq.heappop(heap)
+        k = key(tab)
+        if k in entries:
+            continue
+        entries[k] = (GateSequence(n, seq), (prim, tot))
+        for name, idxs, gtab, gprim in moves:
+            new = packed.clifford_compose(gtab, tab)
+            nkey = key(new)
+            cost = (prim + gprim, tot + 1)
+            if nkey not in entries and cost < best.get(nkey, (1 << 60, 0)):
+                best[nkey] = cost
+                counter += 1
+                heapq.heappush(
+                    heap, (*cost, counter, new, seq + ((name, idxs),)))
+    return entries
+
+
+# ---------------------------------------------------------------------------
+# dense superoperator engine, loop forms (process matrix chi in the
+# unnormalized Pauli basis, Lambda(rho) = sum_mn chi[m,n] P_m rho P_n)
+
+
+def pauli_basis(n):
+    """Dense P_m for m = x_mask | z_mask << n, phase 0."""
+    mask = (1 << n) - 1
+    return [dense_pauli(PauliOperator(n, m & mask, m >> n, 0))
+            for m in range(4 ** n)]
+
+
+def chi_from_kraus(n, kraus):
+    d = 2 ** n
+    mats = pauli_basis(n)
+    c = np.array([[np.trace(pm.conj().T @ a) / d for pm in mats]
+                  for a in kraus])
+    return c.T @ c.conj()
+
+
+def chi_from_natural(n, nat):
+    d = 2 ** n
+    mats = pauli_basis(n)
+    chi = np.zeros((4 ** n, 4 ** n), dtype=complex)
+    for m, pm in enumerate(mats):
+        for k, pk in enumerate(mats):
+            basis_elt = np.kron(pk.T, pm)
+            chi[m, k] = np.trace(basis_elt.conj().T @ nat) / (d * d)
+    return chi
+
+
+def natural_from_chi(n, chi):
+    """Matrix acting on column-stacked vec(rho)."""
+    d = 2 ** n
+    mats = pauli_basis(n)
+    nat = np.zeros((d * d, d * d), dtype=complex)
+    for m, pm in enumerate(mats):
+        for k, pk in enumerate(mats):
+            if chi[m, k] != 0:
+                nat += chi[m, k] * np.kron(pk.T, pm)
+    return nat
+
+
+def apply_chi(n, chi, rho):
+    mats = pauli_basis(n)
+    out = np.zeros_like(np.asarray(rho, dtype=complex))
+    for m, pm in enumerate(mats):
+        for k, pk in enumerate(mats):
+            if chi[m, k] != 0:
+                out += chi[m, k] * (pm @ rho @ pk)
+    return out
+
+
+def chi_trace_map(n, chi):
+    """sum_mk chi[m,k] P_k P_m, the identity exactly for a trace-preserving
+    channel."""
+    d = 2 ** n
+    mats = pauli_basis(n)
+    total = np.zeros((d, d), dtype=complex)
+    for m, pm in enumerate(mats):
+        for k, pk in enumerate(mats):
+            if chi[m, k] != 0:
+                total += chi[m, k] * (pk @ pm)
+    return total
+
+
+def signed_perm_natural(n, idx, phases):
+    """Natural representation of P_m -> phases[m] * P_idx[m] acting by
+    conjugation, one outer product per basis element."""
+    d = 2 ** n
+    mats = pauli_basis(n)
+    nat = np.zeros((d * d, d * d), dtype=complex)
+    for m in range(4 ** n):
+        src = mats[m].reshape(-1, order="F")  # vec(P_m), column stacking
+        dst = phases[m] * mats[idx[m]].reshape(-1, order="F")
+        nat += np.outer(dst, src.conj()) / d
+    return nat
+
+
+def _signed_images(tab):
+    """Index and phase of the image of every phase-0 basis Pauli under tab."""
+    n = tab.n_qubits
+    mask = (1 << n) - 1
+    idx = np.zeros(4 ** n, dtype=int)
+    phases = np.zeros(4 ** n, dtype=complex)
+    for m in range(4 ** n):
+        img = packed.clifford_apply(tab, PauliOperator(n, m & mask, m >> n, 0))
+        idx[m] = img.x_mask | (img.z_mask << n)
+        phases[m] = (1j) ** img.phase
+    return idx, phases
+
+
+def chi_from_tableau(tab):
+    """Process matrix of rho -> C rho C+ from its signed Pauli permutation."""
+    n = tab.n_qubits
+    return chi_from_natural(n, signed_perm_natural(n, *_signed_images(tab)))
+
+
+def conjugate_chi(chi, tab):
+    """Process matrix of C+ . s . C, from the images under the inverse."""
+    idx, sign = _signed_images(clifford_inverse(tab))
+    out = np.zeros_like(chi)
+    out[np.ix_(idx, idx)] = np.outer(sign, sign.conj()) * chi
+    return out
+
+
+def twirl_chi(chi, group):
+    return sum(conjugate_chi(chi, tab) for tab in group) / len(group)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,14 @@ class TestSearchDecomp:
         assert report["histogram"] == {"0": 36, "1": 324, "2": 324, "3": 36}
         assert report["mean_primary_count"] == pytest.approx(1.5)
 
+    def test_gate_aliases(self, runner):
+        for gates, primary in (("H,S,CNOT", "CX"), ("H,S,CX", "CNOT")):
+            res = run_ok(runner, ["search-decomp", "--n", "2", "--quotient",
+                                  "--gates", gates, "--primary", primary])
+            report = json.loads(res.stdout)
+            assert report["histogram"] == {"0": 36, "1": 324, "2": 324,
+                                           "3": 36}
+
 
 class TestDecompose:
     def test_random_roundtrip(self, runner):
@@ -256,3 +264,49 @@ class TestBadInput:
                                "--n")
             assert_usage_error(["decompose", "--random", "--n", n,
                                 "--seed", "1"], "--n")
+
+    def test_gen_sequences_n_seq_must_be_positive(self):
+        for count in ("0", "-3"):
+            assert_usage_error(["gen-sequences", "--n", "1", "--lengths", "1",
+                                "--n-seq", count, "--seed", "1"], "--n-seq")
+
+    def test_unknown_interleaved_gate(self, tmp_path):
+        assert_usage_error(["gen-sequences", "--protocol", "interleaved",
+                            "--n", "1", "--lengths", "1", "--gate", "FOO",
+                            "--seed", "1"], "--gate")
+        assert_usage_error(["simulate", "--protocol", "interleaved",
+                            "--n", "1", "--lengths", "1", "--gate", "FOO",
+                            "--depolarizing", "0.01", "--seed", "1",
+                            "-o", str(tmp_path / "d.csv")], "--gate")
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_interleaved_gate_of_wrong_size(self, tmp_path):
+        assert_usage_error(["simulate", "--protocol", "interleaved",
+                            "--n", "2", "--lengths", "1", "--gate", "S",
+                            "--depolarizing", "0.01", "--seed", "1",
+                            "-o", str(tmp_path / "d.csv")], "--gate")
+        assert_usage_error(["gen-sequences", "--protocol", "interleaved",
+                            "--n", "1", "--lengths", "1", "--gate", "CX",
+                            "--seed", "1"], "--gate")
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_simulate_interleaved_needs_gate(self, tmp_path):
+        assert_usage_error(["simulate", "--protocol", "interleaved",
+                            "--n", "1", "--lengths", "1",
+                            "--depolarizing", "0.01", "--seed", "1",
+                            "-o", str(tmp_path / "d.csv")], "--gate")
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_search_decomp_unknown_gates(self):
+        assert_usage_error(["search-decomp", "--n", "1",
+                            "--gates", "H,FOO"], "--gates")
+        assert_usage_error(["search-decomp", "--n", "1",
+                            "--primary", "FOO"], "--primary")
+
+    def test_search_decomp_group_too_large(self):
+        assert_usage_error(["search-decomp", "--n", "3"], "--n")
+        assert_usage_error(["search-decomp", "--n", "4", "--quotient"], "--n")
+
+    def test_search_decomp_non_generating_gates(self):
+        assert_usage_error(["search-decomp", "--n", "1", "--gates", "S"],
+                           "--gates")

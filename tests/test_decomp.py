@@ -84,6 +84,11 @@ class TestCayleySearch:
         with pytest.raises(CoverageError):
             cayley_search(GateSet("s", (("S", "each", 1.0),)), 1)
 
+    def test_group_too_large_raises_before_searching(self):
+        for n, quotient in ((3, False), (4, True), (5, False)):
+            with pytest.raises(ValueError, match="too large"):
+                cayley_search(standard_gate_set(), n, quotient=quotient)
+
 
 class TestBlockDecompose:
     def test_identity_is_empty(self):

@@ -49,6 +49,16 @@ CASES = [
     ("decompose_random_4q_cz.json",
      ["decompose", "--random", "--n", "4", "--target", "cz", "--seed", "17",
       "-o", "{out}"]),
+    ("search_decomp_2q_quotient.json",
+     ["search-decomp", "--n", "2", "--quotient", "-o", "{out}"]),
+    ("search_decomp_1q.json",
+     ["search-decomp", "--n", "1", "-o", "{out}"]),
+    ("search_decomp_1q_hs.json",
+     ["search-decomp", "--n", "1", "--gates", "H,S", "--primary", "H",
+      "-o", "{out}"]),
+    ("search_decomp_2q_quotient_cz.json",
+     ["search-decomp", "--n", "2", "--quotient", "--gates", "H,S,CZ",
+      "--primary", "CZ", "-o", "{out}"]),
 ]
 
 

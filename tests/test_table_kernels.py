@@ -1,0 +1,181 @@
+"""Cross-checks of the table-driven small-group kernels against the paths
+they replaced (kept in tests/oracles.py): the packed Cayley-graph Dijkstra,
+the stacked-basis dense contractions, the signed-permutation conjugation and
+twirls, and the image lookups of `subgroups` and `bounds`."""
+
+import numpy as np
+import pytest
+
+from cliffrb.bounds import (
+    GroupDistribution,
+    _group,
+    default_measurement,
+    undetected_probability,
+)
+from cliffrb.clifford import clifford_apply, enumerate_group, sample_uniform
+from cliffrb.decomp import cayley_search
+from cliffrb.dense import (
+    DenseSuperoperator,
+    conjugate_by_tableau,
+    group_twirl,
+    random_tp_channel,
+)
+from cliffrb.gates import GateSet, standard_gate_set
+from cliffrb.pauli import PauliOperator, pauli_commutes
+from cliffrb.subgroups import q_subgroup, verify_twirl_set
+
+import oracles
+
+
+def each(*names):
+    return tuple((g, "each", 1.0) for g in names)
+
+
+HS_CX01 = GateSet("hs-cx01", each("H", "S") + (("CX", ((0, 1),), 1.0),))
+ONEQ_CX = GateSet("1q+cx", each("H", "S", "Sdg", "X90", "X90m")
+                  + (("CX", "all-pairs", 1.0),))
+XY = GateSet("xy", each("X90", "X90m", "Y90", "Y90m"))
+
+
+class TestCayleyAgainstObjectDijkstra:
+    @pytest.mark.parametrize("gs,n,quotient,primary", [
+        (standard_gate_set(), 1, False, ("CX",)),
+        (XY, 1, False, ("X90",)),
+        (XY, 1, True, ("X90",)),
+        (HS_CX01, 2, False, ("CX",)),
+        (standard_gate_set(), 2, False, ("CX",)),
+        (ONEQ_CX, 2, True, ("CX",)),
+        (standard_gate_set(), 2, True, ("CZ",)),
+    ], ids=["1q-standard", "1q-xy", "1q-xy-quotient", "2q-hs-cx01",
+            "2q-standard", "2q-1q+cx-quotient", "2q-standard-quotient-cz"])
+    def test_entries_equal(self, gs, n, quotient, primary):
+        table = cayley_search(gs, n, quotient=quotient, primary_gates=primary)
+        want = oracles.cayley_search_entries(gs, n, quotient, primary)
+        assert table.entries == want
+
+
+@pytest.fixture(params=[1, 2, 3])
+def channel(request):
+    n = request.param
+    return random_tp_channel(n, np.random.default_rng(40 + n))
+
+
+def random_rho(n, rng):
+    d = 2 ** n
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho)
+
+
+class TestDenseAgainstLoops:
+    def test_from_kraus(self, channel):
+        n = channel.n_qubits
+        kraus = channel.kraus()
+        got = DenseSuperoperator.from_kraus(n, kraus).chi
+        assert np.max(np.abs(got - oracles.chi_from_kraus(n, kraus))) < 1e-12
+        assert np.max(np.abs(got - channel.chi)) < 1e-12
+
+    def test_natural_and_back(self, channel):
+        n = channel.n_qubits
+        nat = channel.natural()
+        want = oracles.natural_from_chi(n, channel.chi)
+        assert np.max(np.abs(nat - want)) < 1e-12
+        chi = DenseSuperoperator.from_natural(n, nat).chi
+        assert np.max(np.abs(chi - oracles.chi_from_natural(n, nat))) < 1e-12
+
+    def test_apply(self, channel):
+        n = channel.n_qubits
+        rho = random_rho(n, np.random.default_rng(7))
+        want = oracles.apply_chi(n, channel.chi, rho)
+        assert np.max(np.abs(channel.apply(rho) - want)) < 1e-12
+
+    def test_compose(self, channel):
+        n = channel.n_qubits
+        other = random_tp_channel(n, np.random.default_rng(9))
+        want = oracles.chi_from_natural(
+            n, oracles.natural_from_chi(n, channel.chi)
+            @ oracles.natural_from_chi(n, other.chi))
+        assert np.max(np.abs(channel.compose(other).chi - want)) < 1e-12
+
+    def test_trace_preservation(self, channel):
+        n = channel.n_qubits
+        eye = np.eye(2 ** n)
+        assert np.allclose(oracles.chi_trace_map(n, channel.chi), eye)
+        assert channel.is_trace_preserving()
+        scaled = DenseSuperoperator(n, 0.9 * channel.chi)
+        assert not np.allclose(oracles.chi_trace_map(n, scaled.chi), eye)
+        assert not scaled.is_trace_preserving()
+
+    def test_from_tableau(self, channel):
+        n = channel.n_qubits
+        rng = np.random.default_rng(11)
+        for _ in range(2):
+            tab = sample_uniform(n, rng)
+            got = DenseSuperoperator.from_tableau(tab).chi
+            assert np.max(np.abs(got - oracles.chi_from_tableau(tab))) < 1e-12
+
+    def test_conjugate_by_tableau(self, channel):
+        n = channel.n_qubits
+        rng = np.random.default_rng(12)
+        for _ in range(8):
+            tab = sample_uniform(n, rng)
+            got = conjugate_by_tableau(channel, tab).chi
+            assert np.array_equal(got, oracles.conjugate_chi(channel.chi, tab))
+
+
+class TestTwirlsAgainstLoops:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_full_clifford_twirl(self, n):
+        ch = random_tp_channel(n, np.random.default_rng(20 + n))
+        group = enumerate_group(n)
+        got = group_twirl(ch, group).chi
+        assert np.max(np.abs(got - oracles.twirl_chi(ch.chi, group))) < 1e-12
+
+    def test_pauli_then_q_subgroup_twirl(self):
+        ch = random_tp_channel(2, np.random.default_rng(23))
+        q = q_subgroup(2)
+        pauli = group_twirl(ch, "pauli")
+        got = group_twirl(pauli, q).chi
+        assert np.max(np.abs(got - oracles.twirl_chi(pauli.chi, q))) < 1e-12
+
+
+def count_twirl_images(k_set):
+    """verify_twirl_set's counting, image by image on PauliOperators."""
+    n = k_set[0].n_qubits
+    size = 4 ** n - 1
+    counts = [[0] * size for _ in range(size)]
+    for tab in k_set:
+        for m in range(1, size + 1):
+            p = PauliOperator(n, m & ((1 << n) - 1), m >> n, 0)
+            img = clifford_apply(tab, p).representative()
+            counts[m - 1][(img.x_mask | (img.z_mask << n)) - 1] += 1
+    return all(c == counts[0][0] for row in counts for c in row)
+
+
+class TestImageLookups:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_verify_twirl_set(self, n):
+        q = q_subgroup(n)
+        assert verify_twirl_set(q) and count_twirl_images(q)
+        rng = np.random.default_rng(30 + n)
+        for size in (1, 3, len(q) - 1):
+            subset = [q[i] for i in rng.choice(len(q), size, replace=False)]
+            assert verify_twirl_set(subset) == count_twirl_images(subset)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_undetected_probability(self, n):
+        elements, _ = _group(n)
+        rng = np.random.default_rng(50 + n)
+        probs = rng.random(len(elements))
+        probs[rng.random(len(elements)) < 0.3] = 0.0
+        dist = GroupDistribution(n, probs / probs.sum())
+        measured = [None, PauliOperator.from_string("XZ"[:n])]
+        for m in measured:
+            mop = default_measurement(n) if m is None else m
+            for v in range(1, 4 ** n):
+                r = PauliOperator(n, v & ((1 << n) - 1), v >> n, 0)
+                want = 0.0
+                for i in dist.support():
+                    if pauli_commutes(clifford_apply(elements[i], r), mop):
+                        want += float(dist.probs[i])
+                assert undetected_probability(dist, r, m) == want
