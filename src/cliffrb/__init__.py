@@ -8,12 +8,11 @@ from .clifford import (
     clifford_compose,
     clifford_inverse,
     enumerate_group,
-    find_mapping,
     group_order,
     pauli_tableau,
     sample_uniform,
 )
-from .gates import GateSet, get_gate, sequence_tableau, standard_gate_set
+from .gates import GateSet, find_mapping, get_gate, sequence_tableau, standard_gate_set
 from .stabilizer import StabilizerState, apply_clifford, measure_pauli, measure_z, zero_state
 from .errors import ErrorModel, expected_sequence_fidelity
 from .dense import DenseSuperoperator, depolarization_strength, gate_fidelity, group_twirl

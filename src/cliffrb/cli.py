@@ -22,7 +22,6 @@ import scipy
 from . import analysis, bounds
 from .clifford import (
     CliffordTableau,
-    clifford_compose,
     enumerate_group,
     group_order,
     sample_uniform,
@@ -182,6 +181,7 @@ _output = click.option("--output", "-o", default=None,
 _pretty = click.option("--pretty", is_flag=True,
                        help="Also print a human-readable rendering.")
 _positive = click.IntRange(min=1)
+_input_file = click.Path(exists=True, dir_okay=False)
 _seed_opt = click.option("--seed", type=int, default=None,
                          help="Master seed (generated and printed if omitted).")
 
@@ -246,7 +246,7 @@ def search_decomp_cmd(n, gates, primary, quotient, output, pretty):
 
 
 @main.command("decompose")
-@click.option("--input", "input_path", default=None,
+@click.option("--input", "input_path", type=_input_file, default=None,
               help="JSON file with a tableau (image_x/image_z strings).")
 @click.option("--n", "n", type=_positive, default=None,
               help="With --random: number of qubits.")
@@ -290,7 +290,7 @@ def decompose_cmd(input_path, n, randomize, target, seed, output, pretty):
 
 @main.command("sample-clifford")
 @click.option("--n", "n", type=_positive, required=True)
-@click.option("--count", type=int, default=1)
+@click.option("--count", type=_positive, default=1)
 @_seed_opt
 @_output
 @_pretty
@@ -348,7 +348,7 @@ def _depolarizing(n: int, p: float, option: str) -> PauliChannel:
 @click.option("--n-seq", type=_positive, default=10)
 @click.option("--shots", type=_positive, default=100)
 @click.option("--gate", default=None)
-@click.option("--error-model", "model_path", default=None,
+@click.option("--error-model", "model_path", type=_input_file, default=None,
               help="JSON error-model file.")
 @click.option("--depolarizing", type=float, default=None,
               help="Shortcut: uniform per-step depolarizing strength.")
@@ -383,7 +383,7 @@ def simulate_cmd(protocol, n, lengths, n_seq, shots, gate, model_path,
 
 
 @main.command("fit")
-@click.option("--data", required=True, help="Dataset CSV.")
+@click.option("--data", type=_input_file, required=True, help="Dataset CSV.")
 @click.option("--model", type=click.Choice(sorted(analysis.MODELS)),
               default="main")
 @click.option("--n", "n", type=_positive, required=True)
@@ -399,11 +399,11 @@ def fit_cmd(data, model, n, output, pretty):
 
 
 @main.command("bootstrap")
-@click.option("--data", required=True)
+@click.option("--data", type=_input_file, required=True)
 @click.option("--model", type=click.Choice(sorted(analysis.MODELS)),
               default="main")
 @click.option("--n", "n", type=_positive, required=True)
-@click.option("--resamples", type=int, default=1000)
+@click.option("--resamples", type=click.IntRange(min=2), default=1000)
 @_seed_opt
 @_output
 @_pretty
@@ -421,9 +421,10 @@ def bootstrap_cmd(data, model, n, resamples, seed, output, pretty):
 
 
 @main.command("interleaved")
-@click.option("--reference", required=True, help="Reference dataset CSV.")
-@click.option("--interleaved", "interleaved_data", required=True,
-              help="Interleaved dataset CSV.")
+@click.option("--reference", type=_input_file, required=True,
+              help="Reference dataset CSV.")
+@click.option("--interleaved", "interleaved_data", type=_input_file,
+              required=True, help="Interleaved dataset CSV.")
 @click.option("--model", type=click.Choice(sorted(analysis.MODELS)),
               default="main")
 @click.option("--n", "n", type=_positive, required=True)
@@ -452,7 +453,7 @@ def interleaved_cmd(reference, interleaved_data, model, n, printed_form,
 @click.option("--n", "n", type=_positive, default=1)
 @click.option("--dist", required=True,
               help="Step distribution, e.g. 'X90:0.4,Y90:0.4,I:0.2'.")
-@click.option("--steps", type=int, default=20)
+@click.option("--steps", type=_positive, default=20)
 @click.option("--csv", "csv_path", default=None,
               help="Also write the series as CSV.")
 @_output
@@ -474,9 +475,9 @@ def tv_decay_cmd(n, dist, steps, csv_path, output, pretty):
 @click.option("--dist", required=True, help="Step distribution.")
 @click.option("--eps", type=float, required=True,
               help="Observed error per step (LP) / total error (kappa).")
-@click.option("--k", "k_steps", type=int, default=1,
+@click.option("--k", "k_steps", type=_positive, default=1,
               help="Aggregate-step size for the LP bound.")
-@click.option("--length", type=int, default=1,
+@click.option("--length", type=_positive, default=1,
               help="Sequence length for the kappa bound.")
 @_output
 @_pretty
@@ -484,8 +485,11 @@ def bounds_cmd(n, dist, eps, k_steps, length, output, pretty):
     """LP step-comparison and imperfect-depolarization bounds."""
     d = _parse_distribution(n, dist)
     alpha = analysis.alpha_n(n)
-    delta_max, delta_min = bounds.step_comparison_bound(d, eps, alpha,
-                                                        k=k_steps)
+    try:
+        delta_max, delta_min = bounds.step_comparison_bound(d, eps, alpha,
+                                                            k=k_steps)
+    except bounds.InfeasibleBoundError as err:
+        raise click.BadParameter(str(err), param_hint="'--eps'") from None
     dists = [bounds.convolve_steps(d, k) for k in range(1, length + 1)]
     kappa = bounds.kappa_bounds(dists, eps)
     report = {"manifest": _manifest("bounds", {

@@ -26,16 +26,10 @@ labels.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .pauli import (
-    PauliDimensionError,
-    PauliOperator,
-    pauli_commutes,
-    pauli_support,
-)
+from .pauli import PauliDimensionError, PauliOperator, pauli_commutes
 
 
 # ---------------------------------------------------------------------------
@@ -464,27 +458,7 @@ def enumerate_group(n: int, quotient: bool = False) -> List[CliffordTableau]:
 
 
 # ---------------------------------------------------------------------------
-# primitive gates for the mapping construction (the full library lives in
-# gates.py; these are the few tableaux the algorithms below need directly)
-
-
-def _prim(image_x: List[str], image_z: List[str]) -> CliffordTableau:
-    return CliffordTableau.from_image_strings(image_x, image_z)
-
-
-PRIMITIVE_TABLEAUX = {
-    "I": _prim(["X"], ["Z"]),
-    "X": _prim(["X"], ["-Z"]),
-    "Y": _prim(["-X"], ["-Z"]),
-    "Z": _prim(["-X"], ["Z"]),
-    "H": _prim(["Z"], ["X"]),
-    "S": _prim(["Y"], ["Z"]),
-    "Sdg": _prim(["-Y"], ["Z"]),
-    "X90": _prim(["X"], ["-Y"]),
-    "X90m": _prim(["X"], ["Y"]),
-    "CX": _prim(["XX", "IX"], ["ZI", "ZZ"]),
-    "CZ": _prim(["XZ", "ZX"], ["ZI", "IZ"]),
-}
+# embedding and local gate updates
 
 
 def embed_tableau(t: CliffordTableau, positions: Sequence[int], n: int) -> CliffordTableau:
@@ -542,71 +516,3 @@ def _local_update(vecs: List[int], signs: int, n: int,
             vecs[r] = (v & clear) | new[k]
             signs ^= table[k][1] << r
     return signs
-
-
-def apply_named_gate(p: PauliOperator, name: str, positions: Sequence[int]) -> PauliOperator:
-    return clifford_apply(
-        embed_tableau(PRIMITIVE_TABLEAUX[name], positions, p.n_qubits), p)
-
-
-def sequence_to_tableau(seq: GateSequence, registry=None) -> CliffordTableau:
-    """Compose a gate sequence (later gates applied after earlier ones)."""
-    registry = registry or PRIMITIVE_TABLEAUX
-    acc = CliffordTableau.identity(seq.n_qubits)
-    for name, idxs in seq.gates:
-        gate = registry[name]
-        t = gate if isinstance(gate, CliffordTableau) else gate.tableau
-        acc = clifford_compose(embed_tableau(t, idxs, seq.n_qubits), acc)
-    return acc
-
-
-# single-qubit gate mapping factor σ to ±τ (unsigned coset choices)
-_ONE_QUBIT_MAP = {
-    ("X", "X"): "I", ("Y", "Y"): "I", ("Z", "Z"): "I",
-    ("X", "Y"): "S", ("Y", "X"): "Sdg",
-    ("X", "Z"): "H", ("Z", "X"): "H",
-    ("Y", "Z"): "X90", ("Z", "Y"): "X90",
-}
-
-
-def find_mapping(p: PauliOperator, q: PauliOperator) -> GateSequence:
-    """O(n)-gate sequence whose composed tableau maps p to ±q.
-
-    Construction: align first supports with a SWAP (emitted as 3 CX), rotate
-    p's factors to X at the anchor and Z elsewhere, fix the support
-    difference with CZ gates from the anchor, then rotate every factor to
-    match q.
-    """
-    if p.is_identity() or q.is_identity():
-        raise ValueError("mapping endpoints must be non-identity")
-    if p.n_qubits != q.n_qubits:
-        raise PauliDimensionError("operand size mismatch")
-    n = p.n_qubits
-    if p.representative() == q.representative():
-        return GateSequence(n, ())
-    gates: List[Tuple[str, Tuple[int, ...]]] = []
-    cur = p.representative()
-
-    def emit(name: str, idxs: Tuple[int, ...]) -> None:
-        nonlocal cur
-        if name == "I":
-            return
-        gates.append((name, idxs))
-        cur = apply_named_gate(cur, name, idxs)
-
-    l = min(pauli_support(cur))
-    m = min(pauli_support(q))
-    if l != m:
-        emit("CX", (l, m))
-        emit("CX", (m, l))
-        emit("CX", (l, m))
-    emit(_ONE_QUBIT_MAP[(cur.factor(m), "X")], (m,))
-    for a in sorted(pauli_support(cur)):
-        if a != m:
-            emit(_ONE_QUBIT_MAP[(cur.factor(a), "Z")], (a,))
-    for a in sorted(pauli_support(cur) ^ pauli_support(q)):
-        emit("CZ", (m, a))
-    for a in sorted(pauli_support(q)):
-        emit(_ONE_QUBIT_MAP[(cur.factor(a), q.factor(a))], (a,))
-    assert cur.representative() == q.representative(), "mapping construction failed"
-    return GateSequence(n, tuple(gates))

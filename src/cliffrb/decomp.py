@@ -14,7 +14,8 @@ n+i is Z_i (x) C(Z_i); elementary gates act on the right-hand n qubits only.
 Rows are packed 4n-bit vectors ``x | z << 2n`` (left half in the low n bits
 of each mask) plus one sign mask; a gate rewrites each row with the gate's
 local update table, and row products use the packed Pauli product of
-`clifford`.
+`clifford`.  Step 1 brings the bottom-right block to graph-state standard
+form with `stabilizer.gssf_reduce`, the stabilizer simulator's reducer.
 Quadrants are numbered clockwise from the top-left (1 = top-left block,
 2 = top-right, 3 = bottom-right, 4 = bottom-left).
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from .clifford import (
     CliffordTableau,
@@ -35,6 +36,7 @@ from .clifford import (
     group_order,
 )
 from .gates import INVERSE_NAMES, GateSet, get_gate
+from .stabilizer import default_neighbor, gssf_reduce
 
 _FACTOR = "IXZY"  # indexed by x | z << 1
 
@@ -181,9 +183,6 @@ class _ChoiMatrix:
                                    tuple(self.n + i for i in idxs))
 
 
-_ANTI = {"X": ("Y", "Z"), "Y": ("X", "Z"), "Z": ("X", "Y")}
-
-
 def block_decompose(c: CliffordTableau, fix_signs: bool = True) -> GateSequence:
     """Decompose into blocks of 1q / CZ / CX / 1q / CZ / (1q) gates.
 
@@ -223,17 +222,18 @@ def block_decompose(c: CliffordTableau, fix_signs: bool = True) -> GateSequence:
 
 
 def _reduce_to_bell(m: "_ChoiMatrix", n: int, emit) -> None:
-    # 1. GSSF on quadrant 3 by row operations among the bottom rows
-    _sub_gssf(m, row0=n)
+    # 1. GSSF on quadrant 3 by row operations among the bottom rows (the
+    #    stabilizer simulator's reducer, on rows offset by n)
+    gssf_reduce(n, lambda r, col: m.entry(n + r, col),
+                lambda a, b: m.swap_rows(n + a, n + b),
+                lambda a, b: m.mul_rows(n + a, n + b), (), [None] * n)
 
     # 2. one-qubit gates: quadrant-3 diagonal -> X, neighbor -> Z
     for k in range(n):
         diag = m.entry(n + k, k)
         nb = next((m.entry(n + r, k) for r in range(n)
                    if r != k and m.entry(n + r, k) != "I"), None)
-        if nb is None:
-            nb = next(x for x in ("Z", "X", "Y") if x in _ANTI[diag])
-        name = _PAIR_GATE[(diag, nb)]
+        name = _PAIR_GATE[(diag, nb or default_neighbor(diag))]
         if name != "I":
             emit(name, k)
 
@@ -273,32 +273,6 @@ def _reduce_to_bell(m: "_ChoiMatrix", n: int, emit) -> None:
         for l in range(k + 1, n):
             if m.entry(k, l) == "Z":
                 emit("CZ", k, l)
-
-
-def _sub_gssf(m: _ChoiMatrix, row0: int) -> None:
-    """GSSF reduction of the right-half block of rows row0..row0+n-1 using
-    row swaps and row products only."""
-    n = m.n
-    fixed: Set[int] = set()
-    while len(fixed) < n:
-        r = next(i for i in range(n) if i not in fixed)
-        d = next((col for col in range(n)
-                  if col not in fixed and m.entry(row0 + r, col) != "I"), None)
-        if d is None:
-            raise ValueError("rows are not independent")
-        m.swap_rows(row0 + r, row0 + d)
-        diag = m.entry(row0 + d, d)
-        nb = next((m.entry(row0 + a, d) for a in range(n)
-                   if a != d and m.entry(row0 + a, d) != "I"
-                   and m.entry(row0 + a, d) in _ANTI[diag]), None)
-        if nb is None:
-            nb = next(x for x in ("Z", "X", "Y") if x in _ANTI[diag])
-        for a in range(n):
-            if a != d:
-                e = m.entry(row0 + a, d)
-                if e != "I" and e != nb:
-                    m.mul_rows(row0 + a, row0 + d)
-        fixed.add(d)
 
 
 # -- gate-set translation --------------------------------------------------------

@@ -20,9 +20,10 @@ from .clifford import (
     _local_table,
     _local_update,
     clifford_apply,
+    embed_tableau,
 )
 from .dense import dense_pauli
-from .pauli import PauliOperator
+from .pauli import PauliDimensionError, PauliOperator, pauli_support
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -228,6 +229,58 @@ def invert_sequence(seq: GateSequence) -> GateSequence:
         if inv != "I":
             gates.append((inv, idxs))
     return GateSequence(seq.n_qubits, tuple(gates))
+
+
+# single-qubit gate mapping factor σ to ±τ (unsigned coset choices)
+_ONE_QUBIT_MAP = {
+    ("X", "X"): "I", ("Y", "Y"): "I", ("Z", "Z"): "I",
+    ("X", "Y"): "S", ("Y", "X"): "Sdg",
+    ("X", "Z"): "H", ("Z", "X"): "H",
+    ("Y", "Z"): "X90", ("Z", "Y"): "X90",
+}
+
+
+def find_mapping(p: PauliOperator, q: PauliOperator) -> GateSequence:
+    """O(n)-gate sequence whose composed tableau maps p to ±q.
+
+    Construction: align first supports with a SWAP (emitted as 3 CX), rotate
+    p's factors to X at the anchor and Z elsewhere, fix the support
+    difference with CZ gates from the anchor, then rotate every factor to
+    match q.
+    """
+    if p.is_identity() or q.is_identity():
+        raise ValueError("mapping endpoints must be non-identity")
+    if p.n_qubits != q.n_qubits:
+        raise PauliDimensionError("operand size mismatch")
+    n = p.n_qubits
+    if p.representative() == q.representative():
+        return GateSequence(n, ())
+    gates: List[Tuple[str, Tuple[int, ...]]] = []
+    cur = p.representative()
+
+    def emit(name: str, idxs: Tuple[int, ...]) -> None:
+        nonlocal cur
+        if name == "I":
+            return
+        gates.append((name, idxs))
+        cur = clifford_apply(embed_tableau(get_gate(name).tableau, idxs, n), cur)
+
+    l = min(pauli_support(cur))
+    m = min(pauli_support(q))
+    if l != m:
+        emit("CX", (l, m))
+        emit("CX", (m, l))
+        emit("CX", (l, m))
+    emit(_ONE_QUBIT_MAP[(cur.factor(m), "X")], (m,))
+    for a in sorted(pauli_support(cur)):
+        if a != m:
+            emit(_ONE_QUBIT_MAP[(cur.factor(a), "Z")], (a,))
+    for a in sorted(pauli_support(cur) ^ pauli_support(q)):
+        emit("CZ", (m, a))
+    for a in sorted(pauli_support(q)):
+        emit(_ONE_QUBIT_MAP[(cur.factor(a), q.factor(a))], (a,))
+    assert cur.representative() == q.representative(), "mapping construction failed"
+    return GateSequence(n, tuple(gates))
 
 
 def generates_clifford_group(gs: GateSet, n: int, quotient: bool = False) -> bool:

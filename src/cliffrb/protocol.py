@@ -17,22 +17,21 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .clifford import (
     CliffordTableau,
-    _ONE_QUBIT_MAP,
+    GateSequence,
     _rand_bits,
     clifford_compose,
     clifford_inverse,
-    embed_tableau,
     pauli_tableau,
     sample_uniform,
 )
 from .errors import ErrorModel, expected_sequence_fidelity
-from .gates import get_gate
+from .gates import _ONE_QUBIT_MAP, get_gate, sequence_tableau
 from .pauli import PauliOperator
 from .stabilizer import (
     apply_clifford,
@@ -178,17 +177,9 @@ def gen_approximate_sequence(dist: Tuple[Optional[StepDistribution], StepDistrib
     for _, tab in steps:
         apply_clifford(state, tab)
     stab = random_stabilizer_element(state, rng)
-    inversion = CliffordTableau.identity(n)
-    measured = []
-    for j in range(n):
-        f = stab.factor(j)
-        if f == "I":
-            continue
-        measured.append(j)
-        gate = _ONE_QUBIT_MAP[(f, "Z")]
-        if gate != "I":
-            inversion = clifford_compose(
-                embed_tableau(get_gate(gate).tableau, (j,), n), inversion)
+    measured = [j for j in range(n) if stab.factor(j) != "I"]
+    inversion = sequence_tableau(GateSequence(n, tuple(
+        (_ONE_QUBIT_MAP[(stab.factor(j), "Z")], (j,)) for j in measured)))
     apply_clifford(state, inversion)
     z_mask = sum(1 << j for j in measured)
     dec = stabilizer_decomposition(state, PauliOperator(n, 0, z_mask, 0))

@@ -11,17 +11,17 @@ at O(n³) worst case for the restore step).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .clifford import (
     CliffordTableau,
     _rand_bits,
+    _solve_affine,
     clifford_apply,
     clifford_inverse,
     embed_tableau,
-    find_mapping,
-    sequence_to_tableau,
 )
+from .gates import find_mapping, sequence_tableau
 from .pauli import PauliOperator, pauli_commutes, pauli_multiply
 
 _ANTICOMMUTERS = {"X": ("Z", "Y"), "Y": ("Z", "X"), "Z": ("X", "Y")}
@@ -30,6 +30,44 @@ _NEIGHBOR_PREFERENCE = ("Z", "X", "Y")
 
 class InvalidStateError(ValueError):
     pass
+
+
+def default_neighbor(diag: str) -> str:
+    """Neighbor operator of a column with no anticommuting off-diagonal
+    entry: a deterministic choice among the anticommuters of its diagonal."""
+    return next(c for c in _NEIGHBOR_PREFERENCE if c in _ANTICOMMUTERS[diag])
+
+
+def gssf_reduce(n: int, entry: Callable[[int, int], str],
+                swap: Callable[[int, int], None],
+                mul: Callable[[int, int], None],
+                fixed: Iterable[int], neighbor: List[Optional[str]]) -> None:
+    """Reduce n rows over n columns to GSSF with row swaps and row products
+    only, starting from the already-good columns in `fixed`.
+
+    `entry(r, c)` is the factor of row r at column c, `swap(a, b)` exchanges
+    two rows and `mul(dst, src)` multiplies row dst by row src; the neighbor
+    operator chosen for each reduced column is written to `neighbor`.  The
+    order of swaps and products is part of the behaviour: stabilizer draws
+    and block-decomposition gate choices depend on the row order left."""
+    fixed = set(fixed)
+    while len(fixed) < n:
+        r = next(i for i in range(n) if i not in fixed)
+        d = next((c for c in range(n)
+                  if c not in fixed and entry(r, c) != "I"), None)
+        if d is None:
+            raise InvalidStateError("rows are not independent")
+        swap(r, d)
+        diag = entry(d, d)
+        nb = next((e for e in (entry(a, d) for a in range(n) if a != d)
+                   if e in _ANTICOMMUTERS[diag]), None) or default_neighbor(diag)
+        neighbor[d] = nb
+        for a in range(n):
+            if a != d:
+                e = entry(a, d)
+                if e != "I" and e != nb:
+                    mul(a, d)
+        fixed.add(d)
 
 
 class StabilizerState:
@@ -67,35 +105,10 @@ class StabilizerState:
 
     # -- GSSF ----------------------------------------------------------------
 
-    def _pick_neighbor(self, d: int) -> str:
-        diag = self.diag(d)
-        for r in range(len(self.rows)):
-            if r != d:
-                e = self._entry(r, d)
-                if e != "I" and e in _ANTICOMMUTERS[diag]:
-                    return e
-        # no anticommuting entry: deterministic arbitrary choice
-        return next(c for c in _NEIGHBOR_PREFERENCE if c in _ANTICOMMUTERS[diag])
-
     def _reduce(self, fixed: Set[int]) -> None:
         """Row-product reduction to GSSF, starting from already-good columns."""
-        n = len(self.rows)
-        fixed = set(fixed)
-        while len(fixed) < n:
-            r = next(i for i in range(n) if i not in fixed)
-            d = next((c for c in range(n)
-                      if c not in fixed and self._entry(r, c) != "I"), None)
-            if d is None:
-                raise InvalidStateError("rows are not independent")
-            self._swap_rows(r, d)
-            nb = self._pick_neighbor(d)
-            self.neighbor[d] = nb
-            for a in range(n):
-                if a != d:
-                    e = self._entry(a, d)
-                    if e != "I" and e != nb:
-                        self._mul_row(a, d)
-            fixed.add(d)
+        gssf_reduce(len(self.rows), self._entry, self._swap_rows,
+                    self._mul_row, fixed, self.neighbor)
 
     def check_gssf(self) -> None:
         """Raise unless the three GSSF conditions hold (test hook)."""
@@ -248,7 +261,7 @@ def measure_pauli(state: StabilizerState, p: PauliOperator, rng) -> Tuple[int, S
         raise ValueError("measured operator must be Hermitian (real sign)")
     rep = p.representative()
     target = PauliOperator.single(p.n_qubits, 0, "Z")
-    t = sequence_to_tableau(find_mapping(rep, target))
+    t = sequence_tableau(find_mapping(rep, target))
     flip = clifford_apply(t, rep).sign_bit ^ p.sign_bit
     apply_clifford(state, t)
     outcome, _ = measure_z(state, 0, rng)
@@ -267,25 +280,14 @@ def stabilizer_decomposition(state: StabilizerState, p: PauliOperator
     n = state.n_qubits
     rep = p.representative()
     target = rep.x_mask | (rep.z_mask << n)
-    # GF(2) elimination: pivots keyed by (unique) leading bit, reduced in
-    # descending leading-bit order so a single pass is exact
-    piv = {}  # leading bit -> (vec, row mask)
-    for i, r in enumerate(state.rows):
-        v, m = r.x_mask | (r.z_mask << n), 1 << i
-        for lead in sorted(piv, reverse=True):
-            if (v >> lead) & 1:
-                pv, pm = piv[lead]
-                v ^= pv
-                m ^= pm
-        if v:
-            piv[v.bit_length() - 1] = (v, m)
-    v, m = target, 0
-    for lead in sorted(piv, reverse=True):
-        if (v >> lead) & 1:
-            pv, pm = piv[lead]
-            v ^= pv
-            m ^= pm
-    if v != 0:
+    vecs = [r.x_mask | (r.z_mask << n) for r in state.rows]
+    # one constraint per packed bit; the rows are independent, so the
+    # solution (if any) is unique
+    constraints = [(sum(((v >> k) & 1) << i for i, v in enumerate(vecs)),
+                    (target >> k) & 1) for k in range(2 * n)]
+    try:
+        m, _ = _solve_affine(constraints, len(vecs))
+    except ValueError:
         return None
     prod = PauliOperator.identity(n)
     for i in range(n):

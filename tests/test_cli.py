@@ -310,3 +310,46 @@ class TestBadInput:
     def test_search_decomp_non_generating_gates(self):
         assert_usage_error(["search-decomp", "--n", "1", "--gates", "S"],
                            "--gates")
+
+    def test_missing_input_files(self, tmp_path):
+        missing = str(tmp_path / "missing.csv")
+        assert_usage_error(["fit", "--data", missing, "--n", "1"], "--data")
+        assert_usage_error(["bootstrap", "--data", missing, "--n", "1",
+                            "--seed", "1"], "--data")
+        data = tmp_path / "d.csv"
+        data.write_text("protocol,length,seq_index,n_shots,n_correct\n")
+        assert_usage_error(["interleaved", "--reference", missing,
+                            "--interleaved", str(data), "--n", "1"],
+                           "--reference")
+        assert_usage_error(["interleaved", "--reference", str(data),
+                            "--interleaved", missing, "--n", "1"],
+                           "--interleaved")
+        assert_usage_error(["simulate", "--n", "1", "--lengths", "1",
+                            "--error-model", missing, "--seed", "1",
+                            "-o", str(tmp_path / "out.csv")], "--error-model")
+        assert_usage_error(["decompose", "--input", missing], "--input")
+        assert_usage_error(["decompose", "--input", str(tmp_path)], "--input")
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_bootstrap_needs_two_resamples(self, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("protocol,length,seq_index,n_shots,n_correct\n"
+                        "exact,1,0,100,99\n")
+        for count in ("0", "1"):
+            assert_usage_error(["bootstrap", "--data", str(data), "--n", "1",
+                                "--resamples", count, "--seed", "1"],
+                               "--resamples")
+
+    def test_bounds_counts_must_be_positive(self):
+        for option in ("--k", "--length"):
+            assert_usage_error(["bounds", "--dist", "H:1", "--eps", "0.01",
+                                option, "0"], option)
+
+    def test_bounds_infeasible_eps(self):
+        assert_usage_error(["bounds", "--dist", "H:1", "--eps", "5"], "--eps")
+
+    def test_empty_outputs_rejected(self):
+        assert_usage_error(["tv-decay", "--dist", "H:1", "--steps", "0"],
+                           "--steps")
+        assert_usage_error(["sample-clifford", "--n", "1", "--count", "-2",
+                            "--seed", "1"], "--count")

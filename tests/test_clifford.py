@@ -9,13 +9,11 @@ from cliffrb.clifford import (
     clifford_inverse,
     embed_tableau,
     enumerate_group,
-    find_mapping,
     group_order,
-    PRIMITIVE_TABLEAUX,
     sample_choice_counts,
     sample_uniform,
-    sequence_to_tableau,
 )
+from cliffrb.gates import find_mapping, get_gate, sequence_tableau
 from cliffrb.pauli import (
     PauliOperator,
     enumerate_paulis,
@@ -33,9 +31,9 @@ def random_pauli(n, rng, nonidentity=False):
 
 class TestApply:
     def test_gate_table_examples(self):
-        h = PRIMITIVE_TABLEAUX["H"]
+        h = get_gate("H").tableau
         assert str(clifford_apply(h, PauliOperator.from_string("X"))) == "+Z"
-        cx = PRIMITIVE_TABLEAUX["CX"]
+        cx = get_gate("CX").tableau
         assert str(clifford_apply(cx, PauliOperator.from_string("XI"))) == "+XX"
         g = CliffordTableau.from_image_strings(["YZ", "ZY"], ["ZI", "IZ"])
         assert str(clifford_apply(g, PauliOperator.from_string("XI"))) == "+YZ"
@@ -61,7 +59,7 @@ class TestApply:
 
 class TestComposeInverse:
     def test_h_squared_is_identity(self):
-        h = PRIMITIVE_TABLEAUX["H"]
+        h = get_gate("H").tableau
         assert clifford_compose(h, h).is_identity()
 
     def test_inverse_roundtrip(self):
@@ -74,7 +72,7 @@ class TestComposeInverse:
 
     def test_identity_and_pauli_inverses(self):
         assert clifford_inverse(CliffordTableau.identity(3)).is_identity()
-        x_as_clifford = PRIMITIVE_TABLEAUX["X"]
+        x_as_clifford = get_gate("X").tableau
         assert clifford_inverse(x_as_clifford) == x_as_clifford
 
     def test_validation_rejects_bad_tableau(self):
@@ -155,7 +153,7 @@ class TestFindMapping:
     def test_single_qubit_x_to_z(self):
         seq = find_mapping(PauliOperator.from_string("X"),
                            PauliOperator.from_string("Z"))
-        t = sequence_to_tableau(seq)
+        t = sequence_tableau(seq)
         assert clifford_apply(t, PauliOperator.from_string("X")).representative() \
             == PauliOperator.from_string("Z")
 
@@ -170,7 +168,7 @@ class TestFindMapping:
             p = random_pauli(n, rng, nonidentity=True)
             q = random_pauli(n, rng, nonidentity=True)
             seq = find_mapping(p, q)
-            got = clifford_apply(sequence_to_tableau(seq), p)
+            got = clifford_apply(sequence_tableau(seq), p)
             assert got.representative() == q.representative()
             # O(n) gate count: swap (3) + 2n one-qubit + n CZ is a safe cap
             assert len(seq) <= 3 * n + 3
@@ -183,7 +181,7 @@ class TestFindMapping:
 
 class TestEmbedAndSequences:
     def test_embed_matches_direct(self):
-        cx = PRIMITIVE_TABLEAUX["CX"]
+        cx = get_gate("CX").tableau
         big = embed_tableau(cx, (2, 0), 3)
         p = PauliOperator.from_string("IIX")  # X on qubit 2 (the control)
         assert str(clifford_apply(big, p)) == "+XIX"

@@ -13,10 +13,12 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from cliffrb.cli import main
+from cliffrb.protocol import gen_approximate_sequence, knill_1q_distribution
 
 GOLDEN = Path(__file__).parent / "golden"
 MODEL = "model_2q.json"
@@ -49,6 +51,11 @@ CASES = [
     ("decompose_random_4q_cz.json",
      ["decompose", "--random", "--n", "4", "--target", "cz", "--seed", "17",
       "-o", "{out}"]),
+    ("decompose_random_8q.json",
+     ["decompose", "--random", "--n", "8", "--seed", "5", "-o", "{out}"]),
+    ("decompose_random_8q_cx.json",
+     ["decompose", "--random", "--n", "8", "--target", "cx", "--seed", "5",
+      "-o", "{out}"]),
     ("search_decomp_2q_quotient.json",
      ["search-decomp", "--n", "2", "--quotient", "-o", "{out}"]),
     ("search_decomp_1q.json",
@@ -60,6 +67,20 @@ CASES = [
      ["search-decomp", "--n", "2", "--quotient", "--gates", "H,S,CZ",
       "--primary", "CZ", "-o", "{out}"]),
 ]
+
+
+# knill-1q sequences are not reachable from the CLI, so they are pinned at
+# the library level: (length, seed) -> gen_approximate_sequence(...).to_json()
+APPROXIMATE = "approximate_knill_1q.json"
+APPROXIMATE_CASES = [(l, s) for l in (1, 5, 20) for s in (1, 2, 3)]
+
+
+def approximate_sequences():
+    dist = knill_1q_distribution()
+    return [{"length": l, "seed": s,
+             "sequence": gen_approximate_sequence(
+                 dist, l, np.random.default_rng(s)).to_json()}
+            for l, s in APPROXIMATE_CASES]
 
 
 def run_case(args, out):
@@ -83,10 +104,17 @@ def test_matches_golden(name, args, tmp_path):
     assert comparable(out) == comparable(GOLDEN / name)
 
 
+def test_approximate_sequences_match_golden():
+    want = json.loads((GOLDEN / APPROXIMATE).read_text())
+    assert approximate_sequences() == want
+
+
 if __name__ == "__main__":
     for name, args in CASES:
         run_case(args, GOLDEN / name)
         manifest = GOLDEN / (name + ".manifest.json")
         if manifest.exists():
             manifest.unlink()
+    (GOLDEN / APPROXIMATE).write_text(
+        json.dumps(approximate_sequences(), indent=2) + "\n")
     sys.exit(0)
