@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import secrets
 import sys
+from contextlib import contextmanager
 from importlib import metadata
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -168,8 +169,29 @@ def _parse_distribution(n: int, text: str) -> bounds.GroupDistribution:
     return bounds.GroupDistribution.from_weights(n, weights)
 
 
-def _load_dataset(path: str) -> RBDataset:
-    return RBDataset.from_csv(Path(path).read_text())
+def _load(path: str, option: str, parse):
+    """parse(text of the file at path); bad contents are a usage error."""
+    try:
+        return parse(Path(path).read_text())
+    except (ValueError, KeyError, TypeError, IndexError) as err:
+        raise click.BadParameter(f"{path}: {err}", param_hint=option) from None
+
+
+def _load_dataset(path: str, option: str) -> RBDataset:
+    return _load(path, option, RBDataset.from_csv)
+
+
+@contextmanager
+def _fit_errors(option: str):
+    """A dataset that cannot be fitted is a usage error on option; a fit
+    that fails to converge is a one-line error with its last objective."""
+    try:
+        yield
+    except analysis.FitError as err:
+        last = f" (last objective {err.trace[-1]:.6g})" if err.trace else ""
+        raise click.ClickException(f"{err}{last}") from None
+    except ValueError as err:
+        raise click.BadParameter(str(err), param_hint=option) from None
 
 
 def _fit_report_dict(rep: analysis.FitReport) -> dict:
@@ -259,14 +281,16 @@ def search_decomp_cmd(n, gates, primary, quotient, output, pretty):
 @_pretty
 def decompose_cmd(input_path, n, randomize, target, seed, output, pretty):
     """Block-decompose a Clifford into 1q / CZ / CX layers."""
+    if randomize and input_path:
+        raise click.UsageError("--random and --input exclude each other")
     if randomize:
         if n is None:
             raise click.BadParameter("--random needs --n")
         seed = _resolve_seed(seed)
         tab = sample_uniform(n, np.random.default_rng(seed))
     elif input_path:
-        tab = CliffordTableau.from_json(
-            json.loads(Path(input_path).read_text()))
+        tab = _load(input_path, "'--input'",
+                    lambda t: CliffordTableau.from_json(json.loads(t)))
     else:
         raise click.BadParameter("provide --input or --random")
     seq = block_decompose(tab)
@@ -361,8 +385,8 @@ def simulate_cmd(protocol, n, lengths, n_seq, shots, gate, model_path,
                  depolarizing, spam, seed, output):
     """Simulate an experiment and write the shot-count dataset."""
     if model_path:
-        model = ErrorModel.from_json(json.loads(Path(model_path).read_text()),
-                                     n)
+        model = _load(model_path, "'--error-model'",
+                      lambda t: ErrorModel.from_json(json.loads(t), n))
     elif depolarizing is not None:
         model = ErrorModel(
             _depolarizing(n, depolarizing, "'--depolarizing'"),
@@ -391,7 +415,9 @@ def simulate_cmd(protocol, n, lengths, n_seq, shots, gate, model_path,
 @_pretty
 def fit_cmd(data, model, n, output, pretty):
     """Weighted nonlinear fit of a decay model to a dataset."""
-    rep = analysis.fit(_load_dataset(data), model, analysis.alpha_n(n))
+    with _fit_errors("'--data'"):
+        rep = analysis.fit(_load_dataset(data, "'--data'"), model,
+                           analysis.alpha_n(n))
     report = {"manifest": _manifest("fit", {"data": data, "model": model,
                                             "n": n}),
               "fit": _fit_report_dict(rep)}
@@ -410,9 +436,10 @@ def fit_cmd(data, model, n, output, pretty):
 def bootstrap_cmd(data, model, n, resamples, seed, output, pretty):
     """Semi-parametric bootstrap of a decay fit."""
     seed = _resolve_seed(seed)
-    rep = analysis.bootstrap(_load_dataset(data), model, analysis.alpha_n(n),
-                             n_resamples=resamples,
-                             rng=np.random.default_rng(seed))
+    with _fit_errors("'--data'"):
+        rep = analysis.bootstrap(_load_dataset(data, "'--data'"), model,
+                                 analysis.alpha_n(n), n_resamples=resamples,
+                                 rng=np.random.default_rng(seed))
     body = json.loads(rep.to_json())
     report = {"manifest": _manifest("bootstrap", {
         "data": data, "model": model, "n": n, "resamples": resamples},
@@ -436,10 +463,15 @@ def interleaved_cmd(reference, interleaved_data, model, n, printed_form,
                     output, pretty):
     """Per-gate error from a reference / interleaved benchmark pair."""
     alpha = analysis.alpha_n(n)
-    ref = analysis.fit(_load_dataset(reference), model, alpha)
-    inter = analysis.fit(_load_dataset(interleaved_data), model, alpha)
-    eps_g, se = analysis.interleaved_gate_error(ref, inter,
-                                                printed_form=printed_form)
+    with _fit_errors("'--reference'"):
+        ref = analysis.fit(_load_dataset(reference, "'--reference'"), model,
+                           alpha)
+    with _fit_errors("'--interleaved'"):
+        inter = analysis.fit(
+            _load_dataset(interleaved_data, "'--interleaved'"), model, alpha)
+    with _fit_errors("'--reference'"):
+        eps_g, se = analysis.interleaved_gate_error(
+            ref, inter, printed_form=printed_form)
     report = {"manifest": _manifest("interleaved", {
         "reference": reference, "interleaved": interleaved_data,
         "model": model, "n": n, "printed_form": printed_form}),

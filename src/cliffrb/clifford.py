@@ -224,11 +224,16 @@ def _to_factor_phase(vec: int, e: int, n: int) -> int:
     return (e - (vec & (vec >> n)).bit_count()) & 3
 
 
-def _pauli_product(u: int, v: int, n: int) -> Tuple[int, int]:
-    """Product of the phase-0 factor-form Paulis u·v as (vec, phase mod 4)."""
+def _pauli_product(u: int, su: int, v: int, sv: int, n: int
+                   ) -> Tuple[int, int]:
+    """Product of the commuting signed factor-form Paulis (u, su)·(v, sv)
+    as (vec, sign); anticommuting rows raise `ValueError`."""
     e = ((u & (u >> n)).bit_count() + (v & (v >> n)).bit_count()
          + 2 * ((u >> n) & v).bit_count())
-    return u ^ v, _to_factor_phase(u ^ v, e, n)
+    phase = _to_factor_phase(u ^ v, e, n)
+    if phase & 1:
+        raise ValueError("rows do not commute")
+    return u ^ v, su ^ sv ^ phase >> 1
 
 
 def _image_phase(c: CliffordTableau, w: int, e: int) -> Tuple[int, int]:

@@ -9,13 +9,13 @@ Two routes:
   reducing the Bell-pair (Choi) stabilizer matrix of the operator to the
   identity with blocks of one-qubit gates, CZ gates and CX gates.
 
-The Choi matrix has 2n rows over 2n qubits: row i is X_i (x) C(X_i), row
-n+i is Z_i (x) C(Z_i); elementary gates act on the right-hand n qubits only.
-Rows are packed 4n-bit vectors ``x | z << 2n`` (left half in the low n bits
-of each mask) plus one sign mask; a gate rewrites each row with the gate's
-local update table, and row products use the packed Pauli product of
-`clifford`.  Step 1 brings the bottom-right block to graph-state standard
-form with `stabilizer.gssf_reduce`, the stabilizer simulator's reducer.
+The Choi matrix is the stabilizer matrix of the 2n-qubit Choi state, so it
+is a 2n-qubit instance of `stabilizer.PackedRows`, the simulator's own row
+type: row i is X_i (x) C(X_i), row n+i is Z_i (x) C(Z_i) (left half in the
+low n bits of each mask), and elementary gates act on the right-hand n
+qubits only, through their local update tables.  Step 1 brings the
+bottom-right block to graph-state standard form with
+`stabilizer.gssf_reduce`, the simulator's reducer, on rows offset by n.
 Quadrants are numbered clockwise from the top-left (1 = top-left block,
 2 = top-right, 3 = bottom-right, 4 = bottom-left).
 """
@@ -30,15 +30,12 @@ from .clifford import (
     CliffordTableau,
     GateSequence,
     _local_table,
-    _local_update,
-    _pauli_product,
     embed_tableau,
     group_order,
 )
 from .gates import INVERSE_NAMES, GateSet, get_gate
-from .stabilizer import default_neighbor, gssf_reduce
-
-_FACTOR = "IXZY"  # indexed by x | z << 1
+from .pauli import _FACTOR
+from .stabilizer import PackedRows, default_neighbor, gssf_reduce
 
 # one-qubit palette covering the six quotient cosets, all with named inverses
 _PALETTE = ("I", "S", "H", "X90", "T", "T2")
@@ -138,49 +135,29 @@ def cayley_search(gs: GateSet, n: int, quotient: bool = False,
 # -- algorithmic block decomposition -------------------------------------------
 
 
-class _ChoiMatrix:
-    """Mutable 2n-row stabilizer matrix of the Choi state of a Clifford,
-    as packed 2n-qubit rows plus a sign mask."""
+class _ChoiMatrix(PackedRows):
+    """Mutable 2n-row stabilizer matrix of the Choi state of a Clifford;
+    `entry` reads the right half."""
 
     def __init__(self, c: CliffordTableau):
         n = c.n_qubits
         self.n = n
         low = (1 << n) - 1
         # X_i / Z_i on the left, C(X_i) / C(Z_i) on the right
-        self.rows: List[int] = [
-            (1 << i if i < n else 1 << (n + i))
-            | (v & low) << n | (v >> n) << (3 * n)
-            for i, v in enumerate(c.vecs)]
-        self.signs = c.signs
+        super().__init__(2 * n, [(1 << i if i < n else 1 << (n + i))
+                                 | (v & low) << n | (v >> n) << (3 * n)
+                                 for i, v in enumerate(c.vecs)], c.signs)
 
     def entry(self, r: int, col: int) -> str:
         """Factor of row r at right-half column col (0-based)."""
-        v = self.rows[r] >> (self.n + col)
-        return _FACTOR[(v & 1) | (v >> (2 * self.n) & 1) << 1]
+        return PackedRows.entry(self, r, self.n + col)
 
     def left_z(self, r: int, col: int) -> int:
         """Z bit of row r at left-half column col."""
-        return (self.rows[r] >> (2 * self.n + col)) & 1
-
-    def sign(self, r: int) -> int:
-        return (self.signs >> r) & 1
-
-    def mul_rows(self, dst: int, src: int) -> None:
-        vec, phase = _pauli_product(self.rows[dst], self.rows[src], 2 * self.n)
-        if phase & 1:
-            raise ValueError("Choi rows do not commute")
-        self.rows[dst] = vec
-        self.signs ^= (self.sign(src) ^ (phase >> 1)) << dst
-
-    def swap_rows(self, a: int, b: int) -> None:
-        self.rows[a], self.rows[b] = self.rows[b], self.rows[a]
-        if self.sign(a) != self.sign(b):
-            self.signs ^= (1 << a) | (1 << b)
+        return (self.vecs[r] >> (2 * self.n + col)) & 1
 
     def apply(self, name: str, idxs: Tuple[int, ...]) -> None:
-        self.signs = _local_update(self.rows, self.signs, 2 * self.n,
-                                   get_gate(name).local,
-                                   tuple(self.n + i for i in idxs))
+        self.apply_gate(get_gate(name).local, tuple(self.n + i for i in idxs))
 
 
 def block_decompose(c: CliffordTableau, fix_signs: bool = True) -> GateSequence:
@@ -224,9 +201,7 @@ def block_decompose(c: CliffordTableau, fix_signs: bool = True) -> GateSequence:
 def _reduce_to_bell(m: "_ChoiMatrix", n: int, emit) -> None:
     # 1. GSSF on quadrant 3 by row operations among the bottom rows (the
     #    stabilizer simulator's reducer, on rows offset by n)
-    gssf_reduce(n, lambda r, col: m.entry(n + r, col),
-                lambda a, b: m.swap_rows(n + a, n + b),
-                lambda a, b: m.mul_rows(n + a, n + b), (), [None] * n)
+    gssf_reduce(m, n, (), [None] * n, offset=n)
 
     # 2. one-qubit gates: quadrant-3 diagonal -> X, neighbor -> Z
     for k in range(n):

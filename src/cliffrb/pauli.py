@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Set
 
 
-_CHAR_TO_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
-_BITS_TO_CHAR = {v: k for k, v in _CHAR_TO_BITS.items()}
+_FACTOR = "IXZY"  # the one letter table, indexed by x | z << 1
+_CHAR_TO_BITS = {c: (k & 1, k >> 1) for k, c in enumerate(_FACTOR)}
 _PHASE_PREFIX = {0: "+", 1: "i", 2: "-", 3: "-i"}
 _PREFIX_PHASE = {"+": 0, "": 0, "i": 1, "-": 2, "-i": 3}
 
@@ -78,7 +78,7 @@ class PauliOperator:
     # -- queries -----------------------------------------------------------
 
     def factor(self, qubit: int) -> str:
-        return _BITS_TO_CHAR[((self.x_mask >> qubit) & 1, (self.z_mask >> qubit) & 1)]
+        return _FACTOR[(self.x_mask >> qubit) & 1 | ((self.z_mask >> qubit) & 1) << 1]
 
     def is_identity(self) -> bool:
         return self.x_mask == 0 and self.z_mask == 0
@@ -113,10 +113,6 @@ def _check_dims(p: PauliOperator, q: PauliOperator) -> None:
             f"operand sizes differ: {p.n_qubits} vs {q.n_qubits}")
 
 
-def _popcount(v: int) -> int:
-    return v.bit_count()
-
-
 def pauli_multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
     """Exact matrix product p·q with phase mod 4."""
     _check_dims(p, q)
@@ -127,10 +123,10 @@ def pauli_multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
     phase = (
         p.phase
         + q.phase
-        + _popcount(p.x_mask & p.z_mask)
-        + _popcount(q.x_mask & q.z_mask)
-        + 2 * _popcount(p.z_mask & q.x_mask)
-        - _popcount(x & z)
+        + (p.x_mask & p.z_mask).bit_count()
+        + (q.x_mask & q.z_mask).bit_count()
+        + 2 * (p.z_mask & q.x_mask).bit_count()
+        - (x & z).bit_count()
     )
     return PauliOperator(p.n_qubits, x, z, phase % 4)
 
@@ -138,7 +134,8 @@ def pauli_multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
 def pauli_commutes(p: PauliOperator, q: PauliOperator) -> bool:
     """True iff the symplectic form x_p·z_q + z_p·x_q vanishes mod 2."""
     _check_dims(p, q)
-    return (_popcount(p.x_mask & q.z_mask) + _popcount(p.z_mask & q.x_mask)) % 2 == 0
+    return ((p.x_mask & q.z_mask).bit_count()
+            + (p.z_mask & q.x_mask).bit_count()) % 2 == 0
 
 
 def pauli_support(p: PauliOperator) -> Set[int]:

@@ -1,28 +1,37 @@
 """Stabilizer-state simulation in graph-state standard form (GSSF).
 
-The state is n commuting, independent stabilizer rows with sign bits.  GSSF
-means: every column has a non-identity diagonal entry; every other
+`PackedRows` is the one type for commuting signed Pauli rows: row r is the
+factor-form Pauli (-1)^sign(r) · X^x Z^z, packed as ``x | z << n`` plus one
+bit of a sign mask (Aaronson & Gottesman, quant-ph/0406196; Stim).  Row
+swaps, row products and gate updates act on the ints.  `StabilizerState` is
+an n-qubit instance; the Choi matrix `decomp.block_decompose` reduces is a
+2n-qubit one.
+
+GSSF means: every column has a non-identity diagonal entry; every other
 non-identity entry in a column equals that column's designated neighbor
 operator, which anticommutes with the diagonal; and the identity pattern is
-symmetric.  Keeping this form makes gate application O(n²·m) and measurement
-O(n²)-ish (our dense rows give the same structure with simpler invariants,
-at O(n³) worst case for the restore step).
+symmetric.  `gssf_reduce` restores it with row swaps and row products only.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .clifford import (
     CliffordTableau,
+    _image_sign,
+    _local_update,
+    _pack,
+    _pauli_product,
     _rand_bits,
     _solve_affine,
+    _unpack,
     clifford_apply,
     clifford_inverse,
     embed_tableau,
 )
 from .gates import find_mapping, sequence_tableau
-from .pauli import PauliOperator, pauli_commutes, pauli_multiply
+from .pauli import _FACTOR, PauliOperator, pauli_commutes
 
 _ANTICOMMUTERS = {"X": ("Z", "Y"), "Y": ("Z", "X"), "Z": ("X", "Y")}
 _NEIGHBOR_PREFERENCE = ("Z", "X", "Y")
@@ -38,97 +47,122 @@ def default_neighbor(diag: str) -> str:
     return next(c for c in _NEIGHBOR_PREFERENCE if c in _ANTICOMMUTERS[diag])
 
 
-def gssf_reduce(n: int, entry: Callable[[int, int], str],
-                swap: Callable[[int, int], None],
-                mul: Callable[[int, int], None],
-                fixed: Iterable[int], neighbor: List[Optional[str]]) -> None:
-    """Reduce n rows over n columns to GSSF with row swaps and row products
-    only, starting from the already-good columns in `fixed`.
+class PackedRows:
+    """Mutable signed Pauli rows on n qubits: `vecs[r]` is ``x | z << n`` of
+    row r and bit r of `signs` its sign."""
 
-    `entry(r, c)` is the factor of row r at column c, `swap(a, b)` exchanges
-    two rows and `mul(dst, src)` multiplies row dst by row src; the neighbor
-    operator chosen for each reduced column is written to `neighbor`.  The
-    order of swaps and products is part of the behaviour: stabilizer draws
-    and block-decomposition gate choices depend on the row order left."""
+    def __init__(self, n: int, vecs: List[int], signs: int = 0):
+        self.n_qubits = n
+        self.vecs = vecs
+        self.signs = signs
+
+    def entry(self, r: int, q: int) -> str:
+        """Factor of row r at qubit q."""
+        v = self.vecs[r] >> q
+        return _FACTOR[(v & 1) | (v >> self.n_qubits & 1) << 1]
+
+    def sign(self, r: int) -> int:
+        return (self.signs >> r) & 1
+
+    def swap_rows(self, a: int, b: int) -> None:
+        self.vecs[a], self.vecs[b] = self.vecs[b], self.vecs[a]
+        if self.sign(a) != self.sign(b):
+            self.signs ^= (1 << a) | (1 << b)
+
+    def mul_rows(self, dst: int, src: int) -> None:
+        """Row dst *= row src (the rows must commute)."""
+        self.vecs[dst], s = _pauli_product(
+            self.vecs[dst], self.sign(dst), self.vecs[src], self.sign(src),
+            self.n_qubits)
+        self.signs ^= (s ^ self.sign(dst)) << dst
+
+    def product(self, mask: int) -> Tuple[int, int]:
+        """(vec, sign) of the product of the rows selected by mask."""
+        vec = sign = 0
+        for r, v in enumerate(self.vecs):
+            if (mask >> r) & 1:
+                vec, sign = _pauli_product(vec, sign, v, self.sign(r),
+                                           self.n_qubits)
+        return vec, sign
+
+    def apply_gate(self, table: Sequence[Tuple[int, int]],
+                   positions: Sequence[int]) -> None:
+        """Conjugate every row by the gate with local update `table`."""
+        self.signs = _local_update(self.vecs, self.signs, self.n_qubits,
+                                   table, positions)
+
+
+def gssf_reduce(m: PackedRows, n: int, fixed: Iterable[int],
+                neighbor: List[Optional[str]], offset: int = 0) -> None:
+    """Reduce rows offset..offset+n-1 of m over the columns 0..n-1 of
+    `m.entry` to GSSF with row swaps and row products only, starting from
+    the already-good columns in `fixed`; the neighbor operator chosen for
+    column c is written to neighbor[c].
+
+    The order of swaps and products is part of the behaviour: stabilizer
+    draws and block-decomposition gate choices depend on the row order
+    left."""
     fixed = set(fixed)
     while len(fixed) < n:
         r = next(i for i in range(n) if i not in fixed)
         d = next((c for c in range(n)
-                  if c not in fixed and entry(r, c) != "I"), None)
+                  if c not in fixed and m.entry(offset + r, c) != "I"), None)
         if d is None:
             raise InvalidStateError("rows are not independent")
-        swap(r, d)
-        diag = entry(d, d)
-        nb = next((e for e in (entry(a, d) for a in range(n) if a != d)
+        m.swap_rows(offset + r, offset + d)
+        diag = m.entry(offset + d, d)
+        others = [a for a in range(offset, offset + n) if a != offset + d]
+        nb = next((e for e in (m.entry(a, d) for a in others)
                    if e in _ANTICOMMUTERS[diag]), None) or default_neighbor(diag)
         neighbor[d] = nb
-        for a in range(n):
-            if a != d:
-                e = entry(a, d)
-                if e != "I" and e != nb:
-                    mul(a, d)
+        for a in others:
+            e = m.entry(a, d)
+            if e != "I" and e != nb:
+                m.mul_rows(a, offset + d)
         fixed.add(d)
 
 
-class StabilizerState:
+class StabilizerState(PackedRows):
     """Single-owner mutable stabilizer state; create via zero_state() or
     reduce_gssf()."""
 
-    def __init__(self, rows: List[PauliOperator], neighbor: Optional[List[Optional[str]]] = None):
-        self.rows = list(rows)
-        self.n_qubits = rows[0].n_qubits if rows else 0
-        self.neighbor: List[Optional[str]] = list(neighbor) if neighbor else [None] * len(rows)
+    def __init__(self, rows: Sequence[PauliOperator],
+                 neighbor: Optional[List[Optional[str]]] = None):
+        n = rows[0].n_qubits if rows else 0
+        super().__init__(n, [_pack(r) for r in rows],
+                         sum(r.sign_bit << i for i, r in enumerate(rows)))
+        self.neighbor: List[Optional[str]] = (
+            list(neighbor) if neighbor else [None] * len(rows))
 
-    # -- bookkeeping --------------------------------------------------------
+    @property
+    def rows(self) -> List[PauliOperator]:
+        """The rows as new `PauliOperator`s (read-only view)."""
+        return [_unpack(v, self.n_qubits, self.sign(r))
+                for r, v in enumerate(self.vecs)]
 
     def copy(self) -> "StabilizerState":
-        out = StabilizerState(list(self.rows), list(self.neighbor))
-        return out
+        return StabilizerState(self.rows, self.neighbor)
 
     def diag(self, c: int) -> str:
-        return self.rows[c].factor(c)
-
-    def _entry(self, r: int, c: int) -> str:
-        return self.rows[r].factor(c)
-
-    def _swap_rows(self, a: int, b: int) -> None:
-        if a == b:
-            return
-        self.rows[a], self.rows[b] = self.rows[b], self.rows[a]
-
-    def _mul_row(self, dst: int, src: int) -> None:
-        """rows[dst] *= rows[src] (commuting, so order is immaterial)."""
-        prod = pauli_multiply(self.rows[dst], self.rows[src])
-        if prod.phase % 2:
-            raise InvalidStateError("rows do not commute")
-        self.rows[dst] = prod
-
-    # -- GSSF ----------------------------------------------------------------
-
-    def _reduce(self, fixed: Set[int]) -> None:
-        """Row-product reduction to GSSF, starting from already-good columns."""
-        gssf_reduce(len(self.rows), self._entry, self._swap_rows,
-                    self._mul_row, fixed, self.neighbor)
+        return self.entry(c, c)
 
     def check_gssf(self) -> None:
         """Raise unless the three GSSF conditions hold (test hook)."""
-        n = len(self.rows)
+        n = len(self.vecs)
         for c in range(n):
             if self.diag(c) == "I":
                 raise InvalidStateError(f"column {c}: identity diagonal")
             for r in range(n):
                 if r == c:
                     continue
-                e = self._entry(r, c)
+                e = self.entry(r, c)
                 if e != "I":
                     if e != self.neighbor[c] or e not in _ANTICOMMUTERS[self.diag(c)]:
                         raise InvalidStateError(
                             f"column {c}: off-diagonal entry {e} at row {r}")
-                if (e == "I") != (self._entry(c, r) == "I"):
+                if (e == "I") != (self.entry(c, r) == "I"):
                     raise InvalidStateError(
                         f"identity pattern not symmetric at ({r},{c})")
-
-    # -- dumps ----------------------------------------------------------------
 
     def __str__(self) -> str:
         return "\n".join(str(row) for row in self.rows)
@@ -137,32 +171,24 @@ class StabilizerState:
         """Canonical form of the signed stabilizer group (RREF over GF(2) of
         packed rows, carrying signs along); equal iff the states are equal."""
         n = self.n_qubits
-        vecs = [(r.x_mask | (r.z_mask << n)) for r in self.rows]
-        ops = list(self.rows)
-        pivots = []
-        for i in range(len(vecs)):
-            v, op = vecs[i], ops[i]
-            for pv, pop, col in pivots:
+        pivots: List[Tuple[int, int, int]] = []  # (vec, sign, column)
+        for r, v in enumerate(self.vecs):
+            s = self.sign(r)
+            for pv, ps, col in pivots:
                 if (v >> col) & 1:
-                    v ^= pv
-                    op = pauli_multiply(op, pop)
+                    v, s = _pauli_product(v, s, pv, ps, n)
             if v == 0:
                 raise InvalidStateError("dependent rows")
             col = v.bit_length() - 1
-            new = []
-            for pv, pop, pcol in pivots:
-                if (pv >> col) & 1:
-                    pv ^= v
-                    pop = pauli_multiply(pop, op)
-                new.append((pv, pop, pcol))
-            pivots = new + [(v, op, col)]
-        return tuple(sorted((v, op.phase) for v, op, _ in pivots))
+            pivots = [(*_pauli_product(pv, ps, v, s, n), pcol)
+                      if (pv >> col) & 1 else (pv, ps, pcol)
+                      for pv, ps, pcol in pivots] + [(v, s, col)]
+        return tuple(sorted((v, 2 * s) for v, s, _ in pivots))
 
 
 def zero_state(n: int) -> StabilizerState:
     """|0...0>: rows +Z_j."""
-    state = StabilizerState([], [])
-    state.n_qubits = 0
+    state = StabilizerState([])
     for _ in range(n):
         prepare_zero(state)
     return state
@@ -170,12 +196,12 @@ def zero_state(n: int) -> StabilizerState:
 
 def prepare_zero(state: StabilizerState) -> StabilizerState:
     """Append one qubit in |0>: a new +Z row/column; GSSF is preserved."""
-    n = state.n_qubits + 1
-    state.rows = [PauliOperator(n, r.x_mask, r.z_mask, r.phase)
-                  for r in state.rows]
-    state.rows.append(PauliOperator.single(n, n - 1, "Z"))
+    n = state.n_qubits
+    low = (1 << n) - 1
+    state.vecs = [(v & low) | (v >> n) << (n + 1)
+                  for v in state.vecs] + [1 << (2 * n + 1)]
     state.neighbor.append(None)
-    state.n_qubits = n
+    state.n_qubits = n + 1
     return state
 
 
@@ -192,7 +218,7 @@ def reduce_gssf(rows: Sequence[PauliOperator], signs: Optional[Sequence[int]] = 
             if not pauli_commutes(a, b):
                 raise InvalidStateError("rows do not commute")
     state = StabilizerState(rows)
-    state._reduce(set(fixed or ()))
+    gssf_reduce(state, len(rows), fixed or (), state.neighbor)
     return state
 
 
@@ -214,9 +240,12 @@ def apply_clifford(state: StabilizerState,
         if v != (1 << i) or (tab.signs >> i) & 1:
             moved |= (1 << (i % n)) | ((v | v >> n) & mask)
     support = {j for j in range(n) if (moved >> j) & 1}
-    for r in range(len(state.rows)):
-        state.rows[r] = clifford_apply(tab, state.rows[r])
-    state._reduce(set(range(state.n_qubits)) - support)
+    signs = 0
+    for r, v in enumerate(state.vecs):
+        state.vecs[r], s = _image_sign(tab, v, state.sign(r))
+        signs |= s << r
+    state.signs = signs
+    gssf_reduce(state, n, set(range(n)) - support, state.neighbor)
     return state
 
 
@@ -230,25 +259,26 @@ def measure_z(state: StabilizerState, j: int, rng) -> Tuple[int, StabilizerState
     for _ in range(n + 1):
         if state.diag(j) != "Z":
             break
-        others = [i for i in range(n) if i != j and state._entry(i, j) != "I"]
+        others = [i for i in range(n) if i != j and state.entry(i, j) != "I"]
         if not others:
-            return state.rows[j].sign_bit, state
-        state._swap_rows(others[0], j)
-        state._reduce(set(range(n)) - {others[0], j})
+            return state.sign(j), state
+        state.swap_rows(others[0], j)
+        gssf_reduce(state, n, set(range(n)) - {others[0], j}, state.neighbor)
     else:
         raise InvalidStateError("measurement step 1 failed to converge")
     # Step 2: make the column's neighbor operator Z.
     if state.neighbor[j] != "Z":
         for i in range(n):
-            if i != j and state._entry(i, j) != "I":
-                state._mul_row(i, j)
+            if i != j and state.entry(i, j) != "I":
+                state.mul_rows(i, j)
         state.neighbor[j] = "Z"
     # Step 3: random outcome; new stabilizer ±Z_j replaces row j.
     outcome = int(rng.integers(0, 2))
-    state.rows[j] = PauliOperator.single(n, j, "Z", 2 * outcome)
+    state.vecs[j] = 1 << (n + j)
+    state.signs = state.signs & ~(1 << j) | outcome << j
     for r in range(n):
-        if r != j and state._entry(r, j) != "I":
-            state._mul_row(r, j)
+        if r != j and state.entry(r, j) != "I":
+            state.mul_rows(r, j)
     state.neighbor[j] = None
     return outcome, state
 
@@ -278,23 +308,18 @@ def stabilizer_decomposition(state: StabilizerState, p: PauliOperator
     """If ±p is in the stabilizer group, return (row_mask, sign_bit) with
     product over the masked rows equal to (-1)^sign_bit · p; else None."""
     n = state.n_qubits
-    rep = p.representative()
-    target = rep.x_mask | (rep.z_mask << n)
-    vecs = [r.x_mask | (r.z_mask << n) for r in state.rows]
+    target = p.x_mask | (p.z_mask << n)
     # one constraint per packed bit; the rows are independent, so the
     # solution (if any) is unique
-    constraints = [(sum(((v >> k) & 1) << i for i, v in enumerate(vecs)),
+    constraints = [(sum(((v >> k) & 1) << i for i, v in enumerate(state.vecs)),
                     (target >> k) & 1) for k in range(2 * n)]
     try:
-        m, _ = _solve_affine(constraints, len(vecs))
+        m, _ = _solve_affine(constraints, n)
     except ValueError:
         return None
-    prod = PauliOperator.identity(n)
-    for i in range(n):
-        if (m >> i) & 1:
-            prod = pauli_multiply(prod, state.rows[i])
-    assert prod.representative() == rep
-    return m, (prod.sign_bit ^ p.sign_bit)
+    vec, sign = state.product(m)
+    assert vec == target
+    return m, sign ^ p.sign_bit
 
 
 def deterministic_z_outcome(state: StabilizerState, j: int) -> Optional[int]:
@@ -309,8 +334,5 @@ def random_stabilizer_element(state: StabilizerState, rng) -> PauliOperator:
     mask = 0
     while mask == 0:
         mask = _rand_bits(rng, n)
-    prod = PauliOperator.identity(n)
-    for i in range(n):
-        if (mask >> i) & 1:
-            prod = pauli_multiply(prod, state.rows[i])
-    return prod
+    vec, sign = state.product(mask)
+    return _unpack(vec, n, sign)

@@ -413,13 +413,13 @@ class ReportingState(StabilizerState):
         super().__init__(rows, neighbor)
         self.listeners = []
 
-    def _swap_rows(self, a, b):
-        super()._swap_rows(a, b)
+    def swap_rows(self, a, b):
+        super().swap_rows(a, b)
         for lis in self.listeners:
             lis.on_row_event("swap", a, b)
 
-    def _mul_row(self, dst, src):
-        super()._mul_row(dst, src)
+    def mul_rows(self, dst, src):
+        super().mul_rows(dst, src)
         for lis in self.listeners:
             lis.on_row_event("mul", dst, src)
 

@@ -353,3 +353,77 @@ class TestBadInput:
                            "--steps")
         assert_usage_error(["sample-clifford", "--n", "1", "--count", "-2",
                             "--seed", "1"], "--count")
+
+    def test_decompose_random_with_input(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(CliffordTableau.identity(1).to_json()))
+        assert_usage_error(["decompose", "--random", "--n", "1",
+                            "--input", str(path), "--seed", "1"], "--input")
+
+    def test_decompose_malformed_json(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text("{")
+        assert_usage_error(["decompose", "--input", str(path)], "--input")
+
+    def test_decompose_non_symplectic_tableau(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"n_qubits": 1, "image_x": ["X"],
+                                    "image_z": ["X"]}))
+        assert_usage_error(["decompose", "--input", str(path)], "--input")
+
+    def test_simulate_malformed_error_model(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("{")
+        assert_usage_error(["simulate", "--n", "1", "--lengths", "1",
+                            "--error-model", str(path), "--seed", "1",
+                            "-o", str(tmp_path / "d.csv")], "--error-model")
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_fit_wrong_header(self, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("length,fidelity\n1,0.99\n")
+        assert_usage_error(["fit", "--data", str(data), "--n", "1"], "--data")
+
+    def test_fit_header_only(self, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("protocol,length,seq_index,n_shots,n_correct\n")
+        assert_usage_error(["fit", "--data", str(data), "--n", "1"], "--data")
+
+
+class TestFailedFit:
+    """A saturated decay that the magesan model cannot fit exits 1 with one
+    error line carrying the last objective value, not a traceback."""
+
+    @pytest.fixture(scope="class")
+    def saturated(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("saturated") / "d.csv"
+        run_ok(CliRunner(), [
+            "simulate", "--n", "1", "--lengths", "1,3,8,21,55",
+            "--n-seq", "20", "--shots", "100", "--depolarizing", "0.9",
+            "--seed", "3", "-o", str(path)])
+        return str(path)
+
+    def assert_fit_failed(self, args):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        errors = [l for l in result.output.splitlines()
+                  if l.startswith("Error:")]
+        assert len(errors) == 1, result.output
+        assert "did not converge" in errors[0]
+        assert "last objective" in errors[0]
+        assert "Traceback" not in result.output
+
+    def test_fit(self, saturated):
+        self.assert_fit_failed(["fit", "--data", saturated,
+                                "--model", "magesan", "--n", "1"])
+
+    def test_bootstrap(self, saturated):
+        self.assert_fit_failed(["bootstrap", "--data", saturated,
+                                "--model", "magesan", "--n", "1",
+                                "--seed", "1"])
+
+    def test_interleaved(self, saturated):
+        self.assert_fit_failed(["interleaved", "--reference", saturated,
+                                "--interleaved", saturated,
+                                "--model", "magesan", "--n", "1"])

@@ -18,7 +18,15 @@ import pytest
 from click.testing import CliRunner
 
 from cliffrb.cli import main
+from cliffrb.clifford import sample_uniform
+from cliffrb.gates import get_gate
 from cliffrb.protocol import gen_approximate_sequence, knill_1q_distribution
+from cliffrb.stabilizer import (
+    apply_clifford,
+    measure_z,
+    random_stabilizer_element,
+    zero_state,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 MODEL = "model_2q.json"
@@ -83,6 +91,41 @@ def approximate_sequences():
             for l, s in APPROXIMATE_CASES]
 
 
+# stabilizer row order and neighbor operators are an interface too (they
+# decide which element random_stabilizer_element draws): seeded random
+# circuits at n = 2..5, the state after every step, then 20 element draws
+STABILIZER = "stabilizer_rows.json"
+GATES_1Q = ("H", "S", "Sdg", "X90", "Y90", "T", "X", "Z")
+GATES_2Q = ("CX", "CZ", "MS", "G")
+
+
+def stabilizer_rows():
+    out = []
+    for n in (2, 3, 4, 5):
+        rng = np.random.default_rng(20 + n)
+        state = zero_state(n)
+        apply_clifford(state, sample_uniform(n, rng))
+        steps = []
+        for _ in range(40):
+            u = rng.random()
+            if u < 0.2:
+                j = int(rng.integers(n))
+                bit, _ = measure_z(state, j, rng)
+                op = ["M", [j], bit]
+            else:
+                pool, width = (GATES_2Q, 2) if u < 0.5 else (GATES_1Q, 1)
+                name = pool[int(rng.integers(len(pool)))]
+                idxs = [int(q) for q in rng.permutation(n)[:width]]
+                apply_clifford(state, get_gate(name), tuple(idxs))
+                op = [name, idxs]
+            steps.append({"op": op, "state": str(state),
+                          "neighbor": list(state.neighbor)})
+        draws = [str(random_stabilizer_element(state, rng))
+                 for _ in range(20)]
+        out.append({"n": n, "steps": steps, "draws": draws})
+    return out
+
+
 def run_case(args, out):
     args = [a.format(out=out, model=GOLDEN / MODEL) for a in args]
     result = CliRunner().invoke(main, args, catch_exceptions=False)
@@ -109,6 +152,11 @@ def test_approximate_sequences_match_golden():
     assert approximate_sequences() == want
 
 
+def test_stabilizer_rows_match_golden():
+    want = json.loads((GOLDEN / STABILIZER).read_text())
+    assert stabilizer_rows() == want
+
+
 if __name__ == "__main__":
     for name, args in CASES:
         run_case(args, GOLDEN / name)
@@ -117,4 +165,6 @@ if __name__ == "__main__":
             manifest.unlink()
     (GOLDEN / APPROXIMATE).write_text(
         json.dumps(approximate_sequences(), indent=2) + "\n")
+    (GOLDEN / STABILIZER).write_text(
+        json.dumps(stabilizer_rows(), indent=1) + "\n")
     sys.exit(0)

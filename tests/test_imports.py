@@ -1,4 +1,5 @@
-"""Every name a `cliffrb` module imports is used in that module.
+"""Every name a `cliffrb` module, or the shared test oracle module
+`tests/oracles.py`, imports is used in that module.
 
 No linter is part of the toolchain, so this is a small stdlib `ast` check.
 Package `__init__.py` files are skipped: their imports are re-exports.
@@ -9,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cliffrb"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "cliffrb"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES.append(TESTS / "oracles.py")
 
 
 def unused_imports(path):
