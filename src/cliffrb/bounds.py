@@ -9,7 +9,9 @@ strength when the steps separating the error from the measurement do not twirl
 it completely.
 
 Everything here works on the quotient group (Cliffords modulo Pauli factors),
-which is enumerable for n <= 2.
+which is enumerable for n <= 2.  One cached record per n holds it as arrays:
+Pauli-label images, an index of 16-bit image keys and the product table.
+Sums run in element order, bit for bit as the loops in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .clifford import (
     _local_table,
     _pack,
     _symplectic,
+    _unpack,
     enumerate_group,
 )
 from .pauli import PauliOperator
@@ -41,38 +44,41 @@ class InfeasibleBoundError(ValueError):
     pass
 
 
+def _keys(columns, n: int) -> np.ndarray:
+    """16-bit keys from the 2n image columns of elements, last image first."""
+    columns = iter(columns)
+    keys = np.array(next(columns), dtype=np.uint16)
+    for col in columns:
+        keys <<= 2 * n
+        keys |= col
+    return keys
+
+
+class _QuotientGroup(NamedTuple):
+    elements: Tuple[CliffordTableau, ...]
+    index: np.ndarray   # key -> element index; len(elements) for no element
+    images: np.ndarray  # [i, v]: image label of Pauli label v under element i
+    table: np.ndarray   # [i, j]: index of element i applied after element j
+
+    def index_of(self, tab: CliffordTableau) -> int:
+        vecs = np.array(tab.vecs, dtype=np.uint8)[::-1, None]
+        return int(self.index[_keys(vecs, tab.n_qubits)[0]])
+
+
 @lru_cache(maxsize=4)
-def _group(n: int) -> Tuple[Tuple[CliffordTableau, ...], Dict[int, int]]:
+def _group(n: int) -> _QuotientGroup:
     if n > MAX_QUBITS:
         raise EnumerationUnavailableError(
             f"quotient-group enumeration is limited to n <= {MAX_QUBITS}")
     elements = tuple(enumerate_group(n, quotient=True))
-    index = {tab.strip_signs().encode(): i for i, tab in enumerate(elements)}
-    return elements, index
-
-
-@lru_cache(maxsize=4)
-def _images(n: int) -> Tuple[Tuple[int, ...], ...]:
-    """_images(n)[i][v]: packed image of the basis Pauli v under element i."""
-    return tuple(tuple(img for img, _ in _local_table(tab))
-                 for tab in _group(n)[0])
-
-
-@lru_cache(maxsize=4)
-def _compose_table_cache(n: int) -> Dict[Tuple[int, int], int]:
-    return {}
-
-
-def _compose_index(n: int, i: int, j: int) -> int:
-    """Index of element i composed after element j, memoized per group."""
-    table = _compose_table_cache(n)
-    key = (i, j)
-    if key not in table:
-        elements, index = _group(n)
-        image = _images(n)[i]
-        prod = CliffordTableau(n, tuple(image[v] for v in elements[j].vecs))
-        table[key] = index[prod.encode()]
-    return table[key]
+    vecs = np.array([tab.vecs for tab in elements], dtype=np.uint8)
+    images = np.array([[img for img, _ in _local_table(tab)]
+                       for tab in elements], dtype=np.uint8)
+    index = np.full(1 << (4 * n * n), len(elements), dtype=np.uint16)
+    index[_keys(vecs.T[::-1], n)] = np.arange(len(elements))
+    # the images of element i o j are element i's images of element j's
+    table = index[_keys((images[:, col] for col in vecs.T[::-1]), n)]
+    return _QuotientGroup(elements, index, images, table)
 
 
 @dataclass(frozen=True)
@@ -82,9 +88,8 @@ class GroupDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        elements, _ = _group(self.n_qubits)
         p = np.asarray(self.probs, dtype=float)
-        if p.shape != (len(elements),):
+        if p.shape != (len(_group(self.n_qubits).elements),):
             raise ValueError("probability vector has wrong length")
         if np.any(p < -1e-12) or abs(p.sum() - 1) > 1e-9:
             raise ValueError("not a probability distribution")
@@ -92,8 +97,8 @@ class GroupDistribution:
 
     @classmethod
     def uniform(cls, n_qubits: int) -> "GroupDistribution":
-        elements, _ = _group(n_qubits)
-        return cls(n_qubits, np.full(len(elements), 1 / len(elements)))
+        size = len(_group(n_qubits).elements)
+        return cls(n_qubits, np.full(size, 1 / size))
 
     @classmethod
     def delta(cls, tab: CliffordTableau) -> "GroupDistribution":
@@ -103,40 +108,45 @@ class GroupDistribution:
     def from_weights(cls, n_qubits: int,
                      weights: Sequence[Tuple[CliffordTableau, float]]
                      ) -> "GroupDistribution":
-        elements, index = _group(n_qubits)
-        p = np.zeros(len(elements))
+        group = _group(n_qubits)
+        p = np.zeros(len(group.elements))
         for tab, w in weights:
-            p[index[tab.strip_signs().encode()]] += w
+            p[group.index_of(tab)] += w
         return cls(n_qubits, p)
 
     def support(self) -> np.ndarray:
         return np.nonzero(self.probs > 0)[0]
 
     def prob_of(self, tab: CliffordTableau) -> float:
-        _, index = _group(self.n_qubits)
-        return float(self.probs[index[tab.strip_signs().encode()]])
+        return float(self.probs[_group(self.n_qubits).index_of(tab)])
 
 
 def convolve(a: GroupDistribution, b: GroupDistribution) -> GroupDistribution:
     """Distribution of the composition (a-element applied after b-element)."""
     if a.n_qubits != b.n_qubits:
         raise ValueError("size mismatch")
-    n = a.n_qubits
-    out = np.zeros_like(a.probs)
-    for i in a.support():
-        for j in b.support():
-            out[_compose_index(n, int(i), int(j))] += a.probs[i] * b.probs[j]
-    return GroupDistribution(n, out)
+    sa, sb = a.support(), b.support()
+    products = _group(a.n_qubits).table[np.ix_(sa, sb)]
+    weights = np.outer(a.probs[sa], b.probs[sb])
+    out = np.bincount(products.ravel(), weights.ravel(),
+                      minlength=a.probs.size)
+    return GroupDistribution(a.n_qubits, out)
+
+
+def step_aggregates(d: GroupDistribution, j_max: int
+                    ) -> List[GroupDistribution]:
+    """Distributions of the aggregate of 1..j_max consecutive i.i.d. steps."""
+    out: List[GroupDistribution] = []
+    for _ in range(j_max):
+        out.append(convolve(d, out[-1]) if out else d)
+    return out
 
 
 def convolve_steps(d: GroupDistribution, j: int) -> GroupDistribution:
     """Distribution of the aggregate of j consecutive i.i.d. steps."""
     if j < 1:
         raise ValueError("need at least one step")
-    acc = d
-    for _ in range(j - 1):
-        acc = convolve(d, acc)
-    return acc
+    return step_aggregates(d, j)[-1]
 
 
 def total_variation(d: GroupDistribution) -> float:
@@ -145,20 +155,16 @@ def total_variation(d: GroupDistribution) -> float:
 
 def tv_series(d: GroupDistribution, j_max: int) -> List[float]:
     """Total variation from uniform of the aggregate after 1..j_max steps."""
-    out = []
-    acc = d
-    for j in range(1, j_max + 1):
-        out.append(total_variation(acc))
-        if j < j_max:
-            acc = convolve(d, acc)
-    return out
+    return [total_variation(acc) for acc in step_aggregates(d, j_max)]
+
+
+def _tv_csv(series: Sequence[float]) -> str:
+    rows = [f"{j},{v!r}" for j, v in enumerate(series, start=1)]
+    return "\n".join(["steps,total_variation"] + rows) + "\n"
 
 
 def tv_series_csv(d: GroupDistribution, j_max: int) -> str:
-    lines = ["steps,total_variation"]
-    for j, v in enumerate(tv_series(d, j_max), start=1):
-        lines.append(f"{j},{v!r}")
-    return "\n".join(lines) + "\n"
+    return _tv_csv(tv_series(d, j_max))
 
 
 # -- LP bound on the error-per-step comparison --------------------------------
@@ -219,24 +225,22 @@ def default_measurement(n: int) -> PauliOperator:
     return PauliOperator(n, 0, 1, 0)
 
 
+def _undetected(p_prime: GroupDistribution,
+                measured: Optional[PauliOperator]) -> np.ndarray:
+    """undetected_probability of every Pauli label, in element order."""
+    n = p_prime.n_qubits
+    m = _pack(default_measurement(n) if measured is None else measured)
+    commutes = np.array([not _symplectic(u, m, n) for u in range(4 ** n)])
+    s = p_prime.support()
+    hidden = commutes[_group(n).images[s]]
+    return np.cumsum(hidden * p_prime.probs[s, None], axis=0)[-1]
+
+
 def undetected_probability(p_prime: GroupDistribution, r: PauliOperator,
                            measured: Optional[PauliOperator] = None) -> float:
     """Probability that Pauli error r, pushed through an aggregate Clifford
     drawn from p_prime, commutes with the measured operator (goes unseen)."""
-    n = p_prime.n_qubits
-    m = _pack(default_measurement(n) if measured is None else measured)
-    v = _pack(r)
-    images = _images(n)
-    q = 0.0
-    for i in p_prime.support():
-        if not _symplectic(images[i][v], m, n):
-            q += float(p_prime.probs[i])
-    return q
-
-
-def _nonidentity_paulis(n: int) -> List[PauliOperator]:
-    return [PauliOperator(n, m & ((1 << n) - 1), m >> n, 0)
-            for m in range(1, 4 ** n)]
+    return float(_undetected(p_prime, measured)[_pack(r)])
 
 
 @dataclass(frozen=True)
@@ -280,21 +284,16 @@ def kappa_bounds(p_prime_k: Sequence[GroupDistribution], error: float,
     if error < 0:
         raise ValueError("error must be nonnegative")
     l = len(p_prime_k)
-    d2 = 4 ** n
-    paulis = _nonidentity_paulis(n)
-    q_max, q_min, r_max, r_min = [], [], [], []
-    for dist in p_prime_k:
-        qs = [undetected_probability(dist, r, measured) for r in paulis]
-        hi, lo = int(np.argmax(qs)), int(np.argmin(qs))
-        q_max.append(qs[hi])
-        q_min.append(qs[lo])
-        r_max.append(paulis[hi])
-        r_min.append(paulis[lo])
+    # q of every non-identity Pauli label, one row per step
+    qs = np.array([_undetected(dist, measured)[1:] for dist in p_prime_k])
+    q_max, q_min = qs.max(axis=1).tolist(), qs.min(axis=1).tolist()
+    r_max = [_unpack(int(v) + 1, n) for v in qs.argmax(axis=1)]
+    r_min = [_unpack(int(v) + 1, n) for v in qs.argmin(axis=1)]
     # sum of detection probabilities for the stealthiest / loudest Pauli:
     # these bracket the channel strength consistent with the observed error
     miss_hi = sum(1 - q for q in q_max)
     miss_lo = sum(1 - q for q in q_min)
-    upper = d2 / (d2 - 1)
+    upper = 4 ** n / (4 ** n - 1)
     gamma_hi = min(1.0, error / miss_hi) if miss_hi > 0 else 1.0
     gamma_lo = error / miss_lo if miss_lo > 0 else 0.0
     k_max = gamma_hi * upper - 2 * error / l

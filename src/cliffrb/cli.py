@@ -203,6 +203,7 @@ _output = click.option("--output", "-o", default=None,
 _pretty = click.option("--pretty", is_flag=True,
                        help="Also print a human-readable rendering.")
 _positive = click.IntRange(min=1)
+_group_size = click.IntRange(1, bounds.MAX_QUBITS)
 _input_file = click.Path(exists=True, dir_okay=False)
 _seed_opt = click.option("--seed", type=int, default=None,
                          help="Master seed (generated and printed if omitted).")
@@ -226,8 +227,12 @@ def enumerate_cmd(n, quotient, list_elements, output, pretty):
         "n": n, "quotient": quotient, "elements": list_elements})}
     report["count"] = group_order(n, quotient=quotient)
     if list_elements:
-        report["elements"] = [t.to_json()
-                              for t in enumerate_group(n, quotient=quotient)]
+        try:
+            elements = enumerate_group(n, quotient=quotient)
+        except ValueError as err:
+            raise click.BadParameter(str(err),
+                                     param_hint="'--elements'") from None
+        report["elements"] = [t.to_json() for t in elements]
     click.echo(f"count: {report['count']}", err=True)
     _emit(report, output, pretty)
 
@@ -482,7 +487,7 @@ def interleaved_cmd(reference, interleaved_data, model, n, printed_form,
 
 
 @main.command("tv-decay")
-@click.option("--n", "n", type=_positive, default=1)
+@click.option("--n", "n", type=_group_size, default=1)
 @click.option("--dist", required=True,
               help="Step distribution, e.g. 'X90:0.4,Y90:0.4,I:0.2'.")
 @click.option("--steps", type=_positive, default=20)
@@ -496,14 +501,14 @@ def tv_decay_cmd(n, dist, steps, csv_path, output, pretty):
     series = bounds.tv_series(d, steps)
     man = _manifest("tv-decay", {"n": n, "dist": dist, "steps": steps})
     if csv_path:
-        _write_csv(bounds.tv_series_csv(d, steps), csv_path, man)
+        _write_csv(bounds._tv_csv(series), csv_path, man)
     report = {"manifest": man,
               "total_variation": series}
     _emit(report, output, pretty)
 
 
 @main.command("bounds")
-@click.option("--n", "n", type=_positive, default=1)
+@click.option("--n", "n", type=_group_size, default=1)
 @click.option("--dist", required=True, help="Step distribution.")
 @click.option("--eps", type=float, required=True,
               help="Observed error per step (LP) / total error (kappa).")
@@ -522,8 +527,7 @@ def bounds_cmd(n, dist, eps, k_steps, length, output, pretty):
                                                             k=k_steps)
     except bounds.InfeasibleBoundError as err:
         raise click.BadParameter(str(err), param_hint="'--eps'") from None
-    dists = [bounds.convolve_steps(d, k) for k in range(1, length + 1)]
-    kappa = bounds.kappa_bounds(dists, eps)
+    kappa = bounds.kappa_bounds(bounds.step_aggregates(d, length), eps)
     report = {"manifest": _manifest("bounds", {
         "n": n, "dist": dist, "eps": eps, "k": k_steps, "length": length}),
         "step_comparison": {"delta_max": delta_max, "delta_min": delta_min},

@@ -24,7 +24,7 @@ from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .clifford import CliffordTableau, _local_table, pauli_tableau
+from .clifford import CliffordTableau, _local_table, _unpack
 from .pauli import PauliChannel, PauliOperator
 
 _MATS = {
@@ -45,15 +45,10 @@ def dense_pauli(p: PauliOperator) -> np.ndarray:
     return (1j) ** p.phase * out
 
 
-def _basis(n: int) -> List[PauliOperator]:
-    return [PauliOperator(n, m & ((1 << n) - 1), m >> n, 0)
-            for m in range(4 ** n)]
-
-
 @lru_cache(maxsize=None)
 def _basis_stack(n: int) -> np.ndarray:
     """P_m for every basis index m, stacked: shape (4^n, 2^n, 2^n)."""
-    out = np.array([dense_pauli(p) for p in _basis(n)])
+    out = np.array([dense_pauli(_unpack(m, n)) for m in range(4 ** n)])
     out.setflags(write=False)
     return out
 
@@ -209,15 +204,13 @@ def conjugate_by_tableau(s: DenseSuperoperator, tab: CliffordTableau) -> DenseSu
 def group_twirl(s: DenseSuperoperator,
                 group: Union[str, Sequence[CliffordTableau]]) -> DenseSuperoperator:
     """Average of C+ . s . C over a set of Cliffords, or over all Paulis when
-    group == "pauli"."""
+    group == "pauli".  The Pauli twirl keeps the diagonal of chi: the signs
+    t_j of conjugation by the Paulis are orthogonal characters, so the
+    average of t_j t_l is 1 if j == l and 0 otherwise."""
     if isinstance(group, str):
         if group != "pauli":
             raise ValueError(f"unknown twirl group {group!r}")
-        n = s.n_qubits
-        acc = np.zeros_like(s.chi)
-        for p in _basis(n):
-            acc += conjugate_by_tableau(s, pauli_tableau(p)).chi
-        return DenseSuperoperator(n, acc / 4 ** n)
+        return DenseSuperoperator(s.n_qubits, np.diag(np.diag(s.chi)))
     group = list(group)
     if not group:
         raise ValueError("empty twirl set")

@@ -18,10 +18,15 @@ every row swap and product of a stabilizer simulation of the sequence.
 The Cayley-graph Dijkstra over tableau objects and the loop forms of the
 dense superoperator engine are the paths that the signed Pauli-label tables
 (`clifford._local_table`) and the stacked-basis contractions replaced.
+
+The quotient-group loops at the end are the element-by-element `bounds`
+convolution and undetected-error probability that the product table and the
+image array replaced.
 """
 
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -484,3 +489,62 @@ def sign_list_fidelity(sequence, model):
             raise ValueError(f"measured operator {p} is not deterministic")
         masks.append(dec[0])
     return tracker.joint_parity_probability(masks)
+
+
+# ---------------------------------------------------------------------------
+# quotient-group loops (bounds)
+
+
+@lru_cache(maxsize=None)
+def _quotient_group(n):
+    """Quotient-group elements, their encoding -> index dict, and every
+    element's image label of every Pauli label, as tuples."""
+    elements = packed.enumerate_group(n, quotient=True)
+    index = {tab.encode(): i for i, tab in enumerate(elements)}
+    images = tuple(tuple(img for img, _ in packed._local_table(tab))
+                   for tab in elements)
+    return elements, index, images
+
+
+def group_convolve(a, b):
+    """bounds.convolve as a double loop over the supports (i-major, j-minor),
+    composing each pair from element i's images of element j's images."""
+    n = a.n_qubits
+    elements, index, images = _quotient_group(n)
+    out = np.zeros_like(a.probs)
+    for i in a.support():
+        for j in b.support():
+            prod = CliffordTableau(n, tuple(images[i][v]
+                                            for v in elements[j].vecs))
+            out[index[prod.encode()]] += a.probs[i] * b.probs[j]
+    return out
+
+
+def undetected_probability(p_prime, r, measured=None):
+    """bounds.undetected_probability as a loop over the support, one Pauli
+    label at a time."""
+    n = p_prime.n_qubits
+    m = packed._pack(PauliOperator(n, 0, 1, 0) if measured is None
+                     else measured)
+    v = packed._pack(r)
+    _, _, images = _quotient_group(n)
+    q = 0.0
+    for i in p_prime.support():
+        if not packed._symplectic(images[i][v], m, n):
+            q += float(p_prime.probs[i])
+    return q
+
+
+def kappa_extremes(dists, measured=None):
+    """Per step distribution, (q_max, q_min, r_max, r_min) of
+    bounds.kappa_bounds from one undetected_probability call per
+    non-identity Pauli."""
+    n = dists[0].n_qubits
+    paulis = [PauliOperator(n, m & ((1 << n) - 1), m >> n, 0)
+              for m in range(1, 4 ** n)]
+    out = []
+    for dist in dists:
+        qs = [undetected_probability(dist, r, measured) for r in paulis]
+        hi, lo = int(np.argmax(qs)), int(np.argmin(qs))
+        out.append((qs[hi], qs[lo], paulis[hi], paulis[lo]))
+    return out

@@ -307,6 +307,15 @@ class TestBadInput:
         assert_usage_error(["search-decomp", "--n", "3"], "--n")
         assert_usage_error(["search-decomp", "--n", "4", "--quotient"], "--n")
 
+    def test_group_diagnostics_qubit_limit(self):
+        assert_usage_error(["tv-decay", "--n", "3", "--dist", "I:1"], "--n")
+        assert_usage_error(["bounds", "--n", "3", "--dist", "I:1",
+                            "--eps", "0.01"], "--n")
+
+    def test_enumerate_elements_group_too_large(self):
+        assert_usage_error(["enumerate", "--n", "3", "--elements"],
+                           "--elements")
+
     def test_search_decomp_non_generating_gates(self):
         assert_usage_error(["search-decomp", "--n", "1", "--gates", "S"],
                            "--gates")

@@ -74,6 +74,18 @@ CASES = [
     ("search_decomp_2q_quotient_cz.json",
      ["search-decomp", "--n", "2", "--quotient", "--gates", "H,S,CZ",
       "--primary", "CZ", "-o", "{out}"]),
+    ("tv_decay_1q.json",
+     ["tv-decay", "--n", "1", "--dist", "X90:0.4,Y90:0.4,I:0.2",
+      "--steps", "30", "-o", "{out}"]),
+    ("tv_decay_2q.json",
+     ["tv-decay", "--n", "2", "--dist", "I:0.2,CX:0.3,MS:0.2,G:0.3",
+      "--steps", "30", "-o", "{out}"]),
+    ("bounds_1q.json",
+     ["bounds", "--n", "1", "--dist", "X90:0.4,Y90:0.4,I:0.2",
+      "--eps", "0.01", "--k", "2", "--length", "10", "-o", "{out}"]),
+    ("bounds_2q.json",
+     ["bounds", "--n", "2", "--dist", "I:0.2,CX:0.3,MS:0.2,G:0.3",
+      "--eps", "0.02", "--k", "3", "--length", "12", "-o", "{out}"]),
 ]
 
 

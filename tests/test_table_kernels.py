@@ -1,7 +1,8 @@
 """Cross-checks of the table-driven small-group kernels against the paths
 they replaced (kept in tests/oracles.py): the packed Cayley-graph Dijkstra,
 the stacked-basis dense contractions, the signed-permutation conjugation and
-twirls, and the image lookups of `subgroups` and `bounds`."""
+twirls, the image lookups of `subgroups` and `bounds`, and the `bounds`
+product table and commutation array against the element-by-element loops."""
 
 import numpy as np
 import pytest
@@ -9,10 +10,19 @@ import pytest
 from cliffrb.bounds import (
     GroupDistribution,
     _group,
+    convolve,
     default_measurement,
+    kappa_bounds,
+    step_aggregates,
     undetected_probability,
 )
-from cliffrb.clifford import clifford_apply, enumerate_group, sample_uniform
+from cliffrb.clifford import (
+    CliffordTableau,
+    clifford_apply,
+    embed_tableau,
+    enumerate_group,
+    sample_uniform,
+)
 from cliffrb.decomp import cayley_search
 from cliffrb.dense import (
     DenseSuperoperator,
@@ -20,7 +30,7 @@ from cliffrb.dense import (
     group_twirl,
     random_tp_channel,
 )
-from cliffrb.gates import GateSet, standard_gate_set
+from cliffrb.gates import GateSet, get_gate, standard_gate_set
 from cliffrb.pauli import PauliOperator, pauli_commutes
 from cliffrb.subgroups import q_subgroup, verify_twirl_set
 
@@ -164,7 +174,7 @@ class TestImageLookups:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_undetected_probability(self, n):
-        elements, _ = _group(n)
+        elements = _group(n).elements
         rng = np.random.default_rng(50 + n)
         probs = rng.random(len(elements))
         probs[rng.random(len(elements)) < 0.3] = 0.0
@@ -179,3 +189,56 @@ class TestImageLookups:
                     if pauli_commutes(clifford_apply(elements[i], r), mop):
                         want += float(dist.probs[i])
                 assert undetected_probability(dist, r, m) == want
+
+
+def dirichlet(n, rng, size=None):
+    """Dirichlet-random distribution over the quotient group, on `size`
+    random elements (all of them when size is None)."""
+    count = len(enumerate_group(n, quotient=True))
+    probs = np.zeros(count)
+    keep = (np.arange(count) if size is None
+            else rng.choice(count, size, replace=False))
+    probs[keep] = rng.dirichlet(np.ones(len(keep)))
+    return GroupDistribution(n, probs)
+
+
+def embedded_gate_steps(rng):
+    """I, then H, S and X90 on each qubit, then CX: eight 2-qubit steps."""
+    tabs = [CliffordTableau.identity(2)]
+    tabs += [embed_tableau(get_gate(name).tableau, (q,), 2)
+             for name in ("H", "S", "X90") for q in (0, 1)]
+    tabs.append(get_gate("CX").tableau)
+    return GroupDistribution.from_weights(
+        2, list(zip(tabs, rng.dirichlet(np.ones(len(tabs))))))
+
+
+def assert_bounds_match_loops(dists):
+    n = dists[0].n_qubits
+    for m in (None, PauliOperator.from_string("X" * n),
+              PauliOperator.from_string("Y" + "Z" * (n - 1))):
+        rep = kappa_bounds(dists, 0.05, measured=m)
+        want = oracles.kappa_extremes(dists, m)
+        assert list(zip(rep.q_max, rep.q_min, rep.r_max, rep.r_min)) == want
+        for dist in dists:
+            for v in range(4 ** n):
+                r = PauliOperator(n, v & ((1 << n) - 1), v >> n, 0)
+                assert (undetected_probability(dist, r, m)
+                        == oracles.undetected_probability(dist, r, m))
+
+
+class TestBoundsAgainstLoops:
+    @pytest.mark.parametrize("n,size", [(1, None), (2, 40)])
+    def test_dirichlet_distributions(self, n, size):
+        rng = np.random.default_rng(60 + n)
+        for _ in range(3):
+            a, b = dirichlet(n, rng, size), dirichlet(n, rng, size)
+            got = convolve(a, b).probs
+            assert np.array_equal(got, oracles.group_convolve(a, b))
+            assert_bounds_match_loops([a, b])
+
+    def test_embedded_gate_support(self):
+        d = embedded_gate_steps(np.random.default_rng(62))
+        aggregates = step_aggregates(d, 6)
+        for prev, acc in zip(aggregates, aggregates[1:]):
+            assert np.array_equal(acc.probs, oracles.group_convolve(d, prev))
+        assert_bounds_match_loops(aggregates)
