@@ -6,6 +6,14 @@ least squares; uncertainty comes from the Jacobian at the optimum and from
 semi-parametric bootstrap resampling.  Also houses the interleaved-gate error
 extraction and the depolarization-strength conversions used to compare
 experiments on different numbers of qubits.
+
+There is one Levenberg-Marquardt refiner, `_lm`, which works on R stacked
+problems at once: `fit` is its R = 1 case, and `bootstrap` refits all its
+replicates in one call, each bit for bit as a lone fit of that replicate
+would come out.  Replicate fits skip the covariance and the chi-squared test.
+The bootstrap's RNG draw order (per replicate, per length: one `integers`
+call, then one `binomial` call; see `_resample`) is an interface: a seed
+always gives the same replicates.
 """
 
 from __future__ import annotations
@@ -104,19 +112,25 @@ class LengthStats:
     single_sequence: bool
 
 
+def _length_moments(p: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row mean and variance of the mean of an (R, n_l) block of
+    survival fractions; the variance is 0 when n_l is 1."""
+    n_l = p.shape[1]
+    var = (np.var(p, axis=1, ddof=1) / n_l if n_l >= 2
+           else np.zeros(len(p)))
+    return p.mean(axis=1), var
+
+
 def length_statistics(ds: RBDataset) -> List[LengthStats]:
     """Mean survival and unbiased variance-of-the-mean per sequence length."""
     out = []
     for l in ds.lengths():
         p = ds.fidelities(l)
-        n_l = len(p)
-        if n_l >= 2:
-            var = float(np.var(p, ddof=1) / n_l)
-            single = False
-        else:
-            var = float("nan")
-            single = True
-        out.append(LengthStats(l, n_l, float(p.mean()), var, single))
+        mean, var = _length_moments(p[None, :])
+        single = len(p) < 2
+        out.append(LengthStats(l, len(p), float(mean[0]),
+                               float("nan") if single else float(var[0]),
+                               single))
     return out
 
 
@@ -144,6 +158,7 @@ class FitReport:
     residuals: np.ndarray
     n_iterations: int = 0
     objective_trace: List[float] = field(default_factory=list)
+    converged: bool = True  # False when no damped step lowered the objective
 
     @property
     def eps_s(self) -> float:
@@ -249,16 +264,130 @@ def _initial_guess(model: DecayModel, lengths: np.ndarray, f: np.ndarray,
     return np.array([eps_s, alpha - coef[1], coef[0], coef[2]])
 
 
-def _jacobian(func, lengths, params, alpha) -> np.ndarray:
-    jac = np.zeros((len(lengths), len(params)))
-    for i in range(len(params)):
-        h = 1e-6 * max(abs(params[i]), 1.0)
-        up = params.copy()
-        dn = params.copy()
-        up[i] += h
-        dn[i] -= h
-        jac[:, i] = (func(lengths, up, alpha) - func(lengths, dn, alpha)) / (2 * h)
+def _residuals(m: DecayModel, lengths, f, sigma, theta, alpha) -> np.ndarray:
+    """(R, L) weighted residuals of R stacked parameter rows."""
+    return (f - m.func(lengths, theta.T[:, :, None], alpha)) / sigma
+
+
+def _sumsq(r: np.ndarray) -> np.ndarray:
+    """Row-wise r . r, reduced per row exactly as a 1-d dot product."""
+    return np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0]
+
+
+def _jacobian(m: DecayModel, lengths, theta, alpha) -> np.ndarray:
+    """(R, L, p) central-difference Jacobians of R stacked parameter rows."""
+    jac = np.empty((len(theta), len(lengths), theta.shape[1]))
+    for i in range(theta.shape[1]):
+        h = 1e-6 * np.maximum(np.abs(theta[:, i]), 1.0)
+        up = theta.copy()
+        dn = theta.copy()
+        up[:, i] += h
+        dn[:, i] -= h
+        jac[:, :, i] = (m.func(lengths, up.T[:, :, None], alpha)
+                        - m.func(lengths, dn.T[:, :, None], alpha)
+                        ) / (2 * h)[:, None]
     return jac
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Stacked solve of a x = b; a singular slice is dropped from the mask
+    instead of failing the whole stack."""
+    try:
+        return np.linalg.solve(a, b), np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        x = np.zeros_like(b)
+        ok = np.ones(len(a), dtype=bool)
+        for k in range(len(a)):
+            try:
+                x[k] = np.linalg.solve(a[k], b[k])
+            except np.linalg.LinAlgError:
+                ok[k] = False
+        return x, ok
+
+
+# _lm stop reasons, per row
+_CONVERGED, _STALLED, _ITERATION_LIMIT = 0, 1, 2
+
+
+@dataclass
+class _LMResult:
+    theta: np.ndarray    # (R, p) final parameters
+    status: np.ndarray   # (R,) _CONVERGED, _STALLED or _ITERATION_LIMIT
+    steps: np.ndarray    # (R,) accepted steps
+    # row 0's objective at the start and after each of its accepted steps:
+    # the objective trace `fit`, which passes one row, reports
+    trace: List[float]
+
+
+def _lm(m: DecayModel, lengths: np.ndarray, f: np.ndarray, sigma: np.ndarray,
+        alpha: float, theta: np.ndarray,
+        max_iterations: int = 200) -> _LMResult:
+    """Levenberg-Marquardt on R weighted least-squares problems at once.
+
+    f and sigma are (R, L), theta the (R, p) starting points.  Each row keeps
+    its own damping lambda: an iteration tries up to 50 damped Gauss-Newton
+    steps, multiplying lambda by 10 after each that does not lower the row's
+    objective, and divides it by 3 after an accepted step.  A row stops when
+    the relative decrease or the largest step component falls below 1e-14
+    (_CONVERGED), when no damped step lowers its objective (_STALLED), or
+    after max_iterations accepted steps (_ITERATION_LIMIT).
+
+    Every product and sum (matmul for J^T J, J^T r and r . r, the stacked
+    solve, elementwise powers) reduces each row exactly as the 2-d problem
+    of that row alone would, so a row's result is bit for bit independent
+    of the other rows; einsum or (r * r).sum(1) would not be.
+    """
+    theta = theta.copy()
+    n_rows, n_params = theta.shape
+    r = _residuals(m, lengths, f, sigma, theta, alpha)
+    cost = _sumsq(r)
+    lam = np.full(n_rows, 1e-3)
+    status = np.full(n_rows, _ITERATION_LIMIT)
+    steps = np.zeros(n_rows, dtype=int)
+    trace = [float(cost[0])]
+    diag = np.arange(n_params)
+    active = np.arange(n_rows)
+    for _ in range(max_iterations):
+        if not len(active):
+            break
+        jac = (_jacobian(m, lengths, theta[active], alpha)
+               / sigma[active, :, None])
+        jt = jac.transpose(0, 2, 1)
+        jtj = np.matmul(jt, jac)
+        g = np.matmul(jt, r[active][:, :, None])
+        damp = np.zeros_like(jtj)
+        damp[:, diag, diag] = np.maximum(jtj[:, diag, diag], 1e-30)
+        going_on = np.zeros(n_rows, dtype=bool)
+        todo = np.arange(len(active))  # positions in `active` without a step
+        for _ in range(50):
+            if not len(todo):
+                break
+            rows = active[todo]
+            step, solved = _solve(
+                jtj[todo] + lam[rows][:, None, None] * damp[todo], g[todo])
+            step = step[:, :, 0]
+            trial = theta[rows] + step
+            r_trial = _residuals(m, lengths, f[rows], sigma[rows], trial,
+                                 alpha)
+            cost_trial = _sumsq(r_trial)
+            ok = solved & np.isfinite(cost_trial) & (cost_trial <= cost[rows])
+            lam[rows[~ok]] *= 10
+            rows = rows[ok]
+            rel = ((cost[rows] - cost_trial[ok])
+                   / np.maximum(cost[rows], 1e-300))
+            small = (rel < 1e-14) | (np.max(np.abs(step[ok]), axis=1) < 1e-14)
+            theta[rows], r[rows], cost[rows] = (trial[ok], r_trial[ok],
+                                                cost_trial[ok])
+            steps[rows] += 1
+            lam[rows] = np.maximum(lam[rows] / 3, 1e-12)
+            status[rows[small]] = _CONVERGED
+            going_on[rows[~small]] = True
+            todo = todo[~ok]
+        status[active[todo]] = _STALLED
+        if steps[0] == len(trace):
+            trace.append(float(cost[0]))
+        active = np.flatnonzero(going_on)
+    return _LMResult(theta, status, steps, trace)
 
 
 def fit(ds: RBDataset, model: str, alpha: float,
@@ -266,8 +395,8 @@ def fit(ds: RBDataset, model: str, alpha: float,
         max_iterations: int = 200) -> FitReport:
     """Weighted nonlinear least-squares fit of a decay model.
 
-    Minimizes sum_l (F_l - model(l))^2 / sigma_l^2 with a damped Gauss-Newton
-    schedule.  No box constraints: unphysical parameter values are left as
+    Minimizes sum_l (F_l - model(l))^2 / sigma_l^2 with `_lm` on a single
+    row.  No box constraints: unphysical parameter values are left as
     diagnostics.  Raises FitError (with the objective trace) on
     non-convergence.
     """
@@ -285,45 +414,14 @@ def fit(ds: RBDataset, model: str, alpha: float,
 
     theta = (np.asarray(init, dtype=float).copy() if init is not None
              else _initial_guess(m, lengths, f_l, alpha))
-
-    def residual(th):
-        return (f_l - m.func(lengths, th, alpha)) / sigma
-
-    r = residual(theta)
-    cost = float(r @ r)
-    lam = 1e-3
-    trace = [cost]
-    for it in range(max_iterations):
-        jac = _jacobian(m.func, lengths, theta, alpha) / sigma[:, None]
-        jtj = jac.T @ jac
-        g = jac.T @ r
-        step_ok = False
-        for _ in range(50):
-            try:
-                delta = np.linalg.solve(
-                    jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-30)), g)
-            except np.linalg.LinAlgError:
-                lam *= 10
-                continue
-            trial = theta + delta
-            r_trial = residual(trial)
-            cost_trial = float(r_trial @ r_trial)
-            if np.isfinite(cost_trial) and cost_trial <= cost:
-                step_ok = True
-                break
-            lam *= 10
-        if not step_ok:
-            break
-        rel = (cost - cost_trial) / max(cost, 1e-300)
-        theta, r, cost = trial, r_trial, cost_trial
-        trace.append(cost)
-        lam = max(lam / 3, 1e-12)
-        if rel < 1e-14 or np.max(np.abs(delta)) < 1e-14:
-            break
-    else:
+    res = _lm(m, lengths, f_l[None, :], sigma[None, :], alpha, theta[None, :],
+              max_iterations)
+    trace = res.trace
+    if res.status[0] == _ITERATION_LIMIT:
         raise FitError("fit did not converge", trace)
+    theta, cost = res.theta[0], trace[-1]
 
-    jac = _jacobian(m.func, lengths, theta, alpha) / sigma[:, None]
+    jac = _jacobian(m, lengths, theta[None, :], alpha)[0] / sigma[:, None]
     jtj = jac.T @ jac
     try:
         cov = np.linalg.inv(jtj)
@@ -336,7 +434,8 @@ def fit(ds: RBDataset, model: str, alpha: float,
                      p_value=p, significant=bool(p < 1 - SIGNIFICANCE),
                      lengths=lengths.astype(int), residuals=f_l - m.func(
                          lengths, theta, alpha),
-                     n_iterations=len(trace) - 1, objective_trace=trace)
+                     n_iterations=len(trace) - 1, objective_trace=trace,
+                     converged=bool(res.status[0] == _CONVERGED))
 
 
 # -- bootstrap ----------------------------------------------------------------
@@ -355,6 +454,7 @@ class BootstrapReport:
     ellipse_center: np.ndarray    # (eps_s, eps_m) plane
     ellipse_axes: np.ndarray      # rows are the two semi-axis vectors
     n_failures: int = 0
+    lm_iterations: int = 0  # accepted LM steps summed over all replicates
 
     def ellipse_contains(self, point: Sequence[float]) -> bool:
         cov = np.cov(self.samples[:, :2].T)
@@ -386,41 +486,72 @@ class BootstrapReport:
         return "\n".join(lines) + "\n"
 
 
+def _resample(ds: RBDataset, n_resamples: int, rng: np.random.Generator
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-length statistics of n_resamples bootstrap replicates.
+
+    For each replicate, and for each length in the order it first appears
+    in ds.rows, one `rng.integers(0, n_l, size=n_l)` call picks sequences
+    with replacement and one `rng.binomial` call redraws their counts about
+    the picked sequences' observed rates.  This draw order is an interface.
+    Returns the sorted lengths and the (R, L) means and variances of the
+    mean.
+    """
+    by_length: Dict[int, List[Tuple[int, int]]] = {}
+    for _, l, _, ns, nc in ds.rows:
+        by_length.setdefault(l, []).append((ns, nc))
+    blocks = {}  # length -> (columns, shots, observed rates)
+    start = 0
+    for l, seqs in by_length.items():
+        ns, nc = (np.array(column) for column in zip(*seqs))
+        blocks[l] = (slice(start, start + len(seqs)), ns, nc / ns)
+        start += len(seqs)
+    # compact (R, N) buffers: the picked index within the length block and
+    # the drawn count, converted to survival one block at a time below
+    most = max(max(ns.max(), len(ns)) for _, ns, _ in blocks.values())
+    picks = np.empty((n_resamples, start), dtype=np.min_scalar_type(most))
+    counts = np.empty_like(picks)
+    for row_picks, row_counts in zip(picks, counts):
+        for sl, ns, rate in blocks.values():
+            k = rng.integers(0, len(ns), size=len(ns))
+            row_picks[sl] = k
+            row_counts[sl] = rng.binomial(ns[k], rate[k])
+    lengths = sorted(blocks)
+    f = np.empty((n_resamples, len(lengths)))
+    var = np.empty_like(f)
+    for j, l in enumerate(lengths):
+        sl, ns, _ = blocks[l]
+        f[:, j], var[:, j] = _length_moments(counts[:, sl]
+                                             / ns[picks[:, sl]])
+    return np.array(lengths, dtype=float), f, var
+
+
 def bootstrap(ds: RBDataset, model: str, alpha: float, n_resamples: int = 1000,
               rng: Optional[np.random.Generator] = None) -> BootstrapReport:
     """Semi-parametric bootstrap of a decay fit.
 
     Each replicate resamples sequences with replacement within every length,
     redraws each resampled sequence's correct-count binomially about its
-    observed rate, and refits.  Aborts if more than 10% of replicate fits
-    fail.
+    observed rate, and refits.  The draws fill one (R, N) count array in the
+    fixed order `_resample` documents, which is an interface.  All R
+    replicates are then refit by one stacked `_lm` call started at the
+    original fit; a replicate fails only when it reaches the iteration
+    limit, and no replicate's covariance is computed.  Aborts if more than
+    10% of replicate fits fail.
     """
     rng = np.random.default_rng() if rng is None else rng
     base = fit(ds, model, alpha)
-    by_length: Dict[int, List[Tuple[int, int]]] = {}
-    for _, l, _, ns, nc in ds.rows:
-        by_length.setdefault(l, []).append((ns, nc))
-
-    samples = []
-    failures = 0
-    for _ in range(n_resamples):
-        rows = []
-        for l, seqs in by_length.items():
-            picks = rng.integers(0, len(seqs), size=len(seqs))
-            for j, k in enumerate(picks):
-                ns, nc = seqs[k]
-                rows.append(("boot", l, j, ns,
-                             int(rng.binomial(ns, nc / ns))))
-        try:
-            rep = fit(RBDataset(rows), model, alpha, init=base.params)
-            samples.append(rep.params)
-        except (FitError, np.linalg.LinAlgError):
-            failures += 1
+    lengths, f, var = _resample(ds, n_resamples, rng)
+    sigma = np.sqrt(np.maximum(var, VARIANCE_FLOOR))
+    res = _lm(MODELS[model], lengths, f, sigma, alpha,
+              np.tile(base.params, (n_resamples, 1)))
+    ok = res.status != _ITERATION_LIMIT
+    failures = int(n_resamples - ok.sum())
     if failures > 0.1 * n_resamples:
         raise FitError(f"{failures}/{n_resamples} bootstrap replicates "
                        "failed to fit")
 
-    arr = np.array(samples)
+    arr = res.theta[ok]
     means = arr.mean(axis=0)
     ses = arr.std(axis=0, ddof=1)
     biases = means - base.params
@@ -436,7 +567,8 @@ def bootstrap(ds: RBDataset, model: str, alpha: float, n_resamples: int = 1000,
                            samples=arr, original=base.params.copy(),
                            means=means, biases=biases, standard_errors=ses,
                            bias_significant=flags, ellipse_center=center,
-                           ellipse_axes=axes, n_failures=failures)
+                           ellipse_axes=axes, n_failures=failures,
+                           lm_iterations=int(res.steps.sum()))
 
 
 # -- interleaved extraction and depolarization conversions --------------------

@@ -14,7 +14,7 @@ import sys
 from contextlib import contextmanager
 from importlib import metadata
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import click
 import numpy as np
@@ -196,6 +196,21 @@ def _fit_errors(option: str):
 
 def _fit_report_dict(rep: analysis.FitReport) -> dict:
     return json.loads(rep.to_json())
+
+
+def _unphysical(params, alpha: float, label: str = "") -> List[str]:
+    """One message per fitted eps_s / eps_m outside [0, alpha_n]."""
+    return [f"{label}{name} = {value:.6g} lies outside [0, {alpha:g}]"
+            for name, value in zip(("eps_s", "eps_m"), params[:2])
+            if not 0 <= value <= alpha]
+
+
+def _warn(manifest: dict, warnings: List[str]) -> None:
+    """Record warnings in the manifest and print them as one stderr line."""
+    if warnings:
+        manifest["warnings"] = warnings
+        click.echo("warning: unphysical fit: " + "; ".join(warnings),
+                   err=True)
 
 
 _output = click.option("--output", "-o", default=None,
@@ -423,10 +438,11 @@ def fit_cmd(data, model, n, output, pretty):
     with _fit_errors("'--data'"):
         rep = analysis.fit(_load_dataset(data, "'--data'"), model,
                            analysis.alpha_n(n))
-    report = {"manifest": _manifest("fit", {"data": data, "model": model,
-                                            "n": n}),
-              "fit": _fit_report_dict(rep)}
-    _emit(report, output, pretty)
+    man = _manifest("fit", {"data": data, "model": model, "n": n})
+    man.update(n_iterations=rep.n_iterations,
+               objective_trace=rep.objective_trace, converged=rep.converged)
+    _warn(man, _unphysical(rep.params, rep.alpha))
+    _emit({"manifest": man, "fit": _fit_report_dict(rep)}, output, pretty)
 
 
 @main.command("bootstrap")
@@ -445,11 +461,13 @@ def bootstrap_cmd(data, model, n, resamples, seed, output, pretty):
         rep = analysis.bootstrap(_load_dataset(data, "'--data'"), model,
                                  analysis.alpha_n(n), n_resamples=resamples,
                                  rng=np.random.default_rng(seed))
-    body = json.loads(rep.to_json())
-    report = {"manifest": _manifest("bootstrap", {
+    man = _manifest("bootstrap", {
         "data": data, "model": model, "n": n, "resamples": resamples},
-        seed=seed), "bootstrap": body}
-    _emit(report, output, pretty)
+        seed=seed)
+    man["lm_iterations"] = rep.lm_iterations
+    _warn(man, _unphysical(rep.original, analysis.alpha_n(n)))
+    _emit({"manifest": man, "bootstrap": json.loads(rep.to_json())}, output,
+          pretty)
 
 
 @main.command("interleaved")
@@ -477,12 +495,14 @@ def interleaved_cmd(reference, interleaved_data, model, n, printed_form,
     with _fit_errors("'--reference'"):
         eps_g, se = analysis.interleaved_gate_error(
             ref, inter, printed_form=printed_form)
-    report = {"manifest": _manifest("interleaved", {
+    man = _manifest("interleaved", {
         "reference": reference, "interleaved": interleaved_data,
-        "model": model, "n": n, "printed_form": printed_form}),
-        "reference_fit": _fit_report_dict(ref),
-        "interleaved_fit": _fit_report_dict(inter),
-        "gate_error": eps_g, "gate_error_se": se}
+        "model": model, "n": n, "printed_form": printed_form})
+    _warn(man, _unphysical(ref.params, alpha, "reference ")
+          + _unphysical(inter.params, alpha, "interleaved "))
+    report = {"manifest": man, "reference_fit": _fit_report_dict(ref),
+              "interleaved_fit": _fit_report_dict(inter),
+              "gate_error": eps_g, "gate_error_se": se}
     _emit(report, output, pretty)
 
 

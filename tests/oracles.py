@@ -19,9 +19,13 @@ The Cayley-graph Dijkstra over tableau objects and the loop forms of the
 dense superoperator engine are the paths that the signed Pauli-label tables
 (`clifford._local_table`) and the stacked-basis contractions replaced.
 
-The quotient-group loops at the end are the element-by-element `bounds`
-convolution and undetected-error probability that the product table and the
-image array replaced.
+The quotient-group loops are the element-by-element `bounds` convolution
+and undetected-error probability that the product table and the image array
+replaced.
+
+The per-replicate bootstrap at the end is the loop that the batched
+`analysis.bootstrap` replaced: one `RBDataset` and one scalar
+Levenberg-Marquardt fit per replicate, drawing its counts one row at a time.
 """
 
 import heapq
@@ -30,6 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from cliffrb import analysis
 from cliffrb import clifford as packed
 from cliffrb.clifford import (
     CliffordTableau,
@@ -45,6 +50,7 @@ from cliffrb.pauli import (
     pauli_commutes,
     pauli_multiply,
 )
+from cliffrb.protocol import RBDataset
 from cliffrb.stabilizer import (
     StabilizerState,
     apply_clifford,
@@ -548,3 +554,145 @@ def kappa_extremes(dists, measured=None):
         hi, lo = int(np.argmax(qs)), int(np.argmin(qs))
         out.append((qs[hi], qs[lo], paulis[hi], paulis[lo]))
     return out
+
+
+# ---------------------------------------------------------------------------
+# per-replicate bootstrap (analysis)
+
+
+def length_moments(ds):
+    """Sorted lengths, per-length mean survival and sigma_l as `fit` weights
+    them, one length at a time from a 1-d array."""
+    lengths = ds.lengths()
+    f, var = [], []
+    for l in lengths:
+        p = ds.fidelities(l)
+        f.append(float(p.mean()))
+        var.append(float(np.var(p, ddof=1) / len(p)) if len(p) >= 2 else 0.0)
+    sigma = np.sqrt(np.maximum(np.array(var), analysis.VARIANCE_FLOOR))
+    return np.array(lengths, dtype=float), np.array(f), sigma
+
+
+def _scalar_jacobian(func, lengths, params, alpha):
+    jac = np.zeros((len(lengths), len(params)))
+    for i in range(len(params)):
+        h = 1e-6 * max(abs(params[i]), 1.0)
+        up = params.copy()
+        dn = params.copy()
+        up[i] += h
+        dn[i] -= h
+        jac[:, i] = (func(lengths, up, alpha) - func(lengths, dn, alpha)) / (2 * h)
+    return jac
+
+
+def scalar_fit(ds, model, alpha, init=None, max_iterations=200):
+    """analysis.fit as one scalar Levenberg-Marquardt loop on 1-d arrays."""
+    m = analysis.MODELS[model]
+    lengths, f_l, sigma = length_moments(ds)
+    theta = (np.asarray(init, dtype=float).copy() if init is not None
+             else analysis._initial_guess(m, lengths, f_l, alpha))
+
+    def residual(th):
+        return (f_l - m.func(lengths, th, alpha)) / sigma
+
+    r = residual(theta)
+    cost = float(r @ r)
+    lam = 1e-3
+    trace = [cost]
+    converged = False
+    for it in range(max_iterations):
+        jac = _scalar_jacobian(m.func, lengths, theta, alpha) / sigma[:, None]
+        jtj = jac.T @ jac
+        g = jac.T @ r
+        step_ok = False
+        for _ in range(50):
+            try:
+                delta = np.linalg.solve(
+                    jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-30)), g)
+            except np.linalg.LinAlgError:
+                lam *= 10
+                continue
+            trial = theta + delta
+            r_trial = residual(trial)
+            cost_trial = float(r_trial @ r_trial)
+            if np.isfinite(cost_trial) and cost_trial <= cost:
+                step_ok = True
+                break
+            lam *= 10
+        if not step_ok:
+            break
+        rel = (cost - cost_trial) / max(cost, 1e-300)
+        theta, r, cost = trial, r_trial, cost_trial
+        trace.append(cost)
+        lam = max(lam / 3, 1e-12)
+        if rel < 1e-14 or np.max(np.abs(delta)) < 1e-14:
+            converged = True
+            break
+    else:
+        raise analysis.FitError("fit did not converge", trace)
+
+    jac = _scalar_jacobian(m.func, lengths, theta, alpha) / sigma[:, None]
+    jtj = jac.T @ jac
+    try:
+        cov = np.linalg.inv(jtj)
+    except np.linalg.LinAlgError:
+        cov = np.linalg.pinv(jtj)
+    dof = len(lengths) - m.n_params
+    p = analysis.chi2_sf(cost, dof) if dof > 0 else float("nan")
+    return analysis.FitReport(
+        model=model, alpha=alpha, param_names=m.param_names, params=theta,
+        covariance=cov, chi2=cost, dof=dof, p_value=p,
+        significant=bool(p < 1 - analysis.SIGNIFICANCE),
+        lengths=lengths.astype(int),
+        residuals=f_l - m.func(lengths, theta, alpha),
+        n_iterations=len(trace) - 1, objective_trace=trace,
+        converged=converged)
+
+
+def bootstrap_loop(ds, model, alpha, n_resamples=1000, rng=None):
+    """analysis.bootstrap as a loop of replicates: each one builds an
+    RBDataset from one scalar draw per resampled row and refits it with
+    `scalar_fit`, covariance included."""
+    rng = np.random.default_rng() if rng is None else rng
+    base = scalar_fit(ds, model, alpha)
+    by_length = {}
+    for _, l, _, ns, nc in ds.rows:
+        by_length.setdefault(l, []).append((ns, nc))
+
+    samples = []
+    failures = 0
+    iterations = 0
+    for _ in range(n_resamples):
+        rows = []
+        for l, seqs in by_length.items():
+            picks = rng.integers(0, len(seqs), size=len(seqs))
+            for j, k in enumerate(picks):
+                ns, nc = seqs[k]
+                rows.append(("boot", l, j, ns,
+                             int(rng.binomial(ns, nc / ns))))
+        try:
+            rep = scalar_fit(RBDataset(rows), model, alpha, init=base.params)
+            samples.append(rep.params)
+            iterations += rep.n_iterations
+        except (analysis.FitError, np.linalg.LinAlgError) as err:
+            failures += 1
+            iterations += len(getattr(err, "trace", [0])) - 1
+    if failures > 0.1 * n_resamples:
+        raise analysis.FitError(f"{failures}/{n_resamples} bootstrap "
+                                "replicates failed to fit")
+
+    arr = np.array(samples)
+    means = arr.mean(axis=0)
+    ses = arr.std(axis=0, ddof=1)
+    biases = means - base.params
+    cov2 = np.cov(arr[:, :2].T)
+    vals, vecs = np.linalg.eigh(cov2)
+    vals = np.clip(vals, 0.0, None)
+    axes = (np.sqrt(analysis._ELLIPSE_QUANTILE * vals)[:, None] * vecs.T)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        flags = np.abs(biases) > 0.25 * ses
+    return analysis.BootstrapReport(
+        n_resamples=n_resamples,
+        param_names=analysis.MODELS[model].param_names, samples=arr, original=base.params.copy(), means=means, biases=biases,
+        standard_errors=ses, bias_significant=flags, ellipse_center=means[:2],
+        ellipse_axes=axes, n_failures=failures, lm_iterations=iterations)

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import oracles
+from cliffrb import analysis
 from cliffrb.analysis import (
     BootstrapReport,
     FitError,
@@ -355,3 +358,76 @@ class TestTruncationScan:
 def test_alpha_n_values():
     assert alpha_n(1) == pytest.approx(0.5)
     assert alpha_n(2) == pytest.approx(0.75)
+
+
+def assert_same_bootstrap(got, want):
+    for f in dataclasses.fields(BootstrapReport):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.shape == b.shape and np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+
+
+class TestBatchedAgainstLoop:
+    """The stacked bootstrap and fit against the per-replicate scalar loop in
+    tests/oracles.py: every replicate must come out bit for bit the same."""
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_all_models(self, model):
+        ds = noisy_dataset((0.04, 0.05), 0.5, LENGTHS, 20, 100,
+                           np.random.default_rng(5))
+        got = bootstrap(ds, model, 0.5, 80, np.random.default_rng(1))
+        want = oracles.bootstrap_loop(ds, model, 0.5, 80,
+                                      np.random.default_rng(1))
+        assert_same_bootstrap(got, want)
+
+    def test_one_sequence_per_length(self):
+        ds = noisy_dataset((0.04, 0.05), 0.5, LENGTHS, 1, 100,
+                           np.random.default_rng(8))
+        got = bootstrap(ds, "main", 0.5, 60, np.random.default_rng(2))
+        want = oracles.bootstrap_loop(ds, "main", 0.5, 60,
+                                      np.random.default_rng(2))
+        assert_same_bootstrap(got, want)
+
+    def test_failing_replicates(self):
+        ds = noisy_dataset((0.04, 0.05), 0.5, (1, 2, 4, 8, 16, 32), 4, 100,
+                           np.random.default_rng(7))
+        got = bootstrap(ds, "magesan", 0.5, 60, np.random.default_rng(7))
+        want = oracles.bootstrap_loop(ds, "magesan", 0.5, 60,
+                                      np.random.default_rng(7))
+        assert got.n_failures == 5
+        assert_same_bootstrap(got, want)
+
+    def test_too_many_failures(self):
+        ds = noisy_dataset((0.04, 0.05), 0.5, (1, 2, 4, 8, 16, 32), 4, 100,
+                           np.random.default_rng(2))
+        with pytest.raises(FitError) as got:
+            bootstrap(ds, "magesan", 0.5, 60, np.random.default_rng(2))
+        with pytest.raises(FitError) as want:
+            oracles.bootstrap_loop(ds, "magesan", 0.5, 60,
+                                   np.random.default_rng(2))
+        assert str(got.value) == str(want.value) == \
+            "26/60 bootstrap replicates failed to fit"
+
+    def test_singular_slice_fails_alone(self):
+        rng = np.random.default_rng(10)
+        a = rng.normal(size=(4, 3, 3))
+        a[2] = 0.0
+        b = rng.normal(size=(4, 3, 1))
+        x, ok = analysis._solve(a, b)
+        assert ok.tolist() == [True, True, False, True]
+        for k in (0, 1, 3):
+            assert np.array_equal(x[k], np.linalg.solve(a[k], b[k]))
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_fit(self, model):
+        ds = noisy_dataset((0.04, 0.05), 0.5, LENGTHS, 20, 100,
+                           np.random.default_rng(9))
+        got, want = fit(ds, model, 0.5), oracles.scalar_fit(ds, model, 0.5)
+        assert np.array_equal(got.params, want.params)
+        assert np.array_equal(got.covariance, want.covariance)
+        assert got.n_iterations == want.n_iterations
+        assert got.objective_trace == want.objective_trace
+        assert got.converged == want.converged
+        assert got.to_json() == want.to_json()

@@ -1,0 +1,60 @@
+"""tools/bench_summary.py on synthetic run records and a pytest log."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_summary.py"
+spec = importlib.util.spec_from_file_location("bench_summary", TOOL)
+bench_summary = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_summary)
+
+LOG = """\
+........ [100%]
+============================= slowest 6 durations ==============================
+12.50s call     tests/test_a.py::test_slow
+3.25s call     tests/test_a.py::test_b
+2.00s setup    tests/test_c.py::test_d
+1.00s call     tests/test_c.py::test_e
+0.50s call     tests/test_c.py::test_f
+0.25s call     tests/test_c.py::test_g
+=========== 40 passed, 2 deselected in 20.75s ===========
+"""
+
+
+def write_runs(root, rev, src_lines, job_p50):
+    root.mkdir()
+    for seed, value in zip((1, 2, 3), job_p50):
+        metrics = {"setup_s": 0.3, "job_p50_s": value, "wall_s": 2 * value,
+                   "peak_rss_mb": 60.0}
+        record = {"git_rev": rev, "nproc": 2, "versions": {"numpy": "x"},
+                  "src_lines": src_lines}
+        (root / f"rb_1q-seed{seed}-trace0.json").write_text(json.dumps(
+            {"record": record, "metrics": metrics, "failed_frac": 0.0}))
+    (root / "rb_1q-seed1-trace1.json").write_text("{}")  # traced: skipped
+
+
+def test_summary(tmp_path, monkeypatch):
+    write_runs(tmp_path / "parent", "aaa", 100, (1.0, 1.2, 1.1))
+    write_runs(tmp_path / "change", "bbb", 90, (0.5, 1.3, 0.4))
+    (tmp_path / "t1.log").write_text(LOG)
+    monkeypatch.chdir(tmp_path)
+    assert bench_summary.main([
+        "--parent", "parent", "--change", "change", "--topic", "x",
+        "--tier1-change", "t1.log"]) == 0
+    out = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert out["git_rev"] == {"parent": "aaa", "change": "bbb"}
+    assert out["src_lines"] == {"parent": 100, "change": 90}
+    rb = out["workloads"]["rb_1q"]
+    assert rb["seeds"] == [1, 2, 3]
+    assert rb["parent"]["job_p50_s"] == 1.1
+    assert rb["change"]["job_p50_s"] == 0.5
+    assert rb["change_lower"]["job_p50_s"] == 2
+    assert rb["change_lower"]["setup_s"] == 0
+    t1 = out["tier1"]["change"]
+    assert t1["wall_s"] == 20.75
+    assert t1["counts"] == {"passed": 40, "deselected": 2}
+    assert [t for t, _ in t1["slowest"]] == [
+        "tests/test_a.py::test_slow", "tests/test_a.py::test_b",
+        "tests/test_c.py::test_d", "tests/test_c.py::test_e",
+        "tests/test_c.py::test_f"]

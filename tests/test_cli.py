@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,18 +400,20 @@ class TestBadInput:
         assert_usage_error(["fit", "--data", str(data), "--n", "1"], "--data")
 
 
+@pytest.fixture(scope="module")
+def saturated(tmp_path_factory):
+    """A 1q dataset whose decay is already saturated at length 1."""
+    path = tmp_path_factory.mktemp("saturated") / "d.csv"
+    run_ok(CliRunner(), [
+        "simulate", "--n", "1", "--lengths", "1,3,8,21,55",
+        "--n-seq", "20", "--shots", "100", "--depolarizing", "0.9",
+        "--seed", "3", "-o", str(path)])
+    return str(path)
+
+
 class TestFailedFit:
     """A saturated decay that the magesan model cannot fit exits 1 with one
     error line carrying the last objective value, not a traceback."""
-
-    @pytest.fixture(scope="class")
-    def saturated(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("saturated") / "d.csv"
-        run_ok(CliRunner(), [
-            "simulate", "--n", "1", "--lengths", "1,3,8,21,55",
-            "--n-seq", "20", "--shots", "100", "--depolarizing", "0.9",
-            "--seed", "3", "-o", str(path)])
-        return str(path)
 
     def assert_fit_failed(self, args):
         result = CliRunner().invoke(main, args)
@@ -436,3 +439,70 @@ class TestFailedFit:
         self.assert_fit_failed(["interleaved", "--reference", saturated,
                                 "--interleaved", saturated,
                                 "--model", "magesan", "--n", "1"])
+
+
+FIT_KEYS = {"model", "alpha", "params", "covariance", "chi2", "dof",
+            "p_value", "significant", "lengths", "residuals"}
+BOOTSTRAP_KEYS = {"n_resamples", "param_names", "original", "means",
+                  "biases", "standard_errors", "bias_significant",
+                  "ellipse_center", "ellipse_axes", "n_failures"}
+
+
+class TestFitDiagnostics:
+    """Fit diagnostics go to the manifest; the report bodies keep their
+    exact key sets."""
+
+    DATA = str(Path(__file__).parent / "golden" / "simulate_1q_exact.csv")
+
+    def test_fit_manifest(self, runner):
+        res = run_ok(runner, ["fit", "--data", self.DATA, "--n", "1"])
+        report = json.loads(res.stdout)
+        man = report["manifest"]
+        assert set(report["fit"]) == FIT_KEYS
+        assert man["converged"] is True
+        assert man["n_iterations"] == len(man["objective_trace"]) - 1 > 0
+        assert man["objective_trace"][-1] == report["fit"]["chi2"]
+        assert "warnings" not in man
+        assert res.stderr == ""
+
+    def test_bootstrap_manifest(self, runner):
+        res = run_ok(runner, ["bootstrap", "--data", self.DATA, "--n", "1",
+                              "--resamples", "30", "--seed", "4"])
+        report = json.loads(res.stdout)
+        assert set(report["bootstrap"]) == BOOTSTRAP_KEYS
+        # every replicate starts at the original fit and takes >= 1 step
+        assert report["manifest"]["lm_iterations"] >= 30
+        assert "warnings" not in report["manifest"]
+
+
+class TestUnphysicalFit:
+    """On a saturated decay the main model fits eps_m = -23499.5: the
+    command still exits 0 with the same stdout schema, and flags it in
+    manifest.warnings and on one stderr line."""
+
+    def assert_warned(self, args, body_keys, n_warnings=1):
+        res = run_ok(CliRunner(), args)
+        report = json.loads(res.stdout)
+        for key, keys in body_keys.items():
+            assert set(report[key]) == keys
+        warnings = report["manifest"]["warnings"]
+        assert len(warnings) == n_warnings
+        assert all("eps_m = -23499.5 lies outside [0, 0.5]" in w
+                   for w in warnings)
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning:")
+
+    def test_fit(self, saturated):
+        self.assert_warned(["fit", "--data", saturated, "--n", "1"],
+                           {"fit": FIT_KEYS})
+
+    def test_bootstrap(self, saturated):
+        self.assert_warned(["bootstrap", "--data", saturated, "--n", "1",
+                            "--resamples", "20", "--seed", "1"],
+                           {"bootstrap": BOOTSTRAP_KEYS})
+
+    def test_interleaved(self, saturated):
+        self.assert_warned(["interleaved", "--reference", saturated,
+                            "--interleaved", saturated, "--n", "1"],
+                           {"reference_fit": FIT_KEYS,
+                            "interleaved_fit": FIT_KEYS}, n_warnings=2)

@@ -1,7 +1,8 @@
 """Golden outputs: seeded CLI runs must reproduce the committed fixtures.
 
-The order of RNG draws (`_rand_bits`, `sample_uniform`, `sequence_seed`) is
-part of the interface, so a refactor must leave these outputs unchanged.
+The order of RNG draws (`_rand_bits`, `sample_uniform`, `sequence_seed`, and
+the bootstrap's per-replicate, per-length `integers` then `binomial` calls)
+is part of the interface, so a refactor must leave these outputs unchanged.
 CSV datasets are compared byte for byte; JSON reports are compared with the
 `manifest` (library versions, file paths) stripped.
 
@@ -10,6 +11,7 @@ behaviour:  PYTHONPATH=src python tests/test_golden.py
 """
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -32,7 +34,7 @@ GOLDEN = Path(__file__).parent / "golden"
 MODEL = "model_2q.json"
 
 # (fixture file, CLI arguments; "{out}" is the output path, "{model}" the
-# error-model file)
+# error-model file, "{golden}" this fixture directory)
 CASES = [
     ("simulate_1q_exact.csv",
      ["simulate", "--n", "1", "--lengths", "1,3,8,21", "--n-seq", "4",
@@ -86,6 +88,16 @@ CASES = [
     ("bounds_2q.json",
      ["bounds", "--n", "2", "--dist", "I:0.2,CX:0.3,MS:0.2,G:0.3",
       "--eps", "0.02", "--k", "3", "--length", "12", "-o", "{out}"]),
+    ("fit_1q_exact.json",
+     ["fit", "--data", "{golden}/simulate_1q_exact.csv", "--n", "1",
+      "-o", "{out}"]),
+    ("bootstrap_1q_exact.json",
+     ["bootstrap", "--data", "{golden}/simulate_1q_exact.csv", "--n", "1",
+      "--resamples", "200", "--seed", "21", "-o", "{out}"]),
+    ("interleaved_2q_cx.json",
+     ["interleaved", "--reference", "{golden}/simulate_2q_exact.csv",
+      "--interleaved", "{golden}/simulate_2q_interleaved_cx.csv", "--n", "2",
+      "-o", "{out}"]),
 ]
 
 
@@ -139,7 +151,8 @@ def stabilizer_rows():
 
 
 def run_case(args, out):
-    args = [a.format(out=out, model=GOLDEN / MODEL) for a in args]
+    args = [a.format(out=out, model=GOLDEN / MODEL,
+                     golden=os.path.relpath(GOLDEN)) for a in args]
     result = CliRunner().invoke(main, args, catch_exceptions=False)
     assert result.exit_code == 0, result.output
 

@@ -1,0 +1,138 @@
+"""Summarize paired benchmark runs into a committed BENCH_<topic>.json.
+
+    python3 tools/bench_summary.py --parent PARENT/.bench_results \\
+        [--change .bench_results] --topic NAME \\
+        [--tier1-parent LOG] [--tier1-change LOG] [--change-rev TEXT]
+
+`perfbench/run.py --trace 0` writes one record per workload and seed,
+`<workload>-seed<N>-trace0.json`, to the `.bench_results/` of the checkout it
+ran in.  Run it in a checkout of the parent commit and in the changed one
+with the same seeds, then point this script at both result directories.  It
+pairs the runs by (workload, seed) and writes, per workload, the medians of
+the four end-to-end metrics on each side and how many pairs moved down.  The
+git revs and `src/` line counts come from the run records.  A Tier-1 log is
+the output of `pytest --durations=N` (N >= 5); its wall time, counts and
+five slowest tests are copied in.  Standard library only.
+"""
+
+import argparse
+import glob
+import json
+import os
+import re
+import statistics
+import sys
+
+METRICS = ("setup_s", "job_p50_s", "wall_s", "peak_rss_mb")
+RECORD = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)-trace0\.json$")
+DURATION = re.compile(r"^(?P<s>\d+(?:\.\d+)?)s (?:call|setup|teardown)\s+"
+                      r"(?P<test>\S+)")
+COUNT = re.compile(r"(?P<n>\d+) (?P<what>passed|failed|errors?|deselected)")
+WALL = re.compile(r" in (?P<s>\d+(?:\.\d+)?)s")
+
+
+def load_runs(results_dir):
+    """(workload, seed) -> run record, for every untraced run in the dir."""
+    runs = {}
+    for path in glob.glob(os.path.join(results_dir, "*-trace0.json")):
+        match = RECORD.match(os.path.basename(path))
+        if match:
+            with open(path) as f:
+                runs[match["workload"], int(match["seed"])] = json.load(f)
+    return runs
+
+
+def one_value(runs, key, default=None):
+    """The value every run record agrees on for key, else an error."""
+    values = {json.dumps(r["record"].get(key, default)) for r in runs}
+    if len(values) != 1:
+        raise SystemExit(f"run records disagree on {key}: {sorted(values)}")
+    return json.loads(values.pop())
+
+
+def tier1(log_path):
+    """Wall time, outcome counts and five slowest tests of a pytest log."""
+    with open(log_path) as f:
+        lines = f.read().splitlines()
+    slowest = [[m["test"], float(m["s"])] for m in map(DURATION.match, lines)
+               if m]
+    final = next((ln for ln in reversed(lines) if WALL.search(ln)), "")
+    counts = {m["what"].rstrip("s"): int(m["n"])
+              for m in COUNT.finditer(final)}
+    wall = WALL.search(final)
+    return {"wall_s": float(wall["s"]) if wall else None, "counts": counts,
+            "slowest": sorted(slowest, key=lambda t: -t[1])[:5]}
+
+
+def summarize(parent_runs, change_runs):
+    pairs = sorted(set(parent_runs) & set(change_runs))
+    if not pairs:
+        raise SystemExit("no (workload, seed) run appears on both sides")
+    out = {}
+    for workload in sorted({w for w, _ in pairs}):
+        seeds = [s for w, s in pairs if w == workload]
+        sides = {name: [runs[workload, s]["metrics"] for s in seeds]
+                 for name, runs in (("parent", parent_runs),
+                                    ("change", change_runs))}
+        out[workload] = {
+            "seeds": seeds,
+            **{name: {m: statistics.median(r[m] for r in rs)
+                      for m in METRICS} for name, rs in sides.items()},
+            "change_lower": {
+                m: sum(c[m] < p[m] for p, c in zip(sides["parent"],
+                                                   sides["change"]))
+                for m in METRICS},
+            "failed_frac_max": max(runs[workload, s]["failed_frac"]
+                                   for runs in (parent_runs, change_runs)
+                                   for s in seeds)}
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True,
+                    help="results dir of the parent checkout")
+    ap.add_argument("--change", default=".bench_results",
+                    help="results dir of the changed checkout")
+    ap.add_argument("--topic", required=True,
+                    help="writes BENCH_<topic>.json")
+    ap.add_argument("--tier1-parent", help="pytest --durations log, parent")
+    ap.add_argument("--tier1-change", help="pytest --durations log, change")
+    ap.add_argument("--change-rev",
+                    help="label for the change side when its runs came "
+                         "from an uncommitted tree")
+    args = ap.parse_args(argv)
+
+    parent_runs, change_runs = load_runs(args.parent), load_runs(args.change)
+    workloads = summarize(parent_runs, change_runs)
+    sides = {"parent": list(parent_runs.values()),
+             "change": list(change_runs.values())}
+    summary = {
+        "topic": args.topic,
+        "git_rev": {name: one_value(runs, "git_rev")
+                    for name, runs in sides.items()},
+        "machine": {"nproc": one_value(sides["change"], "nproc"),
+                    "versions": one_value(sides["change"], "versions")},
+        "src_lines": {name: one_value(runs, "src_lines")
+                      for name, runs in sides.items()},
+        "note": "per workload: medians over the paired seeds of each "
+                "side; change_lower counts the pairs where the change is "
+                "lower",
+        "workloads": workloads,
+    }
+    if args.change_rev:
+        summary["git_rev"]["change"] = args.change_rev
+    logs = {"parent": args.tier1_parent, "change": args.tier1_change}
+    if any(logs.values()):
+        summary["tier1"] = {name: tier1(path) for name, path in logs.items()
+                            if path}
+    out = f"BENCH_{args.topic}.json"
+    with open(out, "w") as f:
+        json.dump(summary, f, indent=2)
+        f.write("\n")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
