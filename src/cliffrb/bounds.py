@@ -34,6 +34,8 @@ from .clifford import (
 from .pauli import PauliOperator
 
 MAX_QUBITS = 2
+# l·error above which kappa_bounds flags its first-order expansion as unsafe
+FIRST_ORDER_LIMIT = 0.2
 
 
 class EnumerationUnavailableError(ValueError):
@@ -182,7 +184,7 @@ def _knapsack_max(c: np.ndarray, a: np.ndarray, budget: float,
     free = a <= 0
     total += upper * np.clip(c[free], 0.0, None).sum()
     idx = np.nonzero(~free)[0]
-    if budget < -1e-12 or budget > a[idx].sum() * upper + 1e-12:
+    if not -1e-12 <= budget <= a[idx].sum() * upper + 1e-12:
         raise InfeasibleBoundError("error rate is outside the feasible range "
                                    "of the step-distribution constraint")
     order = idx[np.argsort(-(c[idx] / a[idx]))]
@@ -266,8 +268,7 @@ class KappaReport:
 
 
 def kappa_bounds(p_prime_k: Sequence[GroupDistribution], error: float,
-                 measured: Optional[PauliOperator] = None,
-                 warn_threshold: float = 0.2) -> KappaReport:
+                 measured: Optional[PauliOperator] = None) -> KappaReport:
     """First-order bounds on depolarizing-strength mis-estimation.
 
     p_prime_k[k-1] is the distribution of the aggregate Clifford separating an
@@ -281,7 +282,7 @@ def kappa_bounds(p_prime_k: Sequence[GroupDistribution], error: float,
     n = p_prime_k[0].n_qubits
     if any(d.n_qubits != n for d in p_prime_k):
         raise ValueError("size mismatch among step distributions")
-    if error < 0:
+    if not error >= 0:
         raise ValueError("error must be nonnegative")
     l = len(p_prime_k)
     # q of every non-identity Pauli label, one row per step
@@ -300,4 +301,4 @@ def kappa_bounds(p_prime_k: Sequence[GroupDistribution], error: float,
     k_min = gamma_lo * upper - 2 * error / l
     return KappaReport(float(k_max), float(k_min), tuple(q_max), tuple(q_min),
                        tuple(r_max), tuple(r_min),
-                       first_order_warning=bool(l * error > warn_threshold))
+                       first_order_warning=bool(l * error > FIRST_ORDER_LIMIT))

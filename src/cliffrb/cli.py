@@ -404,6 +404,9 @@ def _depolarizing(n: int, p: float, option: str) -> PauliChannel:
 def simulate_cmd(protocol, n, lengths, n_seq, shots, gate, model_path,
                  depolarizing, spam, seed, output):
     """Simulate an experiment and write the shot-count dataset."""
+    if model_path and (depolarizing is not None or spam is not None):
+        raise click.UsageError(
+            "--error-model excludes --depolarizing and --spam")
     if model_path:
         model = _load(model_path, "'--error-model'",
                       lambda t: ErrorModel.from_json(json.loads(t), n))
@@ -545,9 +548,9 @@ def bounds_cmd(n, dist, eps, k_steps, length, output, pretty):
     try:
         delta_max, delta_min = bounds.step_comparison_bound(d, eps, alpha,
                                                             k=k_steps)
-    except bounds.InfeasibleBoundError as err:
+        kappa = bounds.kappa_bounds(bounds.step_aggregates(d, length), eps)
+    except ValueError as err:  # InfeasibleBoundError or a negative eps
         raise click.BadParameter(str(err), param_hint="'--eps'") from None
-    kappa = bounds.kappa_bounds(bounds.step_aggregates(d, length), eps)
     report = {"manifest": _manifest("bounds", {
         "n": n, "dist": dist, "eps": eps, "k": k_steps, "length": length}),
         "step_comparison": {"delta_max": delta_max, "delta_min": delta_min},

@@ -14,6 +14,12 @@ such operators multiply by XOR-ing their vecs and adding
 ``2·popcount(z_1 & x_2)`` to the summed exponents (Z_1 moved past X_2);
 `_to_factor_phase` converts back with ``- popcount(x & z)``.
 
+Inversion needs no elimination: a Clifford's sign-free part M is symplectic,
+so M⁻¹ = Ω Mᵀ Ω with Ω the x/z swap (Aaronson & Gottesman,
+quant-ph/0406196).  `_pull_back` reads U†QU off that transpose, one
+symplectic product per output bit, and `clifford_inverse` is its value on the
+basis vectors plus a sign fix.
+
 Conjugating packed rows by a named one- or two-qubit gate does not need a
 full tableau product (Aaronson & Gottesman, quant-ph/0406196): the gate only
 rewrites the 2 or 4 bits of each row on its qubits and flips the row's sign.
@@ -29,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .pauli import PauliDimensionError, PauliOperator, pauli_commutes
+from .pauli import PauliDimensionError, PauliOperator
 
 
 # ---------------------------------------------------------------------------
@@ -45,11 +51,15 @@ def _unpack(vec: int, n: int, sign: int = 0) -> PauliOperator:
     return PauliOperator(n, vec & mask, (vec >> n) & mask, 2 * (sign & 1))
 
 
+def _flip(v: int, n: int) -> int:
+    """Swap the x/z halves of a packed vector (constraint form of ⟨v,·⟩)."""
+    mask = (1 << n) - 1
+    return ((v & mask) << n) | ((v >> n) & mask)
+
+
 def _symplectic(u: int, v: int, n: int) -> int:
     """Symplectic product of two packed vectors: 0 commute, 1 anticommute."""
-    mask = (1 << n) - 1
-    w = ((v & mask) << n) | ((v >> n) & mask)
-    return (u & w).bit_count() & 1
+    return (u & _flip(v, n)).bit_count() & 1
 
 
 @dataclass(frozen=True)
@@ -79,7 +89,6 @@ class CliffordTableau:
         cls,
         image_x: Sequence[PauliOperator],
         image_z: Sequence[PauliOperator],
-        validate: bool = True,
     ) -> "CliffordTableau":
         n = image_x[0].n_qubits
         if len(image_x) != n or len(image_z) != n:
@@ -92,8 +101,7 @@ class CliffordTableau:
             vecs.append(_pack(p))
             signs |= p.sign_bit << i
         t = cls(n, tuple(vecs), signs)
-        if validate:
-            t.validate()
+        t.validate()
         return t
 
     @classmethod
@@ -276,25 +284,21 @@ def clifford_compose(c: CliffordTableau, d: CliffordTableau) -> CliffordTableau:
     return CliffordTableau(c.n_qubits, tuple(vecs), signs)
 
 
-def _gf2_invert(rows: List[int], nbits: int) -> List[int]:
-    """Invert an nbits×nbits GF(2) matrix given as row bit-vectors."""
-    a = list(rows)
-    inv = [1 << i for i in range(nbits)]
-    for col in range(nbits):
-        piv = next(r for r in range(col, nbits) if (a[r] >> col) & 1)
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        for r in range(nbits):
-            if r != col and (a[r] >> col) & 1:
-                a[r] ^= a[col]
-                inv[r] ^= inv[col]
-    return inv
+def _pull_back(tab: CliffordTableau, vecs: List[int]) -> List[int]:
+    """Sign-free U†QU for each packed Q, with U given by its tableau.  Since
+    U preserves the symplectic form, the X_i bit of U†QU is <Q, U Z_i U†> and
+    its Z_i bit is <Q, U X_i U†>."""
+    n = tab.n_qubits
+    partners = [_flip(w, n) for w in tab.vecs[n:] + tab.vecs[:n]]
+    return [sum(((q & w).bit_count() & 1) << i for i, w in enumerate(partners))
+            for q in vecs]
 
 
 def clifford_inverse(c: CliffordTableau) -> CliffordTableau:
-    """Inverse tableau via GF(2) symplectic inversion plus sign fix, O(n³)."""
+    """Inverse tableau via the symplectic transpose plus sign fix, O(n²)
+    popcounts."""
     n = c.n_qubits
-    inv_rows = _gf2_invert(list(c.vecs), 2 * n)
+    inv_rows = _pull_back(c, [1 << i for i in range(2 * n)])
     signs = 0
     for i, v in enumerate(inv_rows):
         # c(v) = ±(X_i or Z_i); absorbing that sign makes c(image_i) exact.
@@ -303,14 +307,12 @@ def clifford_inverse(c: CliffordTableau) -> CliffordTableau:
 
 
 def pauli_tableau(p: PauliOperator) -> CliffordTableau:
-    """Clifford tableau of conjugation by the Pauli p (a pure sign pattern)."""
+    """Clifford tableau of conjugation by the Pauli p (a pure sign pattern):
+    X_i or Z_i flips sign exactly when it anticommutes with p, so sign bit
+    i is <e_i, p>, bit i of the flipped packed p."""
     n = p.n_qubits
-    xs, zs = [], []
-    for j in range(n):
-        for kind, store in (("X", xs), ("Z", zs)):
-            gen = PauliOperator.single(n, j, kind)
-            store.append(gen if pauli_commutes(p, gen) else gen.with_phase(2))
-    return CliffordTableau.from_images(xs, zs)
+    return CliffordTableau(n, CliffordTableau.identity(n).vecs,
+                           _flip(_pack(p), n))
 
 
 def group_order(n: int, quotient: bool = False) -> int:
@@ -364,12 +366,6 @@ def _solve_affine(constraints: List[Tuple[int, int]], nbits: int) -> Tuple[int, 
                 v |= 1 << c
         basis.append(v)
     return particular, basis
-
-
-def _flip(v: int, n: int) -> int:
-    """Swap the x/z halves of a packed vector (constraint form of ⟨v,·⟩)."""
-    mask = (1 << n) - 1
-    return ((v & mask) << n) | ((v >> n) & mask)
 
 
 def _rand_bits(rng, nbits: int) -> int:

@@ -76,15 +76,15 @@ class DenseSuperoperator:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def from_kraus(cls, n_qubits: int, kraus: Iterable[np.ndarray],
-                   require_tp: bool = True) -> "DenseSuperoperator":
+    def from_kraus(cls, n_qubits: int,
+                   kraus: Iterable[np.ndarray]) -> "DenseSuperoperator":
         d = 2 ** n_qubits
         ops = [np.asarray(a, dtype=complex) for a in kraus]
         if any(a.shape != (d, d) for a in ops):
             raise ValueError("Kraus operator has wrong shape")
         ops = np.array(ops).reshape(-1, d, d)
         total = np.einsum("aji,ajk->ik", ops.conj(), ops)
-        if require_tp and not np.allclose(total, np.eye(d), atol=1e-10):
+        if not np.allclose(total, np.eye(d), atol=1e-10):
             raise ValueError("Kraus set is not trace-preserving")
         # c[a, m] = tr(P_m+ A_a) / d
         c = np.einsum("mij,aij->am", _basis_stack(n_qubits).conj(), ops) / d
@@ -227,10 +227,11 @@ def gate_fidelity(s: DenseSuperoperator, u: np.ndarray) -> float:
     return float((1 + d * np.real(err.chi[0, 0])) / (1 + d))
 
 
-def random_tp_channel(n_qubits: int, rng, kraus_rank: int = 4) -> DenseSuperoperator:
-    """Random trace-preserving channel from a Haar-ish random isometry."""
+def random_tp_channel(n_qubits: int, rng) -> DenseSuperoperator:
+    """Random trace-preserving channel with four Kraus operators, from a
+    Haar-ish random isometry."""
     d = 2 ** n_qubits
-    g = rng.normal(size=(d * kraus_rank, d)) + 1j * rng.normal(size=(d * kraus_rank, d))
+    g = rng.normal(size=(4 * d, d)) + 1j * rng.normal(size=(4 * d, d))
     q, _ = np.linalg.qr(g)
-    kraus = [q[i * d:(i + 1) * d, :] for i in range(kraus_rank)]
+    kraus = [q[i * d:(i + 1) * d, :] for i in range(4)]
     return DenseSuperoperator.from_kraus(n_qubits, kraus)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .clifford import CliffordTableau, _pack
+from .clifford import _pack, _pull_back
 from .pauli import PauliChannel, PauliOperator
 
 DEFAULT_QUBIT_CAP = 20  # most measured Paulis: the sum runs over 2^k terms
@@ -85,18 +85,6 @@ def _eigenvalue(ch: PauliChannel, v: int) -> float:
     n = ch.n_qubits
     return sum(-w if ((op.x_mask & (v >> n)) ^ (op.z_mask & v)).bit_count() & 1
                else w for op, w in ch.weights.items())
-
-
-def _pull_back(tab: CliffordTableau, vecs: List[int]) -> List[int]:
-    """Sign-free U†QU for each packed Q, with U given by its tableau.  Since
-    U preserves the symplectic form, the X_i bit of U†QU is <Q, U Z_i U†> and
-    its Z_i bit is <Q, U X_i U†>."""
-    n = tab.n_qubits
-    mask = (1 << n) - 1
-    partners = [((w & mask) << n) | (w >> n)
-                for w in tab.vecs[n:] + tab.vecs[:n]]
-    return [sum(((q & w).bit_count() & 1) << i for i, w in enumerate(partners))
-            for q in vecs]
 
 
 def _subset_products(vecs: List[int]) -> List[int]:

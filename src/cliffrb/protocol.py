@@ -121,40 +121,35 @@ def _pauli_outcomes(pauli: PauliOperator) -> Tuple[int, ...]:
     return tuple((pauli.x_mask >> j) & 1 for j in range(pauli.n_qubits))
 
 
-def gen_exact_sequence(n: int, l: int, rng) -> RBSequence:
+def _twirled_sequence(protocol: str, n: int, l: int,
+                      gate: Optional[CliffordTableau], rng) -> RBSequence:
+    """l uniform Cliffords, each followed by `gate` when one is given, then
+    the inversion step times a uniformly random Pauli."""
     if l < 1:
         raise ValueError("sequence length must be positive")
-    steps = tuple(("clifford", sample_uniform(n, rng)) for _ in range(l))
+    steps: List[Tuple[str, CliffordTableau]] = []
+    for _ in range(l):
+        steps.append(("clifford", sample_uniform(n, rng)))
+        if gate is not None:
+            steps.append(("gate", gate))
     total = CliffordTableau.identity(n)
     for _, tab in steps:
         total = clifford_compose(tab, total)
     pauli = _random_pauli(n, rng)
     inversion = clifford_compose(pauli_tableau(pauli), clifford_inverse(total))
     return RBSequence(
-        protocol="exact", n_qubits=n, length=l, core_steps=steps,
+        protocol=protocol, n_qubits=n, length=l, core_steps=tuple(steps),
         inversion=inversion, final_pauli=pauli,
         measured_qubits=tuple(range(n)),
         ideal_outcomes=_pauli_outcomes(pauli))
+
+
+def gen_exact_sequence(n: int, l: int, rng) -> RBSequence:
+    return _twirled_sequence("exact", n, l, None, rng)
 
 
 def gen_interleaved_sequence(n: int, l: int, g: CliffordTableau, rng) -> RBSequence:
-    if l < 1:
-        raise ValueError("sequence length must be positive")
-    steps: List[Tuple[str, CliffordTableau]] = []
-    total = CliffordTableau.identity(n)
-    for _ in range(l):
-        c = sample_uniform(n, rng)
-        steps.append(("clifford", c))
-        steps.append(("gate", g))
-        total = clifford_compose(g, clifford_compose(c, total))
-    pauli = _random_pauli(n, rng)
-    inversion = clifford_compose(pauli_tableau(pauli), clifford_inverse(total))
-    steps = tuple(steps)
-    return RBSequence(
-        protocol="interleaved", n_qubits=n, length=l, core_steps=steps,
-        inversion=inversion, final_pauli=pauli,
-        measured_qubits=tuple(range(n)),
-        ideal_outcomes=_pauli_outcomes(pauli))
+    return _twirled_sequence("interleaved", n, l, g, rng)
 
 
 def gen_approximate_sequence(dist: Tuple[Optional[StepDistribution], StepDistribution],

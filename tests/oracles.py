@@ -10,6 +10,9 @@ packed tableau kernel replaced: one `PauliOperator` per image factor,
 multiplied with `pauli_multiply`.  It uses only the public Pauli and tableau
 data types.
 
+`gf2_invert` is the Gauss-Jordan elimination that the symplectic
+transpose in `clifford_inverse` replaced.
+
 The sign-list fidelity at the end is the Schrödinger-picture path that the
 Heisenberg-picture `expected_sequence_fidelity` replaced: a probability vector
 over the 2ⁿ sign-flip patterns of the stabilizer rows, co-transformed with
@@ -167,6 +170,22 @@ def clifford_compose(c, d):
     for i, img in enumerate(images):
         signs |= img.sign_bit << i
     return CliffordTableau(c.n_qubits, tuple(_pack(p) for p in images), signs)
+
+
+def gf2_invert(rows, nbits):
+    """Invert an nbits×nbits GF(2) matrix given as row bit-vectors by
+    Gauss-Jordan elimination."""
+    a = list(rows)
+    inv = [1 << i for i in range(nbits)]
+    for col in range(nbits):
+        piv = next(r for r in range(col, nbits) if (a[r] >> col) & 1)
+        a[col], a[piv] = a[piv], a[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        for r in range(nbits):
+            if r != col and (a[r] >> col) & 1:
+                a[r] ^= a[col]
+                inv[r] ^= inv[col]
+    return inv
 
 
 def sequence_tableau(seq):

@@ -206,8 +206,9 @@ class TestStepComparisonBound:
     def test_infeasible_error_rate(self):
         # single-class support caps the feasible error at alpha * D^2/(D^2-1)
         d = GroupDistribution.delta(get_gate("X90").tableau)
-        with pytest.raises(InfeasibleBoundError):
-            step_comparison_bound(d, 0.69, 0.5)
+        for eps in (0.69, float("nan")):
+            with pytest.raises(InfeasibleBoundError):
+                step_comparison_bound(d, eps, 0.5)
 
 
 class TestKappaBounds:
@@ -288,8 +289,9 @@ class TestKappaBounds:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             kappa_bounds([], 0.1)
-        with pytest.raises(ValueError):
-            kappa_bounds([GroupDistribution.uniform(1)], -0.1)
+        for error in (-0.1, float("nan")):
+            with pytest.raises(ValueError):
+                kappa_bounds([GroupDistribution.uniform(1)], error)
         with pytest.raises(ValueError):
             kappa_bounds([GroupDistribution.uniform(1),
                           GroupDistribution.uniform(2)], 0.1)

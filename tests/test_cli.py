@@ -356,7 +356,9 @@ class TestBadInput:
                                 option, "0"], option)
 
     def test_bounds_infeasible_eps(self):
-        assert_usage_error(["bounds", "--dist", "H:1", "--eps", "5"], "--eps")
+        for eps in ("5", "nan", "-1e-13"):
+            assert_usage_error(["bounds", "--dist", "H:1", "--eps", eps],
+                               "--eps")
 
     def test_empty_outputs_rejected(self):
         assert_usage_error(["tv-decay", "--dist", "H:1", "--steps", "0"],
@@ -387,6 +389,17 @@ class TestBadInput:
         assert_usage_error(["simulate", "--n", "1", "--lengths", "1",
                             "--error-model", str(path), "--seed", "1",
                             "-o", str(tmp_path / "d.csv")], "--error-model")
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_simulate_error_model_excludes_depolarizing(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(
+            {"default": {"type": "depolarizing", "p": 0.01}}))
+        for extra in (["--depolarizing", "0.5"], ["--spam", "0.2"]):
+            assert_usage_error(["simulate", "--n", "1", "--lengths", "1",
+                                "--error-model", str(path), *extra,
+                                "--seed", "1", "-o", str(tmp_path / "d.csv")],
+                               "--error-model")
         assert not (tmp_path / "d.csv").exists()
 
     def test_fit_wrong_header(self, tmp_path):

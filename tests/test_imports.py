@@ -1,5 +1,7 @@
 """Every name a `cliffrb` module, or the shared test oracle module
-`tests/oracles.py`, imports is used in that module.
+`tests/oracles.py`, imports is used in that module, and every module-level
+private name (`_x`) a `cliffrb` module defines is referenced somewhere in
+`cliffrb`.
 
 No linter is part of the toolchain, so this is a small stdlib `ast` check.
 Package `__init__.py` files are skipped: their imports are re-exports.
@@ -12,7 +14,8 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "cliffrb"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(SRC.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 MODULES.append(TESTS / "oracles.py")
 
 
@@ -38,3 +41,40 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def private_definitions(tree):
+    """Module-level `_x` names (not dunders) bound by def, class or
+    assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names.update(t.id for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name))
+    return {name for name in names
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def references(tree):
+    """Names read, attributes accessed and names imported anywhere."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_no_unreferenced_private_names():
+    trees = {p.name: ast.parse(p.read_text()) for p in SOURCES}
+    used = set().union(*(references(t) for t in trees.values()))
+    unused = sorted((name, d) for name, t in trees.items()
+                    for d in private_definitions(t) if d not in used)
+    assert unused == []

@@ -74,6 +74,7 @@ def test_inverse_round_trips(n):
         assert clifford_compose(c, inv) == ident
         assert oracles.clifford_compose(inv, c) == ident
         assert clifford_inverse(inv) == c
+        assert inv.vecs == tuple(oracles.gf2_invert(c.vecs, 2 * n))
 
 
 @pytest.mark.parametrize("n", SIZES)
