@@ -110,12 +110,14 @@ def _write_csv(text: str, output: str, manifest: dict) -> None:
 
 
 def _parse_lengths(text: str) -> Tuple[int, ...]:
-    """'1,3,8' -> (1, 3, 8): positive and ascending, else a usage error."""
+    """'1,3,8' -> (1, 3, 8): positive and strictly ascending, else a usage
+    error."""
     try:
         lengths = tuple(int(tok) for tok in text.split(","))
     except ValueError:
         lengths = ()
-    if not lengths or lengths[0] < 1 or list(lengths) != sorted(lengths):
+    if (not lengths or lengths[0] < 1
+            or any(a >= b for a, b in zip(lengths, lengths[1:]))):
         raise click.BadParameter(
             f"{text!r} is not an ascending list of positive integers",
             param_hint="'--lengths'")

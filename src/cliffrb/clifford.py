@@ -33,6 +33,7 @@ labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 from .pauli import PauliDimensionError, PauliOperator
@@ -272,16 +273,23 @@ def clifford_apply(c: CliffordTableau, p: PauliOperator) -> PauliOperator:
 
 
 def clifford_compose(c: CliffordTableau, d: CliffordTableau) -> CliffordTableau:
-    """Tableau of C∘D (apply d first)."""
-    if c.n_qubits != d.n_qubits:
+    """Tableau of C∘D (apply d first): each signed image of d, written in
+    X^x Z^z form, mapped through c by one `_image` call."""
+    n = c.n_qubits
+    if n != d.n_qubits:
         raise PauliDimensionError("tableau size mismatch")
+    cvecs, csigns, dsigns = c.vecs, c.signs, d.signs
     vecs = []
     signs = 0
     for i, v in enumerate(d.vecs):
-        out, sign = _image_sign(c, v, (d.signs >> i) & 1)
+        out, e = _image(cvecs, csigns, n, v,
+                        2 * ((dsigns >> i) & 1) + (v & (v >> n)).bit_count())
+        e -= (out & (out >> n)).bit_count()  # back to factor form
+        if e & 1:
+            raise ValueError("invalid tableau: image has imaginary phase")
         vecs.append(out)
-        signs |= sign << i
-    return CliffordTableau(c.n_qubits, tuple(vecs), signs)
+        signs |= ((e >> 1) & 1) << i
+    return CliffordTableau(n, tuple(vecs), signs)
 
 
 def _pull_back(tab: CliffordTableau, vecs: List[int]) -> List[int]:
@@ -335,7 +343,8 @@ def sample_choice_counts(n: int) -> List[Tuple[int, int]]:
 # GF(2) linear solving for sampling / enumeration
 
 
-def _solve_affine(constraints: List[Tuple[int, int]], nbits: int) -> Tuple[int, List[int]]:
+def _solve_affine(constraints: Sequence[Tuple[int, int]], nbits: int
+                  ) -> Tuple[int, List[int]]:
     """Solve parity(w & v) = b for all (w, b); return (particular, null basis)."""
     pivots: List[Tuple[int, int, int]] = []  # (col, w, b)
     for w, b in constraints:
@@ -369,7 +378,10 @@ def _solve_affine(constraints: List[Tuple[int, int]], nbits: int) -> Tuple[int, 
 
 
 def _rand_bits(rng, nbits: int) -> int:
-    """Uniform nbits-bit integer from the generator (any width)."""
+    """Uniform nbits-bit integer from the generator (any width), drawn as
+    32-bit chunks, low chunk first."""
+    if nbits <= 32:
+        return int(rng.integers(0, 1 << nbits))
     out = 0
     shift = 0
     while shift < nbits:
@@ -379,7 +391,7 @@ def _rand_bits(rng, nbits: int) -> int:
     return out
 
 
-def _xor_combo(basis: List[int], index: int) -> int:
+def _xor_combo(basis: Sequence[int], index: int) -> int:
     v = 0
     b = 0
     while index:
@@ -388,6 +400,18 @@ def _xor_combo(basis: List[int], index: int) -> int:
         index >>= 1
         b += 1
     return v
+
+
+# Bounded, so sampling at large n, where no system repeats, holds little:
+# all 4 systems met at n = 1 and the 16 of the first step at n = 2 stay,
+# while the other 480 at n = 2 (about 0.3 kB each) cycle through the rest.
+@lru_cache(maxsize=64)
+def _choice_space(constraints: Tuple[Tuple[int, int], ...], nbits: int
+                  ) -> Tuple[int, Tuple[int, ...]]:
+    """`_solve_affine` of one sampler step, memoised: at small n the
+    sampler meets the same few constraint systems over and over."""
+    particular, basis = _solve_affine(constraints, nbits)
+    return particular, tuple(basis)
 
 
 def sample_uniform(n: int, rng) -> CliffordTableau:
@@ -399,17 +423,19 @@ def sample_uniform(n: int, rng) -> CliffordTableau:
     anticommute with C(X_k); the per-step choice-set sizes multiply to the
     exact group order, so the result is uniform.
     """
+    constraints: Tuple[Tuple[int, int], ...] = ()
     xi: List[int] = []
     zi: List[int] = []
     for k in range(n):
-        constraints = [(_flip(v, n), 0) for pair in zip(xi, zi) for v in pair]
-        _, basis = _solve_affine(constraints, 2 * n)
+        _, basis = _choice_space(constraints, 2 * n)
         while True:
             vx = _xor_combo(basis, _rand_bits(rng, len(basis)))
             if vx:
                 break
-        part, basis_z = _solve_affine(constraints + [(_flip(vx, n), 1)], 2 * n)
+        fx = _flip(vx, n)
+        part, basis_z = _choice_space(constraints + ((fx, 1),), 2 * n)
         vz = part ^ _xor_combo(basis_z, _rand_bits(rng, len(basis_z)))
+        constraints += ((fx, 0), (_flip(vz, n), 0))
         xi.append(vx)
         zi.append(vz)
     signs = _rand_bits(rng, 2 * n)

@@ -10,7 +10,9 @@ independent errors gives
     F = 2^-k · Σ_{s ∈ {0,1}^k} λ_spam(B_L^s) · Π_t λ_t(B_t^s),
 
 where B_t^s is the product of the B_t^j that s selects and
-λ(v) = Σ_E w_E (-1)^<E,v> is the channel's Pauli eigenvalue at v.  Signs never
+λ(v) = Σ_E w_E (-1)^<E,v> is the channel's Pauli eigenvalue at v, read from
+`PauliChannel.eigenvalue`, which memoises it on the channel object (a
+time-ramped step gets a fresh channel and so a fresh memo).  Signs never
 enter, so every operator is a sign-free packed vector.  Carried back through
 all steps, M_j becomes R_j = U†M_jU with U = U_L ... U_1; the outcome of M_j is
 deterministic in the noise-free run exactly when R_j is Z-type (no X bits),
@@ -80,13 +82,6 @@ class ErrorModel:
         )
 
 
-def _eigenvalue(ch: PauliChannel, v: int) -> float:
-    """Pauli eigenvalue λ(v) = Σ_E w_E (-1)^<E,v> of the channel."""
-    n = ch.n_qubits
-    return sum(-w if ((op.x_mask & (v >> n)) ^ (op.z_mask & v)).bit_count() & 1
-               else w for op, w in ch.weights.items())
-
-
 def _subset_products(vecs: List[int]) -> List[int]:
     """Packed product of every subset s of vecs; bit j of s selects vecs[j]."""
     out = [0]
@@ -115,7 +110,7 @@ def expected_sequence_fidelity(sequence, model: ErrorModel) -> float:
     back = [_pack(p) for p in measured]  # B_L^j = M_j
     acc = [1.0] * (1 << len(back))
     for ch, tab in reversed(stages):
-        acc = [a * _eigenvalue(ch, v)
+        acc = [a * ch.eigenvalue(v)
                for a, v in zip(acc, _subset_products(back))]
         if tab is not None:
             back = _pull_back(tab, back)  # B_{t-1}^j

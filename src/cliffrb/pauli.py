@@ -12,6 +12,7 @@ machine word under the hood.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Set
 
@@ -166,9 +167,12 @@ class PauliChannel:
 
     n_qubits: int
     weights: Mapping[PauliOperator, float] = field(default_factory=dict)
+    # λ(v) by packed v, filled by `eigenvalue`; a scaled channel is a new
+    # object with its own memo
+    _eigenvalues: Dict[int, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        total = 0.0
         for op, w in self.weights.items():
             if op.phase != 0:
                 raise ValueError("channel keys must be phase-0 representatives")
@@ -176,10 +180,23 @@ class PauliChannel:
                 raise PauliDimensionError("channel key size mismatch")
             if not (0.0 <= w <= 1.0 + 1e-12):
                 raise ValueError(f"weight out of range: {w}")
-            total += w
+        # exactly rounded: a naive sum of the 4^8 depolarizing weights
+        # already drifts 2e-12 from 1
+        total = math.fsum(self.weights.values())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {total}, not 1")
         object.__setattr__(self, "weights", dict(self.weights))
+
+    def eigenvalue(self, v: int) -> float:
+        """Pauli eigenvalue λ(v) = Σ_E w_E (-1)^<E,v> at the packed
+        ``x | z << n`` vector v, summed in weight order."""
+        lam = self._eigenvalues.get(v)
+        if lam is None:
+            n = self.n_qubits
+            lam = self._eigenvalues[v] = sum(
+                -w if ((op.x_mask & (v >> n)) ^ (op.z_mask & v)).bit_count() & 1
+                else w for op, w in self.weights.items())
+        return lam
 
     @classmethod
     def identity(cls, n_qubits: int) -> "PauliChannel":

@@ -209,8 +209,8 @@ class ExperimentDesign:
     def __post_init__(self):
         if not self.lengths or any(l < 1 for l in self.lengths):
             raise ValueError("lengths must be positive")
-        if list(self.lengths) != sorted(self.lengths):
-            raise ValueError("lengths must be sorted")
+        if any(a >= b for a, b in zip(self.lengths, self.lengths[1:])):
+            raise ValueError("lengths must be strictly ascending")
         if self.n_shots < 1:
             raise ValueError("shot count must be positive")
         counts = self.counts()

@@ -26,9 +26,14 @@ The quotient-group loops are the element-by-element `bounds` convolution
 and undetected-error probability that the product table and the image array
 replaced.
 
-The per-replicate bootstrap at the end is the loop that the batched
+The per-replicate bootstrap is the loop that the batched
 `analysis.bootstrap` replaced: one `RBDataset` and one scalar
 Levenberg-Marquardt fit per replicate, drawing its counts one row at a time.
+
+The RB step kernels at the end are the forms that the memoised ones
+replaced: the uniform sampler solving every step's linear system afresh and
+drawing its bits 32 at a time in a loop, the Pauli eigenvalue summed anew on
+every call, and the compose that maps each image through `_image_sign`.
 """
 
 import heapq
@@ -715,3 +720,58 @@ def bootstrap_loop(ds, model, alpha, n_resamples=1000, rng=None):
         param_names=analysis.MODELS[model].param_names, samples=arr, original=base.params.copy(), means=means, biases=biases,
         standard_errors=ses, bias_significant=flags, ellipse_center=means[:2],
         ellipse_axes=axes, n_failures=failures, lm_iterations=iterations)
+
+
+def rand_bits_loop(rng, nbits):
+    """Uniform nbits-bit integer drawn as 32-bit chunks, low chunk first."""
+    out = 0
+    shift = 0
+    while shift < nbits:
+        take = min(32, nbits - shift)
+        out |= (int(rng.integers(0, 1 << take)) << shift)
+        shift += take
+    return out
+
+
+def sample_uniform_loop(n, rng):
+    """clifford.sample_uniform with `_solve_affine` called at every step on
+    constraints rebuilt from the images chosen so far."""
+    xi = []
+    zi = []
+    for _ in range(n):
+        constraints = [(packed._flip(v, n), 0)
+                       for pair in zip(xi, zi) for v in pair]
+        _, basis = packed._solve_affine(constraints, 2 * n)
+        while True:
+            vx = packed._xor_combo(basis, rand_bits_loop(rng, len(basis)))
+            if vx:
+                break
+        part, basis_z = packed._solve_affine(
+            constraints + [(packed._flip(vx, n), 1)], 2 * n)
+        vz = part ^ packed._xor_combo(basis_z,
+                                      rand_bits_loop(rng, len(basis_z)))
+        xi.append(vx)
+        zi.append(vz)
+    signs = rand_bits_loop(rng, 2 * n)
+    return CliffordTableau(n, tuple(xi + zi), signs)
+
+
+def channel_eigenvalue(ch, v):
+    """Pauli eigenvalue λ(v) = Σ_E w_E (-1)^<E,v> of the channel, summed
+    afresh in weight order."""
+    n = ch.n_qubits
+    return sum(-w if ((op.x_mask & (v >> n)) ^ (op.z_mask & v)).bit_count() & 1
+               else w for op, w in ch.weights.items())
+
+
+def compose_by_rows(c, d):
+    """Tableau of C∘D (apply d first), one `_image_sign` per image of d."""
+    if c.n_qubits != d.n_qubits:
+        raise PauliDimensionError("tableau size mismatch")
+    vecs = []
+    signs = 0
+    for i, v in enumerate(d.vecs):
+        out, sign = packed._image_sign(c, v, (d.signs >> i) & 1)
+        vecs.append(out)
+        signs |= sign << i
+    return CliffordTableau(c.n_qubits, tuple(vecs), signs)

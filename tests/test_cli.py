@@ -137,6 +137,14 @@ class TestPipeline:
         manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
         assert manifest["seed"] == 21
 
+    def test_simulate_eight_qubits(self, runner, tmp_path):
+        out = tmp_path / "d.csv"
+        run_ok(runner, ["simulate", "--n", "8", "--lengths", "1",
+                        "--n-seq", "1", "--shots", "10",
+                        "--depolarizing", "0.01", "--seed", "1",
+                        "-o", str(out)])
+        assert out.read_text().splitlines()[1].startswith("exact,1,0,10,")
+
     def test_fit_all_correct(self, runner, tmp_path):
         lines = ["protocol,length,seq_index,n_shots,n_correct"]
         for l in (1, 4, 9):
@@ -242,7 +250,9 @@ class TestBadInput:
         assert not (tmp_path / "d.csv").exists()
 
     def test_bad_lengths(self, tmp_path):
-        for lengths in ("1,x", "0,3", "5,3", ""):
+        # a repeated length would be written twice with the same seq_index
+        # and then counted twice by fit and bootstrap
+        for lengths in ("1,x", "0,3", "5,3", "1,1,3", "1,3,3", ""):
             assert_usage_error(["simulate", "--n", "1", "--lengths", lengths,
                                 "--depolarizing", "0.01", "--seed", "1",
                                 "-o", str(tmp_path / "d.csv")], "--lengths")

@@ -160,6 +160,12 @@ class TestChannel:
         for op in enumerate_paulis(1, include_identity=False):
             assert ch.weights[op] == pytest.approx(0.01)
 
+    @pytest.mark.parametrize("p", [0.001, 0.01, 0.3])
+    def test_depolarizing_builds_at_eight_qubits(self, p):
+        # 4^8 equal weights: their naive float sum misses 1 by about 2e-12
+        ch = PauliChannel.depolarizing(8, p)
+        assert len(ch.weights) == 4 ** 8
+
     def test_scaled_ramps_non_identity_weights(self):
         ch = PauliChannel.depolarizing(2, 0.1).scaled(1.5)
         non_ident = sum(w for op, w in ch.weights.items()

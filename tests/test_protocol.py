@@ -216,6 +216,8 @@ class TestExperiment:
             ExperimentDesign((1, 2), 0, 10, 0)
         with pytest.raises(ValueError):
             ExperimentDesign((1, 2), (1,), 10, 0)
+        with pytest.raises(ValueError, match="strictly ascending"):
+            ExperimentDesign((1, 1, 3), 2, 10, 0)
 
     def test_sequence_seed_stable(self):
         assert sequence_seed(5, "exact", 8, 2) == sequence_seed(5, "exact", 8, 2)
