@@ -9,8 +9,9 @@ strength when the steps separating the error from the measurement do not twirl
 it completely.
 
 Everything here works on the quotient group (Cliffords modulo Pauli factors),
-which is enumerable for n <= 2.  One cached record per n holds it as arrays:
-Pauli-label images, an index of 16-bit image keys and the product table.
+which is enumerable for n <= 2.  It reads the group as arrays from the one
+cached record per n, `clifford.quotient_group`: Pauli-label images, an index
+of 16-bit image keys and the product table.
 Sums run in element order, bit for bit as the loops in `tests/oracles.py`.
 """
 
@@ -18,22 +19,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .clifford import (
+    QUOTIENT_TABLE_MAX_QUBITS,
     CliffordTableau,
-    _local_table,
+    QuotientGroup,
     _pack,
     _symplectic,
     _unpack,
-    enumerate_group,
+    quotient_group,
 )
 from .pauli import PauliOperator
 
-MAX_QUBITS = 2
+MAX_QUBITS = QUOTIENT_TABLE_MAX_QUBITS
 # l·error above which kappa_bounds flags its first-order expansion as unsafe
 FIRST_ORDER_LIMIT = 0.2
 
@@ -46,41 +47,11 @@ class InfeasibleBoundError(ValueError):
     pass
 
 
-def _keys(columns, n: int) -> np.ndarray:
-    """16-bit keys from the 2n image columns of elements, last image first."""
-    columns = iter(columns)
-    keys = np.array(next(columns), dtype=np.uint16)
-    for col in columns:
-        keys <<= 2 * n
-        keys |= col
-    return keys
-
-
-class _QuotientGroup(NamedTuple):
-    elements: Tuple[CliffordTableau, ...]
-    index: np.ndarray   # key -> element index; len(elements) for no element
-    images: np.ndarray  # [i, v]: image label of Pauli label v under element i
-    table: np.ndarray   # [i, j]: index of element i applied after element j
-
-    def index_of(self, tab: CliffordTableau) -> int:
-        vecs = np.array(tab.vecs, dtype=np.uint8)[::-1, None]
-        return int(self.index[_keys(vecs, tab.n_qubits)[0]])
-
-
-@lru_cache(maxsize=4)
-def _group(n: int) -> _QuotientGroup:
+def _group(n: int) -> QuotientGroup:
     if n > MAX_QUBITS:
         raise EnumerationUnavailableError(
             f"quotient-group enumeration is limited to n <= {MAX_QUBITS}")
-    elements = tuple(enumerate_group(n, quotient=True))
-    vecs = np.array([tab.vecs for tab in elements], dtype=np.uint8)
-    images = np.array([[img for img, _ in _local_table(tab)]
-                       for tab in elements], dtype=np.uint8)
-    index = np.full(1 << (4 * n * n), len(elements), dtype=np.uint16)
-    index[_keys(vecs.T[::-1], n)] = np.arange(len(elements))
-    # the images of element i o j are element i's images of element j's
-    table = index[_keys((images[:, col] for col in vecs.T[::-1]), n)]
-    return _QuotientGroup(elements, index, images, table)
+    return quotient_group(n)
 
 
 @dataclass(frozen=True)

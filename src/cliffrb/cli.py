@@ -140,12 +140,17 @@ def _resolve_gate(name: str, option: str, n: Optional[int] = None):
 
 
 def _interleaved_gate(protocol: str, gate: Optional[str], n: int):
-    """Tableau of --gate; the interleaved protocol needs one."""
-    if gate is None:
-        if protocol == "interleaved":
-            raise click.BadParameter("interleaved protocol needs --gate",
-                                     param_hint="'--gate'")
+    """Tableau of --gate; the interleaved protocol needs one, and no other
+    protocol takes one."""
+    if protocol != "interleaved":
+        if gate is not None:
+            raise click.BadParameter(
+                f"--gate needs --protocol interleaved, not {protocol}",
+                param_hint="'--gate'")
         return None
+    if gate is None:
+        raise click.BadParameter("interleaved protocol needs --gate",
+                                 param_hint="'--gate'")
     return _resolve_gate(gate, "'--gate'", n).tableau
 
 
@@ -421,6 +426,15 @@ def simulate_cmd(protocol, n, lengths, n_seq, shots, gate, model_path,
         raise click.BadParameter("provide --error-model or --depolarizing")
     parsed_lengths = _parse_lengths(lengths)
     gate_tab = _interleaved_gate(protocol, gate, n)
+    # the inversion is the last step: after l steps, or 2l when interleaved
+    steps_per_length = 2 if protocol == "interleaved" else 1
+    last_step = parsed_lengths[-1] * steps_per_length + 1
+    try:
+        model.check_ramp(last_step)
+    except ValueError as err:
+        raise click.BadParameter(
+            f"{model_path}: time_ramp {model.time_ramp} at step {last_step}: "
+            f"{err}", param_hint="'--error-model'") from None
     seed = _resolve_seed(seed)
     design = ExperimentDesign(parsed_lengths, n_seq, shots, master_seed=seed)
     data = run_experiment(design, protocol, model, n, gate=gate_tab)

@@ -26,15 +26,21 @@ rewrites the 2 or 4 bits of each row on its qubits and flips the row's sign.
 `_local_table` tabulates that rewrite for every local (x, z) pattern and
 `_local_update` applies it to a list of rows in place, O(rows) per gate.
 The same table of a whole small tableau is how the group layer (Cayley
-search, dense twirls, twirl subgroups, bounds) applies a Clifford to Pauli
-labels.
+search, dense twirls, twirl subgroups) applies a Clifford to Pauli labels.
+
+At n <= 2 the Pauli quotient of the group (6 or 720 elements) is held as
+arrays: `quotient_group(n)` builds, on first use, one record of its
+elements, a key index, every element's Pauli-label images and the product
+table.  `bounds` and the table path of `protocol.run_experiment` read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import List, Sequence, Tuple
+from functools import lru_cache, partial
+from typing import List, NamedTuple, Sequence, Tuple
+
+import numpy as np
 
 from .pauli import PauliDimensionError, PauliOperator
 
@@ -414,6 +420,27 @@ def _choice_space(constraints: Tuple[Tuple[int, int], ...], nbits: int
     return particular, tuple(basis)
 
 
+def _sample_images(n: int, draw) -> Tuple[int, ...]:
+    """The 2n packed images of `sample_uniform`, with every random index
+    taken from ``draw(nbits)``, a uniform nbits-bit integer."""
+    constraints: Tuple[Tuple[int, int], ...] = ()
+    xi: List[int] = []
+    zi: List[int] = []
+    for k in range(n):
+        _, basis = _choice_space(constraints, 2 * n)
+        while True:
+            vx = _xor_combo(basis, draw(len(basis)))
+            if vx:
+                break
+        fx = _flip(vx, n)
+        part, basis_z = _choice_space(constraints + ((fx, 1),), 2 * n)
+        vz = part ^ _xor_combo(basis_z, draw(len(basis_z)))
+        constraints += ((fx, 0), (_flip(vz, n), 0))
+        xi.append(vx)
+        zi.append(vz)
+    return tuple(xi + zi)
+
+
 def sample_uniform(n: int, rng) -> CliffordTableau:
     """Exactly uniform Clifford tableau, O(n³).
 
@@ -421,25 +448,11 @@ def sample_uniform(n: int, rng) -> CliffordTableau:
     commuting with all earlier images (k counted from 0), then C(Z_k)
     uniformly from the 4·4^{n−k−1} signed Paulis that additionally
     anticommute with C(X_k); the per-step choice-set sizes multiply to the
-    exact group order, so the result is uniform.
+    exact group order, so the result is uniform.  The images come first,
+    the 2n sign bits last.
     """
-    constraints: Tuple[Tuple[int, int], ...] = ()
-    xi: List[int] = []
-    zi: List[int] = []
-    for k in range(n):
-        _, basis = _choice_space(constraints, 2 * n)
-        while True:
-            vx = _xor_combo(basis, _rand_bits(rng, len(basis)))
-            if vx:
-                break
-        fx = _flip(vx, n)
-        part, basis_z = _choice_space(constraints + ((fx, 1),), 2 * n)
-        vz = part ^ _xor_combo(basis_z, _rand_bits(rng, len(basis_z)))
-        constraints += ((fx, 0), (_flip(vz, n), 0))
-        xi.append(vx)
-        zi.append(vz)
-    signs = _rand_bits(rng, 2 * n)
-    return CliffordTableau(n, tuple(xi + zi), signs)
+    vecs = _sample_images(n, partial(_rand_bits, rng))
+    return CliffordTableau(n, vecs, _rand_bits(rng, 2 * n))
 
 
 def enumerate_group(n: int, quotient: bool = False) -> List[CliffordTableau]:
@@ -482,6 +495,54 @@ def enumerate_group(n: int, quotient: bool = False) -> List[CliffordTableau]:
     rec(0)
     assert len(out) == group_order(n, quotient)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the quotient group as one table record
+
+QUOTIENT_TABLE_MAX_QUBITS = 2  # the key index has 2^(4n²) entries
+
+
+def _keys(columns, n: int) -> np.ndarray:
+    """16-bit keys from the 2n image columns of elements, last image first."""
+    columns = iter(columns)
+    keys = np.array(next(columns), dtype=np.uint16)
+    for col in columns:
+        keys <<= 2 * n
+        keys |= col
+    return keys
+
+
+class QuotientGroup(NamedTuple):
+    elements: Tuple[CliffordTableau, ...]
+    index: np.ndarray   # key -> element index; len(elements) for no element
+    images: np.ndarray  # [i, v]: image label of Pauli label v under element i
+    table: np.ndarray   # [i, j]: index of element i applied after element j
+
+    def index_of(self, tab: CliffordTableau) -> int:
+        """Index of the element tab is a signed form of."""
+        shift = 2 * tab.n_qubits
+        return int(self.index[sum(v << (shift * i)
+                                  for i, v in enumerate(tab.vecs))])
+
+
+@lru_cache(maxsize=4)
+def quotient_group(n: int) -> QuotientGroup:
+    """The Pauli quotient of C_n as arrays, built on first use; callers keep
+    n <= QUOTIENT_TABLE_MAX_QUBITS."""
+    elements = tuple(enumerate_group(n, quotient=True))
+    vecs = np.array([tab.vecs for tab in elements], dtype=np.uint8)
+    # sign-free images are GF(2)-linear: label v maps to the XOR of the
+    # images of its bits
+    images = np.zeros((len(elements), 4 ** n), dtype=np.uint8)
+    for v in range(1, 4 ** n):
+        low = v & -v
+        images[:, v] = images[:, v ^ low] ^ vecs[:, low.bit_length() - 1]
+    index = np.full(1 << (4 * n * n), len(elements), dtype=np.uint16)
+    index[_keys(vecs.T[::-1], n)] = np.arange(len(elements))
+    # the images of element i o j are element i's images of element j's
+    table = index[_keys((images[:, col] for col in vecs.T[::-1]), n)]
+    return QuotientGroup(elements, index, images, table)
 
 
 # ---------------------------------------------------------------------------

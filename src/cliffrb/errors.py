@@ -21,6 +21,7 @@ and anything else is rejected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -28,6 +29,8 @@ from .clifford import _pack, _pull_back
 from .pauli import PauliChannel, PauliOperator
 
 DEFAULT_QUBIT_CAP = 20  # most measured Paulis: the sum runs over 2^k terms
+# the step labels of the exact and interleaved protocols
+STEP_LABELS = ("clifford", "gate", "inversion")
 
 
 class ResourceLimitError(RuntimeError):
@@ -70,13 +73,30 @@ class ErrorModel:
             return PauliChannel(n, weights)
         raise ValueError(f"unknown channel type {obj['type']!r}")
 
+    def check_ramp(self, last_step: int) -> None:
+        """ValueError unless every step label's channel is a channel at every
+        step up to last_step.  The weights are affine in t and valid at
+        t = 0, so checking t = last_step covers every step."""
+        if self.time_ramp:
+            for label in STEP_LABELS:
+                self.channel_for(label, last_step)
+
     @classmethod
     def from_json(cls, obj: dict, n: int) -> "ErrorModel":
+        unknown = sorted(set(obj.get("per_gate", {})) - set(STEP_LABELS))
+        if unknown:
+            raise ValueError(f"per_gate labels {unknown} name no step; "
+                             f"steps are {', '.join(STEP_LABELS)}")
+        ramp = obj.get("time_ramp")
+        if ramp is not None and (isinstance(ramp, bool)
+                                 or not isinstance(ramp, (int, float))
+                                 or not math.isfinite(ramp)):
+            raise ValueError(f"time_ramp {ramp!r} is not a finite number")
         return cls(
             default_channel=cls._channel_from_json(obj["default"], n),
             per_gate={k: cls._channel_from_json(v, n)
                       for k, v in obj.get("per_gate", {}).items()},
-            time_ramp=obj.get("time_ramp"),
+            time_ramp=ramp,
             spam_channel=(cls._channel_from_json(obj["spam"], n)
                           if obj.get("spam") else None),
         )

@@ -17,22 +17,26 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple, Union
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .clifford import (
+    QUOTIENT_TABLE_MAX_QUBITS,
     CliffordTableau,
     GateSequence,
     _rand_bits,
+    _sample_images,
     clifford_compose,
     clifford_inverse,
     pauli_tableau,
+    quotient_group,
     sample_uniform,
 )
-from .errors import ErrorModel, expected_sequence_fidelity
+from .errors import ErrorModel, _subset_products, expected_sequence_fidelity
 from .gates import _ONE_QUBIT_MAP, get_gate, sequence_tableau
-from .pauli import PauliOperator
+from .pauli import PauliDimensionError, PauliOperator
 from .stabilizer import (
     apply_clifford,
     random_stabilizer_element,
@@ -111,8 +115,9 @@ class StepDistribution:
         return self.elements[int(i)][0]
 
 
-def _random_pauli(n: int, rng) -> PauliOperator:
-    return PauliOperator(n, _rand_bits(rng, n), _rand_bits(rng, n), 0)
+def _random_pauli(n: int, draw) -> PauliOperator:
+    """Uniform Pauli from two n-bit ``draw(nbits)`` calls, X bits first."""
+    return PauliOperator(n, draw(n), draw(n), 0)
 
 
 def _pauli_outcomes(pauli: PauliOperator) -> Tuple[int, ...]:
@@ -135,7 +140,7 @@ def _twirled_sequence(protocol: str, n: int, l: int,
     total = CliffordTableau.identity(n)
     for _, tab in steps:
         total = clifford_compose(tab, total)
-    pauli = _random_pauli(n, rng)
+    pauli = _random_pauli(n, partial(_rand_bits, rng))
     inversion = clifford_compose(pauli_tableau(pauli), clifford_inverse(total))
     return RBSequence(
         protocol=protocol, n_qubits=n, length=l, core_steps=tuple(steps),
@@ -277,17 +282,156 @@ def sequence_factory(protocol: str, n: int,
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
+# -- the table path at n <= 2 -------------------------------------------------
+#
+# At n <= 2 a step's sign-free part is one of the 6 or 720 elements of the
+# quotient group, and a sequence's fidelity depends on nothing else.  So the
+# table path reads each uniform step's element index off the sampler's draws,
+# keeps the running product as a product-table lookup, and reads the measured
+# operators carried back to each stage as Pauli-label images.  It makes the
+# same draws, the same λ lookups and the same float products in the same
+# order as the general path, so its fidelities and generator states are bit
+# for bit the general path's.
+
+
+def _step_index(n: int, trie: dict, draw) -> int:
+    """Quotient-element index of one uniform step, drawn with ``draw``.
+
+    `trie` memoises the sampler's draws: a node is ``[width, children by
+    drawn value]`` and a leaf the index they lead to.  Draws that leave the
+    known paths run `_sample_images` once, on the known draws and then on
+    fresh ones, and the new levels are added."""
+    parent, key, node = trie, None, trie.get(None)
+    path: List[int] = []
+    while node is not None:
+        if node.__class__ is int:
+            return node
+        value = draw(node[0])
+        path.append(value)
+        parent, key, node = node[1], value, node[1].get(value)
+    known = iter(path)
+    fresh: List[Tuple[int, int]] = []
+
+    def replay(nbits: int) -> int:
+        value = next(known, None)
+        if value is None:
+            value = draw(nbits)
+            fresh.append((nbits, value))
+        return value
+
+    index = quotient_group(n).index_of(
+        CliffordTableau(n, _sample_images(n, replay)))
+    for nbits, value in fresh:
+        parent[key] = [nbits, {}]
+        parent, key = parent[key][1], value
+    parent[key] = index
+    return index
+
+
+# the `_step_index` memo of each n, kept for the process; a root at key None
+_DRAW_TRIES: Dict[int, dict] = {
+    n: {} for n in range(1, QUOTIENT_TABLE_MAX_QUBITS + 1)}
+
+
+_Simulator = Callable[[int, np.random.Generator], float]
+
+
+def _general_simulator(protocol: str, n: int, model: ErrorModel,
+                       gate: Optional[CliffordTableau]) -> _Simulator:
+    factory = sequence_factory(protocol, n, gate)
+    return lambda l, rng: expected_sequence_fidelity(factory(l, rng), model)
+
+
+def _table_simulator(protocol: str, n: int, model: ErrorModel,
+                     gate: Optional[CliffordTableau]) -> Optional[_Simulator]:
+    """`_general_simulator` by table lookups, or None where it does not
+    apply: n > 2, protocols other than exact and interleaved, and time-ramped
+    models (a new channel at every step)."""
+    if (n > QUOTIENT_TABLE_MAX_QUBITS or model.time_ramp
+            or protocol not in ("exact", "interleaved")):
+        return None
+    group = quotient_group(n)
+    rows = group.images.tolist()
+    product = group.table.item
+    trie = _DRAW_TRIES[n]
+
+    def lam(ch) -> List[float]:  # λ of every Pauli label
+        return [ch.eigenvalue(v) for v in range(4 ** n)]
+
+    # without a ramp a label's channel does not depend on t
+    lam_clifford = lam(model.channel_for("clifford", 1))
+    head = [lam(model.channel_for("inversion", 1))]  # after the last step
+    if model.spam_channel is not None:
+        head.insert(0, lam(model.spam_channel))
+    if protocol == "interleaved":
+        if gate.n_qubits != n:
+            raise PauliDimensionError("gate size mismatch")
+        lam_gate = lam(model.channel_for("gate", 1))
+        gate_index = group.index_of(gate)
+    measured = _subset_products([1 << (n + j) for j in range(n)])  # Z_j
+    identity = group.index_of(CliffordTableau.identity(n))
+
+    def simulate(l: int, rng: np.random.Generator) -> float:
+        # each k-bit draw is the top k bits of the next word of a uint32
+        # block (numpy's power-of-two draws never reject); blocks of 4
+        # words a step are drawn ahead as needed, then rewound to the words
+        # used
+        bits = rng.bit_generator
+        state = bits.state
+        words: List[int] = []
+        used = 0
+
+        def draw(nbits: int) -> int:
+            nonlocal used
+            if not nbits:
+                return 0
+            if used == len(words):
+                words.extend(rng.integers(0, 1 << 32, size=4 * (l + 1),
+                                          dtype=np.uint32).tolist())
+            used += 1
+            return words[used - 1] >> (32 - nbits)
+
+        stages = []  # (λ list, running product) per step
+        total = identity
+        for _ in range(l):
+            step = _step_index(n, trie, draw)
+            draw(2 * n)  # the step's signs leave its element unchanged
+            total = product(step, total)
+            stages.append((lam_clifford, total))
+            if protocol == "interleaved":
+                total = product(gate_index, total)
+                stages.append((lam_gate, total))
+        _random_pauli(n, draw)  # the inversion's Pauli: its draws only
+        bits.state = state
+        rng.integers(0, 1 << 32, size=used, dtype=np.uint32)
+        # the general path's stage order: SPAM, inversion, steps last to
+        # first; the measured Z_j carried back to step t's channel are
+        # their images under the product of steps 1..t
+        acc = [1.0] * len(measured)
+        for lams in head:
+            acc = [a * lams[m] for a, m in zip(acc, measured)]
+        for lams, g in reversed(stages):
+            row = rows[g]
+            acc = [a * lams[row[m]] for a, m in zip(acc, measured)]
+        return sum(acc) / len(acc)
+
+    return simulate
+
+
 def run_experiment(design: ExperimentDesign, protocol: str, model: ErrorModel,
                    n_qubits: int, gate: Optional[CliffordTableau] = None) -> RBDataset:
-    """Exact per-sequence success probabilities with binomial shot noise."""
-    factory = sequence_factory(protocol, n_qubits, gate)
+    """Exact per-sequence success probabilities with binomial shot noise.
+
+    Runs that `_table_simulator` covers take it; the dataset is the same on
+    either path."""
+    general = _general_simulator(protocol, n_qubits, model, gate)
+    simulate = _table_simulator(protocol, n_qubits, model, gate) or general
     data = RBDataset()
     for length, count in zip(design.lengths, design.counts()):
         for s in range(count):
             rng = np.random.default_rng(
                 sequence_seed(design.master_seed, protocol, length, s))
-            seq = factory(length, rng)
-            fid = expected_sequence_fidelity(seq, model)
+            fid = simulate(length, rng)
             n_correct = int(rng.binomial(design.n_shots, fid))
             data.rows.append((protocol, length, s, design.n_shots, n_correct))
     return data

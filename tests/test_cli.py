@@ -308,6 +308,15 @@ class TestBadInput:
                             "-o", str(tmp_path / "d.csv")], "--gate")
         assert not (tmp_path / "d.csv").exists()
 
+    def test_gate_needs_interleaved_protocol(self, tmp_path):
+        assert_usage_error(["gen-sequences", "--n", "1", "--lengths", "1",
+                            "--gate", "S", "--seed", "1"], "--gate")
+        assert_usage_error(["simulate", "--n", "1", "--lengths", "1",
+                            "--gate", "S", "--depolarizing", "0.01",
+                            "--seed", "1", "-o", str(tmp_path / "d.csv")],
+                           "--gate")
+        assert not (tmp_path / "d.csv").exists()
+
     def test_search_decomp_unknown_gates(self):
         assert_usage_error(["search-decomp", "--n", "1",
                             "--gates", "H,FOO"], "--gates")
@@ -411,6 +420,43 @@ class TestBadInput:
                                 "--seed", "1", "-o", str(tmp_path / "d.csv")],
                                "--error-model")
         assert not (tmp_path / "d.csv").exists()
+
+    def _simulate_model(self, tmp_path, model, *extra):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(model))
+        assert_usage_error(["simulate", "--n", "1", "--lengths", "1,8",
+                            "--error-model", str(path), *extra,
+                            "--seed", "1", "-o", str(tmp_path / "d.csv")],
+                           "--error-model")
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_simulate_unknown_step_label(self, tmp_path):
+        self._simulate_model(tmp_path, {
+            "default": {"type": "depolarizing", "p": 0.01},
+            "per_gate": {"CX": {"type": "depolarizing", "p": 0.5}}})
+
+    def test_simulate_time_ramp_not_a_number(self, tmp_path):
+        for ramp in ("abc", True, [0.1]):
+            self._simulate_model(tmp_path, {
+                "default": {"type": "depolarizing", "p": 0.01},
+                "time_ramp": ramp})
+
+    def test_simulate_time_ramp_nan(self, tmp_path):
+        self._simulate_model(tmp_path, {
+            "default": {"type": "depolarizing", "p": 0.01},
+            "time_ramp": float("nan")})
+
+    def test_simulate_time_ramp_out_of_range(self, tmp_path):
+        model = {"default": {"type": "depolarizing", "p": 0.3},
+                 "time_ramp": 1.0}
+        self._simulate_model(tmp_path, model)
+        # a ramp that breaks only the gate channel, only late in the
+        # interleaved sequence
+        model = {"default": {"type": "depolarizing", "p": 0.01},
+                 "per_gate": {"gate": {"type": "depolarizing", "p": 0.1}},
+                 "time_ramp": 1.0}
+        self._simulate_model(tmp_path, model, "--protocol", "interleaved",
+                             "--gate", "S")
 
     def test_fit_wrong_header(self, tmp_path):
         data = tmp_path / "d.csv"

@@ -1,8 +1,10 @@
 """Cross-checks of the memoised RB step kernels against the forms they
 replaced, kept in `oracles`: the sampler's cached choice spaces and one-call
 `_rand_bits`, the per-channel Pauli-eigenvalue memo and the one-layer
-compose.  Each must give the same tableaux, the same generator state and the
-same floats, bit for bit."""
+compose; and of the n <= 2 table path of `run_experiment` against the
+general path, with numpy's word-block draw identity it rests on.  Each must
+give the same tableaux, the same generator state and the same floats, bit
+for bit."""
 
 import numpy as np
 import pytest
@@ -19,7 +21,11 @@ from cliffrb.clifford import (
 from cliffrb.errors import ErrorModel, expected_sequence_fidelity
 from cliffrb.gates import get_gate
 from cliffrb.pauli import PauliChannel, PauliOperator, enumerate_paulis
-from cliffrb.protocol import sequence_factory
+from cliffrb.protocol import (
+    _general_simulator,
+    _table_simulator,
+    sequence_factory,
+)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
@@ -92,3 +98,67 @@ def test_fidelity_bitwise_under_time_ramp(n, monkeypatch):
     monkeypatch.setattr(PauliChannel, "eigenvalue", oracles.channel_eigenvalue)
     want = [expected_sequence_fidelity(s, model) for s in seqs]
     assert [f.hex() for f in got] == [f.hex() for f in want]
+
+
+def test_word_block_draw_identity():
+    """`integers(0, 1 << k)` is the top k bits of the next uint32 word for
+    1 <= k <= 32 and draws nothing for k = 0, so rewinding a word block to
+    the words used leaves the generator, PCG64's half-word buffer included,
+    where the scalar draws leave it."""
+    widths_rng = np.random.default_rng(2024)
+    for seed in range(200):
+        widths = widths_rng.integers(0, 33, size=widths_rng.integers(1, 60))
+        scalar, block = np.random.default_rng(seed), np.random.default_rng(seed)
+        state = block.bit_generator.state
+        words = block.integers(0, 1 << 32, size=len(widths),
+                               dtype=np.uint32).tolist()
+        used = 0
+        for k in widths.tolist():
+            before = scalar.bit_generator.state
+            got = int(scalar.integers(0, 1 << k))
+            if k:
+                assert got == words[used] >> (32 - k)
+                used += 1
+            else:
+                assert got == 0 and scalar.bit_generator.state == before
+        block.bit_generator.state = state
+        block.integers(0, 1 << 32, size=used, dtype=np.uint32)
+        assert block.bit_generator.state == scalar.bit_generator.state
+        assert block.binomial(200, 0.7) == scalar.binomial(200, 0.7)
+
+
+def _models(n):
+    ch = _channels(n)
+    return [ErrorModel(ch[1]),
+            ErrorModel(ch[2], spam_channel=ch[4]),
+            ErrorModel(ch[5], per_gate={"clifford": ch[3]}),
+            ErrorModel(ch[1], per_gate={"gate": ch[3], "inversion": ch[6]},
+                       spam_channel=ch[2])]
+
+
+@pytest.mark.parametrize("protocol", ["exact", "interleaved"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_table_path_matches_general_path(n, protocol):
+    gates = ({1: ["S", "Y90m"], 2: ["CX", "CZ"]}[n]
+             if protocol == "interleaved" else [None])
+    for name in gates:
+        gate = get_gate(name).tableau if name else None
+        for model in _models(n):
+            table = _table_simulator(protocol, n, model, gate)
+            general = _general_simulator(protocol, n, model, gate)
+            for seed in range(12):
+                for l in (1, 2, 5, 17):
+                    a = np.random.default_rng([seed, l])
+                    b = np.random.default_rng([seed, l])
+                    assert table(l, a).hex() == general(l, b).hex()
+                    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_general_path_kept():
+    one, three = (ErrorModel(PauliChannel.depolarizing(n, 0.01))
+                  for n in (1, 3))
+    ramped = ErrorModel(PauliChannel.depolarizing(1, 0.01), time_ramp=0.1)
+    assert _table_simulator("exact", 1, one, None) is not None
+    assert _table_simulator("exact", 1, ramped, None) is None
+    assert _table_simulator("knill-1q", 1, one, None) is None
+    assert _table_simulator("exact", 3, three, None) is None
