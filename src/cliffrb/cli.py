@@ -180,7 +180,8 @@ def _load(path: str, option: str, parse):
     """parse(text of the file at path); bad contents are a usage error."""
     try:
         return parse(Path(path).read_text())
-    except (ValueError, KeyError, TypeError, IndexError) as err:
+    except (ValueError, KeyError, TypeError, IndexError,
+            AttributeError) as err:  # the last: JSON of the wrong shape
         raise click.BadParameter(f"{path}: {err}", param_hint=option) from None
 
 

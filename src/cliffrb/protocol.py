@@ -391,28 +391,38 @@ def _table_simulator(protocol: str, n: int, model: ErrorModel,
             used += 1
             return words[used - 1] >> (32 - nbits)
 
-        stages = []  # (λ list, running product) per step
+        stages = []  # (λ list, images under the running product) per step
         total = identity
         for _ in range(l):
-            step = _step_index(n, trie, draw)
+            # known draw paths are read straight off the block (no draw at
+            # n <= 2 has width 0); new ones go through `_step_index`
+            start, step = used, trie.get(None)
+            while step.__class__ is list and used < len(words):
+                step = step[1].get(words[used] >> (32 - step[0]))
+                used += 1
+            if step.__class__ is not int:
+                used = start
+                step = _step_index(n, trie, draw)
             draw(2 * n)  # the step's signs leave its element unchanged
             total = product(step, total)
-            stages.append((lam_clifford, total))
+            stages.append((lam_clifford, rows[total]))
             if protocol == "interleaved":
                 total = product(gate_index, total)
-                stages.append((lam_gate, total))
+                stages.append((lam_gate, rows[total]))
         _random_pauli(n, draw)  # the inversion's Pauli: its draws only
         bits.state = state
         rng.integers(0, 1 << 32, size=used, dtype=np.uint32)
-        # the general path's stage order: SPAM, inversion, steps last to
-        # first; the measured Z_j carried back to step t's channel are
-        # their images under the product of steps 1..t
-        acc = [1.0] * len(measured)
-        for lams in head:
-            acc = [a * lams[m] for a, m in zip(acc, measured)]
-        for lams, g in reversed(stages):
-            row = rows[g]
-            acc = [a * lams[row[m]] for a, m in zip(acc, measured)]
+        # each subset's product in the general path's stage order: SPAM,
+        # inversion, steps last to first; the measured Z_j carried back to
+        # step t's channel are their images under the product of steps 1..t
+        acc = []
+        for m in measured:
+            a = 1.0
+            for lams in head:
+                a *= lams[m]
+            for lams, row in reversed(stages):
+                a *= lams[row[m]]
+            acc.append(a)
         return sum(acc) / len(acc)
 
     return simulate

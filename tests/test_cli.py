@@ -431,9 +431,12 @@ class TestBadInput:
         assert not (tmp_path / "d.csv").exists()
 
     def test_simulate_unknown_step_label(self, tmp_path):
-        self._simulate_model(tmp_path, {
-            "default": {"type": "depolarizing", "p": 0.01},
-            "per_gate": {"CX": {"type": "depolarizing", "p": 0.5}}})
+        for per_gate in ({"CX": {"type": "depolarizing", "p": 0.5}},
+                         ["gate"]):
+            self._simulate_model(tmp_path, {
+                "default": {"type": "depolarizing", "p": 0.01},
+                "per_gate": per_gate})
+        self._simulate_model(tmp_path, [])
 
     def test_simulate_time_ramp_not_a_number(self, tmp_path):
         for ramp in ("abc", True, [0.1]):
