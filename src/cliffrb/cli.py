@@ -35,7 +35,7 @@ from .decomp import (
 )
 from .errors import ErrorModel
 from .gates import GateSet, get_gate, sequence_tableau
-from .pauli import PauliChannel
+from .pauli import DEPOLARIZING_MAX_QUBITS, PauliChannel
 from .protocol import (
     ExperimentDesign,
     RBDataset,
@@ -386,8 +386,9 @@ def gen_sequences_cmd(protocol, n, lengths, n_seq, gate, seed, output, pretty):
 def _depolarizing(n: int, p: float, option: str) -> PauliChannel:
     try:
         return PauliChannel.depolarizing(n, p)
-    except ValueError:
+    except ValueError as err:
         raise click.BadParameter(
+            str(err) if n > DEPOLARIZING_MAX_QUBITS else
             f"{p} is not a valid {n}-qubit depolarizing strength "
             f"(0 <= p <= {4 ** n}/{4 ** n - 1})", param_hint=option) from None
 

@@ -31,7 +31,8 @@ search, dense twirls, twirl subgroups) applies a Clifford to Pauli labels.
 At n <= 2 the Pauli quotient of the group (6 or 720 elements) is held as
 arrays: `quotient_group(n)` builds, on first use, one record of its
 elements, a key index, every element's Pauli-label images and the product
-table.  `bounds` and the table path of `protocol.run_experiment` read it.
+table.  `bounds` reads it; so does the RB table path, whose draw index
+(`protocol._draw_index`) is built apart from it, on its own first use.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ _FACTOR = "IXZY"  # the one letter table, indexed by x | z << 1
 _CHAR_TO_BITS = {c: (k & 1, k >> 1) for k, c in enumerate(_FACTOR)}
 _PHASE_PREFIX = {0: "+", 1: "i", 2: "-", 3: "-i"}
 _PREFIX_PHASE = {"+": 0, "": 0, "i": 1, "-": 2, "-i": 3}
+DEPOLARIZING_MAX_QUBITS = 10  # its channel holds 4^n Paulis, 10^6 at n = 10
 
 
 class PauliDimensionError(ValueError):
@@ -206,6 +207,10 @@ class PauliChannel:
     def depolarizing(cls, n_qubits: int, p: float) -> "PauliChannel":
         """Depolarizing channel of strength p as a uniform Pauli channel:
         identity weight 1 - p(4^n - 1)/4^n, each non-identity weight p/4^n."""
+        if n_qubits > DEPOLARIZING_MAX_QUBITS:
+            raise ValueError(f"a depolarizing channel on {n_qubits} qubits "
+                             f"has 4^{n_qubits} weights; the limit is "
+                             f"{DEPOLARIZING_MAX_QUBITS} qubits")
         d4 = 4 ** n_qubits
         w: Dict[PauliOperator, float] = {}
         for op in enumerate_paulis(n_qubits):

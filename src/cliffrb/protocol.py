@@ -16,9 +16,10 @@ Three sequence families:
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from functools import lru_cache, partial
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -285,52 +286,37 @@ def sequence_factory(protocol: str, n: int,
 # -- the table path at n <= 2 -------------------------------------------------
 #
 # At n <= 2 a step's sign-free part is one of the 6 or 720 elements of the
-# quotient group, and a sequence's fidelity depends on nothing else.  So the
-# table path reads each uniform step's element index off the sampler's draws,
-# keeps the running product as a product-table lookup, and reads the measured
-# operators carried back to each stage as Pauli-label images.  It makes the
-# same draws, the same λ lookups and the same float products in the same
-# order as the general path, so its fidelities and generator states are bit
-# for bit the general path's.
+# quotient group, and a sequence's fidelity depends on nothing else.  The
+# sampler's image draws have fixed widths, since step k meets 2k independent
+# constraints: 2(n-k) bits for the X image, drawn again only while 0 (an
+# independent basis maps no other draw to 0), then 2(n-k)-1 for the Z image.
+# So a step's draws name its element through `_draw_index(n)`.  The table
+# path keeps the running product as a product-table lookup and reads the
+# measured operators carried back to each stage as Pauli-label images.  It
+# makes the same draws, the same λ lookups and the same float products in
+# the same order as the general path, so its fidelities and generator states
+# are bit for bit the general path's.
 
 
-def _step_index(n: int, trie: dict, draw) -> int:
-    """Quotient-element index of one uniform step, drawn with ``draw``.
-
-    `trie` memoises the sampler's draws: a node is ``[width, children by
-    drawn value]`` and a leaf the index they lead to.  Draws that leave the
-    known paths run `_sample_images` once, on the known draws and then on
-    fresh ones, and the new levels are added."""
-    parent, key, node = trie, None, trie.get(None)
-    path: List[int] = []
-    while node is not None:
-        if node.__class__ is int:
-            return node
-        value = draw(node[0])
-        path.append(value)
-        parent, key, node = node[1], value, node[1].get(value)
-    known = iter(path)
-    fresh: List[Tuple[int, int]] = []
-
-    def replay(nbits: int) -> int:
-        value = next(known, None)
-        if value is None:
-            value = draw(nbits)
-            fresh.append((nbits, value))
-        return value
-
-    index = quotient_group(n).index_of(
-        CliffordTableau(n, _sample_images(n, replay)))
-    for nbits, value in fresh:
-        parent[key] = [nbits, {}]
-        parent, key = parent[key][1], value
-    parent[key] = index
-    return index
-
-
-# the `_step_index` memo of each n, kept for the process; a root at key None
-_DRAW_TRIES: Dict[int, dict] = {
-    n: {} for n in range(1, QUOTIENT_TABLE_MAX_QUBITS + 1)}
+@lru_cache(maxsize=None)
+def _draw_index(n: int) -> Tuple[Tuple[int, ...], List[int]]:
+    """(widths, index): the widths of a uniform step's image draws, X then
+    Z qubit by qubit, and the element index of every key that packs such
+    draws, first draw highest; a key with a zero X draw holds len(elements).
+    """
+    widths = tuple(w for k in range(n, 0, -1) for w in (2 * k, 2 * k - 1))
+    group = quotient_group(n)
+    index = []
+    # lexicographic draws are ascending keys and walk X-major, so each
+    # constraint system of `_sample_images` is solved once
+    for values in itertools.product(*(range(1 << w) for w in widths)):
+        if not all(values[::2]):
+            index.append(len(group.elements))
+            continue
+        draws = iter(values)
+        index.append(group.index_of(CliffordTableau(
+            n, _sample_images(n, lambda nbits: next(draws)))))
+    return widths, index
 
 
 _Simulator = Callable[[int, np.random.Generator], float]
@@ -353,7 +339,10 @@ def _table_simulator(protocol: str, n: int, model: ErrorModel,
     group = quotient_group(n)
     rows = group.images.tolist()
     product = group.table.item
-    trie = _DRAW_TRIES[n]
+    widths, step_index = _draw_index(n)
+    # (X width, X shift, Z width, Z shift) of each qubit's draws: a k-bit
+    # draw is its word shifted right by 32 - k
+    reads = [(w, 32 - w, w - 1, 33 - w) for w in widths[::2]]
 
     def lam(ch) -> List[float]:  # λ of every Pauli label
         return [ch.eigenvalue(v) for v in range(4 ** n)]
@@ -373,38 +362,35 @@ def _table_simulator(protocol: str, n: int, model: ErrorModel,
 
     def simulate(l: int, rng: np.random.Generator) -> float:
         # each k-bit draw is the top k bits of the next word of a uint32
-        # block (numpy's power-of-two draws never reject); blocks of 4
-        # words a step are drawn ahead as needed, then rewound to the words
-        # used
+        # block (numpy's power-of-two draws never reject, and no draw here
+        # has width 0); blocks of 4 words a step are drawn ahead as needed,
+        # then rewound to the words used
         bits = rng.bit_generator
         state = bits.state
-        words: List[int] = []
+        words = rng.integers(0, 1 << 32, size=4 * (l + 1),
+                             dtype=np.uint32).tolist()
         used = 0
 
-        def draw(nbits: int) -> int:
+        def draw(nbits: int) -> int:  # leaves a step's 2n image words ahead
             nonlocal used
-            if not nbits:
-                return 0
-            if used == len(words):
+            used += 1
+            if len(words) - used < 2 * n:
                 words.extend(rng.integers(0, 1 << 32, size=4 * (l + 1),
                                           dtype=np.uint32).tolist())
-            used += 1
             return words[used - 1] >> (32 - nbits)
 
         stages = []  # (λ list, images under the running product) per step
         total = identity
         for _ in range(l):
-            # known draw paths are read straight off the block (no draw at
-            # n <= 2 has width 0); new ones go through `_step_index`
-            start, step = used, trie.get(None)
-            while step.__class__ is list and used < len(words):
-                step = step[1].get(words[used] >> (32 - step[0]))
-                used += 1
-            if step.__class__ is not int:
-                used = start
-                step = _step_index(n, trie, draw)
+            key = 0
+            for wx, sx, wz, sz in reads:
+                while not words[used] >> sx:  # a zero X draw is drawn again
+                    draw(wx)
+                x = words[used] >> sx
+                key = (key << wx | x) << wz | words[used + 1] >> sz
+                used += 2
             draw(2 * n)  # the step's signs leave its element unchanged
-            total = product(step, total)
+            total = product(step_index[key], total)
             stages.append((lam_clifford, rows[total]))
             if protocol == "interleaved":
                 total = product(gate_index, total)

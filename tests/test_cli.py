@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import cliffrb.pauli
 from cliffrb.cli import main
 from cliffrb.clifford import CliffordTableau
 from cliffrb.gates import sequence_tableau
 from cliffrb.clifford import GateSequence
+from cliffrb.pauli import DEPOLARIZING_MAX_QUBITS
 
 
 @pytest.fixture
@@ -222,6 +224,7 @@ def assert_usage_error(args, option):
     errors = [l for l in result.output.splitlines() if l.startswith("Error:")]
     assert len(errors) == 1 and option in errors[0], result.output
     assert "Traceback" not in result.output
+    return errors[0]
 
 
 class TestBadInput:
@@ -247,6 +250,27 @@ class TestBadInput:
                             "--depolarizing", "0.01", "--spam", "1.5",
                             "--seed", "1", "-o", str(tmp_path / "d.csv")],
                            "--spam")
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_simulate_depolarizing_too_many_qubits(self, tmp_path,
+                                                   monkeypatch):
+        # the limit is checked before any of the 4^n Paulis is built
+        def refuse(n_qubits, include_identity=True):
+            raise AssertionError(f"enumerated the 4^{n_qubits} Paulis")
+
+        monkeypatch.setattr(cliffrb.pauli, "enumerate_paulis", refuse)
+        n = str(DEPOLARIZING_MAX_QUBITS + 1)
+        common = ["simulate", "--n", n, "--lengths", "1,2", "--seed", "1",
+                  "-o", str(tmp_path / "d.csv")]
+        assert "the limit is" in assert_usage_error(
+            common + ["--depolarizing", "0.01"], "--depolarizing")
+        for model in ({"default": {"type": "depolarizing", "p": 0.01}},
+                      {"default": {"type": "pauli", "weights": {}},
+                       "spam": {"type": "depolarizing", "p": 0.01}}):
+            path = tmp_path / "m.json"
+            path.write_text(json.dumps(model))
+            assert "the limit is" in assert_usage_error(
+                common + ["--error-model", str(path)], "--error-model")
         assert not (tmp_path / "d.csv").exists()
 
     def test_bad_lengths(self, tmp_path):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import cliffrb.pauli
 from cliffrb.pauli import (
+    DEPOLARIZING_MAX_QUBITS,
     PauliChannel,
     PauliDimensionError,
     PauliOperator,
@@ -165,6 +167,17 @@ class TestChannel:
         # 4^8 equal weights: their naive float sum misses 1 by about 2e-12
         ch = PauliChannel.depolarizing(8, p)
         assert len(ch.weights) == 4 ** 8
+
+    def test_depolarizing_qubit_limit(self, monkeypatch):
+        # the limit is checked before any of the 4^n Paulis is built
+        def refuse(n_qubits, include_identity=True):
+            raise AssertionError(f"enumerated the 4^{n_qubits} Paulis")
+
+        monkeypatch.setattr(cliffrb.pauli, "enumerate_paulis", refuse)
+        with pytest.raises(ValueError, match="limit is"):
+            PauliChannel.depolarizing(DEPOLARIZING_MAX_QUBITS + 1, 0.01)
+        with pytest.raises(AssertionError):
+            PauliChannel.depolarizing(DEPOLARIZING_MAX_QUBITS, 0.01)
 
     def test_scaled_ramps_non_identity_weights(self):
         ch = PauliChannel.depolarizing(2, 0.1).scaled(1.5)

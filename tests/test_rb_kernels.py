@@ -2,26 +2,36 @@
 replaced, kept in `oracles`: the sampler's cached choice spaces and one-call
 `_rand_bits`, the per-channel Pauli-eigenvalue memo and the one-layer
 compose; and of the n <= 2 table path of `run_experiment` against the
-general path, with numpy's word-block draw identity it rests on.  Each must
-give the same tableaux, the same generator state and the same floats, bit
-for bit."""
+general path, with the two facts it rests on: numpy's word-block draw
+identity and the sampler's fixed draw widths.  Each must give the same
+tableaux, the same generator state and the same floats, bit for bit."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cliffrb
 import oracles
 from cliffrb.clifford import (
     _rand_bits,
+    _sample_images,
     clifford_compose,
     clifford_inverse,
     embed_tableau,
     pauli_tableau,
+    quotient_group,
+    sample_choice_counts,
     sample_uniform,
 )
 from cliffrb.errors import ErrorModel, expected_sequence_fidelity
 from cliffrb.gates import get_gate
 from cliffrb.pauli import PauliChannel, PauliOperator, enumerate_paulis
 from cliffrb.protocol import (
+    _draw_index,
     _general_simulator,
     _table_simulator,
     sequence_factory,
@@ -125,6 +135,69 @@ def test_word_block_draw_identity():
         block.integers(0, 1 << 32, size=used, dtype=np.uint32)
         assert block.bit_generator.state == scalar.bit_generator.state
         assert block.binomial(200, 0.7) == scalar.binomial(200, 0.7)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sampler_draw_widths_are_fixed(n):
+    """Step k draws its X image from 2(n-k) bits, again only while the draw
+    is 0, then its Z image from 2(n-k)-1 bits, whatever came before; so the
+    table path can read a step's draws at fixed widths."""
+    widths = [(2 * (n - k), 2 * (n - k) - 1) for k in range(n)]
+    for (cx, cz), (wx, wz) in zip(sample_choice_counts(n), widths):
+        assert cx == 2 * (2 ** wx - 1) and cz == 2 * 2 ** wz
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        record = []
+
+        def draw(nbits):
+            record.append((nbits, _rand_bits(rng, nbits)))
+            return record[-1][1]
+
+        _sample_images(n, draw)
+        draws = iter(record)
+        for wx, wz in widths:
+            while True:
+                width, value = next(draws)
+                assert width == wx
+                if value:
+                    break
+            assert next(draws)[0] == wz
+        assert next(draws, None) is None
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_draw_index_is_a_bijection(n):
+    """The keys whose X draws are all nonzero give each quotient element
+    once; every other key holds len(elements)."""
+    widths, index = _draw_index(n)
+    order = len(quotient_group(n).elements)
+    assert len(index) == 2 ** sum(widths)
+    valid = []
+    for key, element in enumerate(index):
+        shift, fields = sum(widths), []
+        for w in widths:  # first draw highest
+            shift -= w
+            fields.append(key >> shift & (2 ** w - 1))
+        if all(fields[::2]):
+            valid.append(element)
+        else:
+            assert element == order
+    assert sorted(valid) == list(range(order))
+
+
+def test_no_table_built_at_import():
+    """`import cliffrb.cli` builds neither the quotient group nor the draw
+    index, so a command that needs neither does not pay for them."""
+    code = ("import cliffrb.cli\n"
+            "from cliffrb.clifford import quotient_group\n"
+            "from cliffrb.protocol import _draw_index\n"
+            "print(quotient_group.cache_info().currsize,"
+            " _draw_index.cache_info().currsize)")
+    src = str(Path(cliffrb.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.split() == ["0", "0"]
 
 
 def _models(n):
