@@ -195,7 +195,7 @@ def test_no_table_built_at_import():
             " _draw_index.cache_info().currsize)")
     src = str(Path(cliffrb.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
+                         text=True, check=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.split() == ["0", "0"]
 
