@@ -33,7 +33,7 @@ from .decomp import (
     cayley_search,
     translate_sequence,
 )
-from .errors import ErrorModel
+from .errors import DEFAULT_QUBIT_CAP, ErrorModel
 from .gates import GateSet, get_gate, sequence_tableau
 from .pauli import DEPOLARIZING_MAX_QUBITS, PauliChannel
 from .protocol import (
@@ -227,6 +227,7 @@ _pretty = click.option("--pretty", is_flag=True,
                        help="Also print a human-readable rendering.")
 _positive = click.IntRange(min=1)
 _group_size = click.IntRange(1, bounds.MAX_QUBITS)
+_measured = click.IntRange(1, DEFAULT_QUBIT_CAP)  # simulate measures them all
 _input_file = click.Path(exists=True, dir_okay=False)
 _seed_opt = click.option("--seed", type=int, default=None,
                          help="Master seed (generated and printed if omitted).")
@@ -396,7 +397,7 @@ def _depolarizing(n: int, p: float, option: str) -> PauliChannel:
 @main.command("simulate")
 @click.option("--protocol", type=click.Choice(["exact", "interleaved"]),
               default="exact")
-@click.option("--n", "n", type=_positive, required=True)
+@click.option("--n", "n", type=_measured, required=True)
 @click.option("--lengths", required=True)
 @click.option("--n-seq", type=_positive, default=10)
 @click.option("--shots", type=_positive, default=100)

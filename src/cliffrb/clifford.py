@@ -30,16 +30,16 @@ search, dense twirls, twirl subgroups) applies a Clifford to Pauli labels.
 
 At n <= 2 the Pauli quotient of the group (6 or 720 elements) is held as
 arrays: `quotient_group(n)` builds, on first use, one record of its
-elements, a key index, every element's Pauli-label images and the product
-table.  `bounds` reads it; so does the RB table path, whose draw index
-(`protocol._draw_index`) is built apart from it, on its own first use.
+elements, a key index, every element's Pauli-label images, the product
+table and the RB table path's draw index, all from `_walk`, the one walk
+over the uniform sampler's draws.  `bounds` reads it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -400,19 +400,16 @@ def _rand_bits(rng, nbits: int) -> int:
 
 def _xor_combo(basis: Sequence[int], index: int) -> int:
     v = 0
-    b = 0
-    while index:
+    for b in basis:
         if index & 1:
-            v ^= basis[b]
+            v ^= b
         index >>= 1
-        b += 1
     return v
 
 
 # Bounded, so sampling at large n, where no system repeats, holds little:
-# all 4 systems met at n = 1 and the 16 of the first step at n = 2 stay,
-# while the other 480 at n = 2 (about 0.3 kB each) cycle through the rest.
-@lru_cache(maxsize=64)
+# all 4 systems met at n = 1 and all 496 at n = 2 (about 0.3 kB each) stay.
+@lru_cache(maxsize=512)
 def _choice_space(constraints: Tuple[Tuple[int, int], ...], nbits: int
                   ) -> Tuple[int, Tuple[int, ...]]:
     """`_solve_affine` of one sampler step, memoised: at small n the
@@ -421,22 +418,34 @@ def _choice_space(constraints: Tuple[Tuple[int, int], ...], nbits: int
     return particular, tuple(basis)
 
 
+def _draw_widths(n: int) -> List[Tuple[int, int]]:
+    """Bit widths of the sampler's (X, Z) image draws, step by step: step k
+    meets 2k independent constraints, whatever was drawn before, so only the
+    all-zero X draw gives no image (it is the one draw the sampler repeats)."""
+    return [(2 * k, 2 * k - 1) for k in range(n, 0, -1)]
+
+
+def _sample_step(constraints: Tuple[Tuple[int, int], ...], n: int, dx: int,
+                 dz: int) -> Tuple[int, int, Tuple[Tuple[int, int], ...]]:
+    """One sampler step: C(X_k) and C(Z_k) named by the draws dx (nonzero)
+    and dz, and the constraints extended by both."""
+    _, basis = _choice_space(constraints, 2 * n)
+    vx = _xor_combo(basis, dx)
+    fx = _flip(vx, n)
+    part, basis_z = _choice_space(constraints + ((fx, 1),), 2 * n)
+    vz = part ^ _xor_combo(basis_z, dz)
+    return vx, vz, constraints + ((fx, 0), (_flip(vz, n), 0))
+
+
 def _sample_images(n: int, draw) -> Tuple[int, ...]:
     """The 2n packed images of `sample_uniform`, with every random index
     taken from ``draw(nbits)``, a uniform nbits-bit integer."""
-    constraints: Tuple[Tuple[int, int], ...] = ()
-    xi: List[int] = []
-    zi: List[int] = []
-    for k in range(n):
-        _, basis = _choice_space(constraints, 2 * n)
-        while True:
-            vx = _xor_combo(basis, draw(len(basis)))
-            if vx:
-                break
-        fx = _flip(vx, n)
-        part, basis_z = _choice_space(constraints + ((fx, 1),), 2 * n)
-        vz = part ^ _xor_combo(basis_z, draw(len(basis_z)))
-        constraints += ((fx, 0), (_flip(vz, n), 0))
+    constraints, xi, zi = (), [], []
+    for wx, wz in _draw_widths(n):
+        dx = draw(wx)
+        while not dx:
+            dx = draw(wx)
+        vx, vz, constraints = _sample_step(constraints, n, dx, draw(wz))
         xi.append(vx)
         zi.append(vz)
     return tuple(xi + zi)
@@ -456,44 +465,38 @@ def sample_uniform(n: int, rng) -> CliffordTableau:
     return CliffordTableau(n, vecs, _rand_bits(rng, 2 * n))
 
 
+def _walk(n: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+    """(key, images) of every sign-free element of C_n: its one sequence of
+    valid sampler draws (Koenig & Smolin, arXiv:1406.2170) packed into a key,
+    first draw highest, and its 2n images.  X draws run over their nonzero
+    values, Z draws over all, each in Gray order; steps share their prefix."""
+    widths = _draw_widths(n)
+
+    def rec(k, constraints, key, xi, zi):
+        wx, wz = widths[k]
+        for i in range(1, 1 << wx):
+            for j in range(1 << wz):
+                dx, dz = i ^ i >> 1, j ^ j >> 1
+                vx, vz, ext = _sample_step(constraints, n, dx, dz)
+                step = (key << wx | dx) << wz | dz, xi + (vx,), zi + (vz,)
+                if k + 1 < n:
+                    yield from rec(k + 1, ext, *step)
+                else:  # the last step yields at once: no generator per leaf
+                    yield step[0], step[1] + step[2]
+
+    return rec(0, (), 0, (), ())
+
+
 def enumerate_group(n: int, quotient: bool = False) -> List[CliffordTableau]:
     """Complete deduplicated list of C_n (or its Pauli quotient).
 
-    Enumerates the per-step symplectic image choices directly (the same
-    choice sets the uniform sampler draws from), which is far faster than
-    generator closure at the largest supported size.
+    Every sign-free element of `_walk`, in its order, times every sign
+    pattern; far faster than generator closure at the largest size.
     """
     if (quotient and n > 3) or (not quotient and n > 2):
         raise ValueError(f"group too large to enumerate (n={n}, quotient={quotient})")
-    out: List[CliffordTableau] = []
-    sign_patterns = [0] if quotient else list(range(1 << (2 * n)))
-    xi: List[int] = []
-    zi: List[int] = []
-
-    def rec(k: int) -> None:
-        if k == n:
-            vecs = tuple(xi + zi)
-            for s in sign_patterns:
-                out.append(CliffordTableau(n, vecs, s))
-            return
-        constraints = [(_flip(v, n), 0) for pair in zip(xi, zi) for v in pair]
-        _, basis = _solve_affine(constraints, 2 * n)
-        vx = 0
-        for i in range(1, 1 << len(basis)):
-            vx ^= basis[(i & -i).bit_length() - 1]  # Gray-code walk
-            part, basis_z = _solve_affine(constraints + [(_flip(vx, n), 1)], 2 * n)
-            vz = part
-            xi.append(vx)
-            zi.append(vz)
-            rec(k + 1)
-            for j in range(1, 1 << len(basis_z)):
-                vz ^= basis_z[(j & -j).bit_length() - 1]
-                zi[-1] = vz
-                rec(k + 1)
-            xi.pop()
-            zi.pop()
-
-    rec(0)
+    signs = range(1 if quotient else 1 << (2 * n))
+    out = [CliffordTableau(n, vecs, s) for _, vecs in _walk(n) for s in signs]
     assert len(out) == group_order(n, quotient)
     return out
 
@@ -519,6 +522,7 @@ class QuotientGroup(NamedTuple):
     index: np.ndarray   # key -> element index; len(elements) for no element
     images: np.ndarray  # [i, v]: image label of Pauli label v under element i
     table: np.ndarray   # [i, j]: index of element i applied after element j
+    draws: List[int]    # `_walk` key -> element index, or len(elements)
 
     def index_of(self, tab: CliffordTableau) -> int:
         """Index of the element tab is a signed form of."""
@@ -531,8 +535,12 @@ class QuotientGroup(NamedTuple):
 def quotient_group(n: int) -> QuotientGroup:
     """The Pauli quotient of C_n as arrays, built on first use; callers keep
     n <= QUOTIENT_TABLE_MAX_QUBITS."""
-    elements = tuple(enumerate_group(n, quotient=True))
-    vecs = np.array([tab.vecs for tab in elements], dtype=np.uint8)
+    keys, vecs = zip(*_walk(n))
+    elements = tuple(CliffordTableau(n, v) for v in vecs)
+    draws = [len(elements)] * (1 << sum(map(sum, _draw_widths(n))))
+    for i, key in enumerate(keys):
+        draws[key] = i
+    vecs = np.array(vecs, dtype=np.uint8)
     # sign-free images are GF(2)-linear: label v maps to the XOR of the
     # images of its bits
     images = np.zeros((len(elements), 4 ** n), dtype=np.uint8)
@@ -543,7 +551,7 @@ def quotient_group(n: int) -> QuotientGroup:
     index[_keys(vecs.T[::-1], n)] = np.arange(len(elements))
     # the images of element i o j are element i's images of element j's
     table = index[_keys((images[:, col] for col in vecs.T[::-1]), n)]
-    return QuotientGroup(elements, index, images, table)
+    return QuotientGroup(elements, index, images, table, draws)
 
 
 # ---------------------------------------------------------------------------

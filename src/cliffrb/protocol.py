@@ -16,9 +16,8 @@ Three sequence families:
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -27,8 +26,8 @@ from .clifford import (
     QUOTIENT_TABLE_MAX_QUBITS,
     CliffordTableau,
     GateSequence,
+    _draw_widths,
     _rand_bits,
-    _sample_images,
     clifford_compose,
     clifford_inverse,
     pauli_tableau,
@@ -287,36 +286,13 @@ def sequence_factory(protocol: str, n: int,
 #
 # At n <= 2 a step's sign-free part is one of the 6 or 720 elements of the
 # quotient group, and a sequence's fidelity depends on nothing else.  The
-# sampler's image draws have fixed widths, since step k meets 2k independent
-# constraints: 2(n-k) bits for the X image, drawn again only while 0 (an
-# independent basis maps no other draw to 0), then 2(n-k)-1 for the Z image.
-# So a step's draws name its element through `_draw_index(n)`.  The table
-# path keeps the running product as a product-table lookup and reads the
-# measured operators carried back to each stage as Pauli-label images.  It
-# makes the same draws, the same λ lookups and the same float products in
-# the same order as the general path, so its fidelities and generator states
-# are bit for bit the general path's.
-
-
-@lru_cache(maxsize=None)
-def _draw_index(n: int) -> Tuple[Tuple[int, ...], List[int]]:
-    """(widths, index): the widths of a uniform step's image draws, X then
-    Z qubit by qubit, and the element index of every key that packs such
-    draws, first draw highest; a key with a zero X draw holds len(elements).
-    """
-    widths = tuple(w for k in range(n, 0, -1) for w in (2 * k, 2 * k - 1))
-    group = quotient_group(n)
-    index = []
-    # lexicographic draws are ascending keys and walk X-major, so each
-    # constraint system of `_sample_images` is solved once
-    for values in itertools.product(*(range(1 << w) for w in widths)):
-        if not all(values[::2]):
-            index.append(len(group.elements))
-            continue
-        draws = iter(values)
-        index.append(group.index_of(CliffordTableau(
-            n, _sample_images(n, lambda nbits: next(draws)))))
-    return widths, index
+# sampler's image draws have fixed widths (`clifford._draw_widths`), so a
+# step's valid draws pack into one key, which `group.draws` maps to its
+# element.  The running product is a product-table lookup, and the measured
+# operators carried back to each stage are Pauli-label images.  The path
+# makes the same draws, λ lookups and float products in the same order as
+# the general path, so its fidelities and generator states are bit for bit
+# the general path's.
 
 
 _Simulator = Callable[[int, np.random.Generator], float]
@@ -339,10 +315,10 @@ def _table_simulator(protocol: str, n: int, model: ErrorModel,
     group = quotient_group(n)
     rows = group.images.tolist()
     product = group.table.item
-    widths, step_index = _draw_index(n)
-    # (X width, X shift, Z width, Z shift) of each qubit's draws: a k-bit
+    draw_index = group.draws
+    # (X width, X shift, Z width, Z shift) of each step's draws: a k-bit
     # draw is its word shifted right by 32 - k
-    reads = [(w, 32 - w, w - 1, 33 - w) for w in widths[::2]]
+    reads = [(wx, 32 - wx, wz, 32 - wz) for wx, wz in _draw_widths(n)]
 
     def lam(ch) -> List[float]:  # λ of every Pauli label
         return [ch.eigenvalue(v) for v in range(4 ** n)]
@@ -363,19 +339,19 @@ def _table_simulator(protocol: str, n: int, model: ErrorModel,
     def simulate(l: int, rng: np.random.Generator) -> float:
         # each k-bit draw is the top k bits of the next word of a uint32
         # block (numpy's power-of-two draws never reject, and no draw here
-        # has width 0); blocks of 4 words a step are drawn ahead as needed,
-        # then rewound to the words used
+        # has width 0); blocks of 2n + 2 words a step are drawn ahead as
+        # needed, then rewound to the words used
         bits = rng.bit_generator
         state = bits.state
-        words = rng.integers(0, 1 << 32, size=4 * (l + 1),
-                             dtype=np.uint32).tolist()
+        block = (2 * n + 2) * (l + 1)
+        words = rng.integers(0, 1 << 32, size=block, dtype=np.uint32).tolist()
         used = 0
 
         def draw(nbits: int) -> int:  # leaves a step's 2n image words ahead
             nonlocal used
             used += 1
             if len(words) - used < 2 * n:
-                words.extend(rng.integers(0, 1 << 32, size=4 * (l + 1),
+                words.extend(rng.integers(0, 1 << 32, size=block,
                                           dtype=np.uint32).tolist())
             return words[used - 1] >> (32 - nbits)
 
@@ -390,7 +366,7 @@ def _table_simulator(protocol: str, n: int, model: ErrorModel,
                 key = (key << wx | x) << wz | words[used + 1] >> sz
                 used += 2
             draw(2 * n)  # the step's signs leave its element unchanged
-            total = product(step_index[key], total)
+            total = product(draw_index[key], total)
             stages.append((lam_clifford, rows[total]))
             if protocol == "interleaved":
                 total = product(gate_index, total)

@@ -30,10 +30,15 @@ The per-replicate bootstrap is the loop that the batched
 `analysis.bootstrap` replaced: one `RBDataset` and one scalar
 Levenberg-Marquardt fit per replicate, drawing its counts one row at a time.
 
-The RB step kernels at the end are the forms that the memoised ones
-replaced: the uniform sampler solving every step's linear system afresh and
-drawing its bits 32 at a time in a loop, the Pauli eigenvalue summed anew on
-every call, and the compose that maps each image through `_image_sign`.
+The RB step kernels are the forms that the memoised ones replaced: the
+uniform sampler solving every step's linear system afresh and drawing its
+bits 32 at a time in a loop, the Pauli eigenvalue summed anew on every call,
+and the compose that maps each image through `_image_sign`.
+
+The group walks at the end are what the one walk over the sampler's draws
+(`clifford._walk`) replaced: `enumerate_group`'s own Gray-code recursion over
+the sampler's choice sets, and the draw index built by replaying the sampler
+on every packed draw key.
 """
 
 import heapq
@@ -775,3 +780,64 @@ def compose_by_rows(c, d):
         vecs.append(out)
         signs |= sign << i
     return CliffordTableau(c.n_qubits, tuple(vecs), signs)
+
+
+# ---------------------------------------------------------------------------
+# group walks (enumeration and the draw index)
+
+
+def enumerate_group_recursive(n, quotient=False):
+    """clifford.enumerate_group as a Gray-code recursion over the per-step
+    image choices, solving each step's linear systems afresh."""
+    out = []
+    sign_patterns = [0] if quotient else list(range(1 << (2 * n)))
+    xi = []
+    zi = []
+
+    def rec(k):
+        if k == n:
+            vecs = tuple(xi + zi)
+            for s in sign_patterns:
+                out.append(CliffordTableau(n, vecs, s))
+            return
+        constraints = [(packed._flip(v, n), 0)
+                       for pair in zip(xi, zi) for v in pair]
+        _, basis = packed._solve_affine(constraints, 2 * n)
+        vx = 0
+        for i in range(1, 1 << len(basis)):
+            vx ^= basis[(i & -i).bit_length() - 1]  # Gray-code walk
+            part, basis_z = packed._solve_affine(
+                constraints + [(packed._flip(vx, n), 1)], 2 * n)
+            vz = part
+            xi.append(vx)
+            zi.append(vz)
+            rec(k + 1)
+            for j in range(1, 1 << len(basis_z)):
+                vz ^= basis_z[(j & -j).bit_length() - 1]
+                zi[-1] = vz
+                rec(k + 1)
+            xi.pop()
+            zi.pop()
+
+    rec(0)
+    return out
+
+
+def replay_draws(n):
+    """The sign-free tableau named by every packed draw key (first draw
+    highest, X then Z width for each step), found by running
+    `_sample_images` on the key's draws; None where an X draw is 0."""
+    widths = [w for k in range(n, 0, -1) for w in (2 * k, 2 * k - 1)]
+    out = []
+    for key in range(1 << sum(widths)):
+        shift, values = sum(widths), []
+        for w in widths:
+            shift -= w
+            values.append(key >> shift & ((1 << w) - 1))
+        if not all(values[::2]):
+            out.append(None)
+            continue
+        draws = iter(values)
+        out.append(CliffordTableau(
+            n, packed._sample_images(n, lambda nbits: next(draws))))
+    return out

@@ -10,6 +10,7 @@ from cliffrb.cli import main
 from cliffrb.clifford import CliffordTableau
 from cliffrb.gates import sequence_tableau
 from cliffrb.clifford import GateSequence
+from cliffrb.errors import DEFAULT_QUBIT_CAP
 from cliffrb.pauli import DEPOLARIZING_MAX_QUBITS
 
 
@@ -272,6 +273,19 @@ class TestBadInput:
             assert "the limit is" in assert_usage_error(
                 common + ["--error-model", str(path)], "--error-model")
         assert not (tmp_path / "d.csv").exists()
+
+    def test_simulate_more_qubits_than_measured_cap(self, tmp_path):
+        # both protocols measure every qubit, and the fidelity sum runs over
+        # at most DEFAULT_QUBIT_CAP measured Paulis
+        n = DEFAULT_QUBIT_CAP + 1
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"default": {
+            "type": "pauli", "weights": {"X" + "I" * (n - 1): 0.01}}}))
+        assert_usage_error(["simulate", "--n", str(n), "--lengths", "1",
+                            "--n-seq", "1", "--error-model", str(path),
+                            "--seed", "1", "-o", str(tmp_path / "o.csv")],
+                           "'--n'")
+        assert not (tmp_path / "o.csv").exists()
 
     def test_bad_lengths(self, tmp_path):
         # a repeated length would be written twice with the same seq_index

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from cliffrb.clifford import (
     CliffordTableau,
     GateSequence,
@@ -119,6 +120,23 @@ class TestEnumerate:
     def test_resource_guard(self):
         with pytest.raises(ValueError):
             enumerate_group(3, quotient=False)
+
+    @pytest.mark.parametrize("quotient", [False, True])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_order_matches_recursion(self, n, quotient):
+        """The elements come in the order of the recursion the walk over the
+        sampler's draws replaced: `bounds` sums in it and `enumerate
+        --elements` prints it."""
+        assert (enumerate_group(n, quotient=quotient)
+                == oracles.enumerate_group_recursive(n, quotient=quotient))
+
+    @pytest.mark.slow
+    def test_three_qubit_quotient_order_matches_recursion(self):
+        # n and the signs are fixed, so the images name each element; one
+        # list of 1.45 million tableaux is held at a time
+        want = [t.vecs for t in
+                oracles.enumerate_group_recursive(3, quotient=True)]
+        assert [t.vecs for t in enumerate_group(3, quotient=True)] == want
 
     def test_one_transitivity(self):
         # |{C : C(P_i) = ±P_j}| is the same constant over all non-identity i, j

@@ -17,6 +17,8 @@ import pytest
 import cliffrb
 import oracles
 from cliffrb.clifford import (
+    _choice_space,
+    _draw_widths,
     _rand_bits,
     _sample_images,
     clifford_compose,
@@ -31,9 +33,9 @@ from cliffrb.errors import ErrorModel, expected_sequence_fidelity
 from cliffrb.gates import get_gate
 from cliffrb.pauli import PauliChannel, PauliOperator, enumerate_paulis
 from cliffrb.protocol import (
-    _draw_index,
     _general_simulator,
     _table_simulator,
+    gen_exact_sequence,
     sequence_factory,
 )
 
@@ -169,7 +171,7 @@ def test_sampler_draw_widths_are_fixed(n):
 def test_draw_index_is_a_bijection(n):
     """The keys whose X draws are all nonzero give each quotient element
     once; every other key holds len(elements)."""
-    widths, index = _draw_index(n)
+    widths, index = sum(_draw_widths(n), ()), quotient_group(n).draws
     order = len(quotient_group(n).elements)
     assert len(index) == 2 ** sum(widths)
     valid = []
@@ -185,14 +187,63 @@ def test_draw_index_is_a_bijection(n):
     assert sorted(valid) == list(range(order))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_draw_index_matches_sampler_replay(n):
+    """Running the sampler on each key's draws gives the element that the
+    record's draw index names for that key."""
+    group = quotient_group(n)
+    replay = oracles.replay_draws(n)
+    assert len(replay) == len(group.draws)
+    for key, tab in enumerate(replay):
+        if tab is None:
+            assert group.draws[key] == len(group.elements)
+        else:
+            assert group.elements[group.draws[key]] == tab
+
+
+def test_choice_space_holds_two_qubit_systems():
+    """The memo keeps all 496 constraint systems of the n = 2 sampler, so
+    the general path solves each at most once."""
+    _choice_space.cache_clear()
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        gen_exact_sequence(2, 20, rng)
+    assert _choice_space.cache_info().misses <= 496
+
+
+class _BlockCounter:
+    """A generator that counts its `integers` calls with a size."""
+
+    def __init__(self, rng):
+        self.rng, self.bit_generator, self.sized = rng, rng.bit_generator, 0
+
+    def integers(self, *args, size=None, **kwargs):
+        self.sized += size is not None
+        return self.rng.integers(*args, size=size, **kwargs)
+
+
+def test_word_block_holds_a_two_qubit_sequence():
+    """The table path's first word block almost always holds every draw of
+    an n = 2 sequence; the last sized call is the rewind."""
+    model = ErrorModel(PauliChannel.depolarizing(2, 0.01))
+    simulate = _table_simulator("exact", 2, model, None)
+    blocks = []
+    for l in (1, 2, 5, 17, 64):
+        for seed in range(20):
+            rng = _BlockCounter(np.random.default_rng([seed, l]))
+            simulate(l, rng)
+            blocks.append(rng.sized - 1)
+    assert np.mean(blocks) <= 1.1
+
+
 def test_no_table_built_at_import():
     """`import cliffrb.cli` builds neither the quotient group nor the draw
     index, so a command that needs neither does not pay for them."""
     code = ("import cliffrb.cli\n"
             "from cliffrb.clifford import quotient_group\n"
-            "from cliffrb.protocol import _draw_index\n"
+            "from cliffrb.clifford import _choice_space\n"
             "print(quotient_group.cache_info().currsize,"
-            " _draw_index.cache_info().currsize)")
+            " _choice_space.cache_info().currsize)")
     src = str(Path(cliffrb.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120,
