@@ -478,11 +478,11 @@ def _walk(n: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
             for j in range(1 << wz):
                 dx, dz = i ^ i >> 1, j ^ j >> 1
                 vx, vz, ext = _sample_step(constraints, n, dx, dz)
-                step = (key << wx | dx) << wz | dz, xi + (vx,), zi + (vz,)
+                key_k = (key << wx | dx) << wz | dz
                 if k + 1 < n:
-                    yield from rec(k + 1, ext, *step)
+                    yield from rec(k + 1, ext, key_k, xi + (vx,), zi + (vz,))
                 else:  # the last step yields at once: no generator per leaf
-                    yield step[0], step[1] + step[2]
+                    yield key_k, xi + (vx,) + zi + (vz,)
 
     return rec(0, (), 0, (), ())
 
