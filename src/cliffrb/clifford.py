@@ -24,9 +24,13 @@ Conjugating packed rows by a named one- or two-qubit gate does not need a
 full tableau product (Aaronson & Gottesman, quant-ph/0406196): the gate only
 rewrites the 2 or 4 bits of each row on its qubits and flips the row's sign.
 `_local_table` tabulates that rewrite for every local (x, z) pattern and
-`_local_update` applies it to a list of rows in place, O(rows) per gate.
-The same table of a whole small tableau is how the group layer (Cayley
-search, dense twirls, twirl subgroups) applies a Clifford to Pauli labels.
+`_local_update` applies it to a list of rows in place, O(rows) per gate;
+the Cayley search moves its rows by the same table of an embedded gate.
+`_label_tables` builds the tables of a whole list of small tableaux at
+once, as two uint8 arrays of image labels and sign flips, by running
+`_image`'s recurrence across the list; it is how the dense twirls, the
+twirl-set check and the quotient record apply many Cliffords to Pauli
+labels.
 
 At n <= 2 the Pauli quotient of the group (6 or 720 elements) is held as
 arrays: `quotient_group(n)` builds, on first use, one record of its
@@ -341,9 +345,10 @@ def group_order(n: int, quotient: bool = False) -> int:
 
 
 def sample_choice_counts(n: int) -> List[Tuple[int, int]]:
-    """Per-step (X-image, Z-image) choice-set sizes of the uniform sampler;
-    their product is exactly group_order(n)."""
-    return [(2 * (4 ** (n - k + 1) - 1), 4 * 4 ** (n - k)) for k in range(1, n + 1)]
+    """Per-step (X-image, Z-image) choice-set sizes of the uniform sampler,
+    its nonzero X draws and all its Z draws, each with either sign; their
+    product is exactly group_order(n)."""
+    return [(2 * ((1 << wx) - 1), 1 << (wz + 1)) for wx, wz in _draw_widths(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -425,16 +430,22 @@ def _draw_widths(n: int) -> List[Tuple[int, int]]:
     return [(2 * k, 2 * k - 1) for k in range(n, 0, -1)]
 
 
-def _sample_step(constraints: Tuple[Tuple[int, int], ...], n: int, dx: int,
-                 dz: int) -> Tuple[int, int, Tuple[Tuple[int, int], ...]]:
-    """One sampler step: C(X_k) and C(Z_k) named by the draws dx (nonzero)
-    and dz, and the constraints extended by both."""
-    _, basis = _choice_space(constraints, 2 * n)
-    vx = _xor_combo(basis, dx)
-    fx = _flip(vx, n)
-    part, basis_z = _choice_space(constraints + ((fx, 1),), 2 * n)
-    vz = part ^ _xor_combo(basis_z, dz)
-    return vx, vz, constraints + ((fx, 0), (_flip(vz, n), 0))
+def _step_x(constraints: Tuple[Tuple[int, int], ...], n: int, dx: int
+            ) -> Tuple[int, Tuple[int, Tuple[int, ...]]]:
+    """X half of one sampler step: C(X_k) named by the nonzero draw dx, and
+    the choice space of C(Z_k), which must also anticommute with it."""
+    vx = _xor_combo(_choice_space(constraints, 2 * n)[1], dx)
+    return vx, _choice_space(constraints + ((_flip(vx, n), 1),), 2 * n)
+
+
+def _step_z(constraints: Tuple[Tuple[int, int], ...], n: int, vx: int,
+            space: Tuple[int, Tuple[int, ...]], dz: int
+            ) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
+    """Z half: C(Z_k) named by the draw dz in `_step_x`'s space, and the
+    constraints extended by both images."""
+    part, basis = space
+    vz = part ^ _xor_combo(basis, dz)
+    return vz, constraints + ((_flip(vx, n), 0), (_flip(vz, n), 0))
 
 
 def _sample_images(n: int, draw) -> Tuple[int, ...]:
@@ -445,7 +456,8 @@ def _sample_images(n: int, draw) -> Tuple[int, ...]:
         dx = draw(wx)
         while not dx:
             dx = draw(wx)
-        vx, vz, constraints = _sample_step(constraints, n, dx, draw(wz))
+        vx, space = _step_x(constraints, n, dx)
+        vz, constraints = _step_z(constraints, n, vx, space, draw(wz))
         xi.append(vx)
         zi.append(vz)
     return tuple(xi + zi)
@@ -469,15 +481,18 @@ def _walk(n: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
     """(key, images) of every sign-free element of C_n: its one sequence of
     valid sampler draws (Koenig & Smolin, arXiv:1406.2170) packed into a key,
     first draw highest, and its 2n images.  X draws run over their nonzero
-    values, Z draws over all, each in Gray order; steps share their prefix."""
+    values, Z draws over all, each in Gray order; steps share their prefix,
+    and each X draw solves its Z choice space once."""
     widths = _draw_widths(n)
 
     def rec(k, constraints, key, xi, zi):
         wx, wz = widths[k]
         for i in range(1, 1 << wx):
+            dx = i ^ i >> 1
+            vx, space = _step_x(constraints, n, dx)
             for j in range(1 << wz):
-                dx, dz = i ^ i >> 1, j ^ j >> 1
-                vx, vz, ext = _sample_step(constraints, n, dx, dz)
+                dz = j ^ j >> 1
+                vz, ext = _step_z(constraints, n, vx, space, dz)
                 key_k = (key << wx | dx) << wz | dz
                 if k + 1 < n:
                     yield from rec(k + 1, ext, key_k, xi + (vx,), zi + (vz,))
@@ -541,12 +556,7 @@ def quotient_group(n: int) -> QuotientGroup:
     for i, key in enumerate(keys):
         draws[key] = i
     vecs = np.array(vecs, dtype=np.uint8)
-    # sign-free images are GF(2)-linear: label v maps to the XOR of the
-    # images of its bits
-    images = np.zeros((len(elements), 4 ** n), dtype=np.uint8)
-    for v in range(1, 4 ** n):
-        low = v & -v
-        images[:, v] = images[:, v ^ low] ^ vecs[:, low.bit_length() - 1]
+    images, _ = _label_tables(elements)
     index = np.full(1 << (4 * n * n), len(elements), dtype=np.uint16)
     index[_keys(vecs.T[::-1], n)] = np.arange(len(elements))
     # the images of element i o j are element i's images of element j's
@@ -582,6 +592,50 @@ def _local_table(t: CliffordTableau) -> Tuple[Tuple[int, int], ...]:
     factor-form Pauli k.  For a named gate it is the local update table; for
     a whole tableau it is its action on every Pauli label."""
     return tuple(_image_sign(t, k, 0) for k in range(4 ** t.n_qubits))
+
+
+# popcount of every uint8: the label tables' exponents count at most n bits
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+
+def _label_tables(tabs: Sequence[CliffordTableau]
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """`_local_table` of every tableau in tabs at once, as two uint8 arrays
+    of shape (len(tabs), 4^n): the image labels and the sign flips.
+
+    Each label v is one step of `_image`'s recurrence, run across all
+    tableaux at once: label v is the label without its highest bit times
+    the image of that bit, and the X^x Z^z exponent, held mod 4 (uint8 wraps mod 256), adds
+    the row's Y count, two for each Z of the product so far met by an X of
+    the row, and two for the row's sign bit."""
+    n = tabs[0].n_qubits
+    if any(t.n_qubits != n for t in tabs):
+        raise ValueError("tableaux act on different numbers of qubits")
+    if n > 4:
+        raise ValueError(f"label tables hold 2n <= 8 bits (n={n})")
+    # rows[b, g] is the packed image of bit b under tableau g; the arrays
+    # are built label-major, so each step reads and writes contiguous rows
+    rows = np.array([t.vecs for t in tabs], dtype=np.uint8).T
+    signs = np.array([t.signs for t in tabs])
+    row_exps = (_POPCOUNT[rows & rows >> n] + 2 * (
+        signs >> np.arange(2 * n)[:, None] & 1)).astype(np.uint8)
+    images = np.zeros((4 ** n, len(tabs)), dtype=np.uint8)
+    exps = np.zeros_like(images)
+    flips = np.zeros_like(images)
+    for v in range(1, 4 ** n):
+        bit = v.bit_length() - 1
+        acc, row = images[v ^ 1 << bit], rows[bit]
+        exps[v] = (exps[v ^ 1 << bit] + row_exps[bit]
+                   + 2 * _POPCOUNT[acc >> n & row])
+        images[v] = acc ^ row
+        # the phase-0 factor-form Pauli v starts at e = popcount(y(v)); the
+        # factor-form phase of the image drops its popcount(y)
+        flips[v] = (exps[v] + (v & v >> n).bit_count()
+                    - _POPCOUNT[images[v] & images[v] >> n])
+    if np.any(flips & 1):
+        raise ValueError("invalid tableau: image has imaginary phase")
+    return np.ascontiguousarray(images.T), np.ascontiguousarray(
+        (flips >> 1 & 1).T)
 
 
 def _local_update(vecs: List[int], signs: int, n: int,

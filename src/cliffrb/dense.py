@@ -6,11 +6,12 @@ against: channels are held as 4^n x 4^n process matrices chi in the
 that normalization chi[0,0] is the entanglement fidelity with the identity,
 which keeps the depolarization and fidelity formulas short.
 
-Every change of representation is one contraction with the cached stack of
-the 4^n basis matrices (shape 4^n x 2^n x 2^n); the loop forms over the 16^n
-Pauli pairs are kept as oracles in tests/oracles.py.  A Clifford acts on the
-basis as the signed permutation of Pauli labels given by its
-`clifford._local_table`.
+The natural representation is one basis change by the cached (d^2, 4^n)
+matrix V whose column m is vec(P_m), and Kraus operators and states meet the
+cached stack of the 4^n basis matrices; the loop forms over the 16^n Pauli
+pairs are kept as oracles in tests/oracles.py.  A Clifford acts on the basis
+as the signed permutation of Pauli labels given by its
+`clifford._label_tables` row, and a twirl reads the rows of its whole set.
 
 Basis ordering: Pauli index m = x_mask | (z_mask << n), so m = 0 is the
 identity; state index bit j is qubit j (qubit 0 = low-order bit).
@@ -24,7 +25,7 @@ from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .clifford import CliffordTableau, _local_table, _unpack
+from .clifford import CliffordTableau, _label_tables, _unpack
 from .pauli import PauliChannel, PauliOperator
 
 _MATS = {
@@ -35,6 +36,7 @@ _MATS = {
 }
 
 MAX_QUBITS = 3
+_TWIRL_CHUNK = 1 << 14  # gathered chi entries per step of a twirl
 
 
 def dense_pauli(p: PauliOperator) -> np.ndarray:
@@ -53,12 +55,38 @@ def _basis_stack(n: int) -> np.ndarray:
     return out
 
 
-def _signed_perm(tab: CliffordTableau) -> Tuple[np.ndarray, np.ndarray]:
-    """C P_m C+ = sign[m] P_idx[m] for every basis index m."""
-    table = _local_table(tab)
-    idx = np.array([img for img, _ in table])
-    sign = 1 - 2 * np.array([flip for _, flip in table])
-    return idx, sign
+@lru_cache(maxsize=None)
+def _vec_basis(n: int) -> np.ndarray:
+    """V, shape (d^2, 4^n): column m is the column-stacked vec(P_m)."""
+    out = np.ascontiguousarray(
+        _basis_stack(n).transpose(0, 2, 1).reshape(4 ** n, -1).T)
+    out.setflags(write=False)
+    return out
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Complex a @ b as four real products.  OpenBLAS may hand a complex
+    product of 48 or more rows to its thread pool, at a flat ~16 ms per
+    call on a 2-core host; real products of these sizes stay in the caller's
+    thread and take microseconds."""
+    return (a.real @ b.real - a.imag @ b.imag) + 1j * (a.real @ b.imag
+                                                        + a.imag @ b.real)
+
+
+def _reshuffle(m: np.ndarray, d: int) -> np.ndarray:
+    """Swap the first and last of the four d-sized axes of a d^2 x d^2
+    matrix: vec(P_m) vec(P_k)+ <-> kron(P_k^T, P_m).  Its own inverse."""
+    return m.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
+
+
+def _signed_tables(tabs: Sequence[CliffordTableau], n: int
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """C P_m C+ = (-1)^flips[g, m] P_images[g, m] for the g-th tableau."""
+    images, flips = _label_tables(tabs)
+    if images.shape[1] != 4 ** n:
+        raise ValueError(f"tableaux act on {tabs[0].n_qubits} qubits, "
+                         f"the channel on {n}")
+    return images, flips
 
 
 @dataclass(frozen=True)
@@ -118,15 +146,18 @@ class DenseSuperoperator:
         """Channel rho -> C rho C+ of a Clifford, built from its signed
         Pauli permutation (no dense unitary needed)."""
         n = tab.n_qubits
-        return cls.from_natural(n, _signed_perm_natural(n, *_signed_perm(tab)))
+        images, flips = _label_tables([tab])
+        # sum_m vec(sign[m] P_idx[m]) vec(P_m)+ / d
+        v = _vec_basis(n)
+        signed = v[:, images[0]] * (1 - 2 * flips[0].astype(int))
+        return cls.from_natural(n, _matmul(signed, v.conj().T) / 2 ** n)
 
     @classmethod
     def from_natural(cls, n_qubits: int, nat: np.ndarray) -> "DenseSuperoperator":
         """chi[m, k] = tr(kron(P_k^T, P_m)+ nat) / d^2."""
         d = 2 ** n_qubits
-        b = _basis_stack(n_qubits).conj()
-        chi = np.einsum("kca,mbe,abce->mk", b, b,
-                        np.asarray(nat).reshape(d, d, d, d), optimize=True)
+        v = _vec_basis(n_qubits)
+        chi = _matmul(_matmul(v.conj().T, _reshuffle(np.asarray(nat), d)), v)
         return cls(n_qubits, chi / (d * d))
 
     # -- representations ------------------------------------------------------
@@ -134,10 +165,9 @@ class DenseSuperoperator:
     def natural(self) -> np.ndarray:
         """Matrix acting on column-stacked vec(rho):
         sum_mk chi[m, k] kron(P_k^T, P_m)."""
-        d = 2 ** self.n_qubits
-        b = _basis_stack(self.n_qubits)
-        nat = np.einsum("mk,kca,mbe->abce", self.chi, b, b, optimize=True)
-        return nat.reshape(d * d, d * d)
+        v = _vec_basis(self.n_qubits)
+        return _reshuffle(_matmul(_matmul(v, self.chi), v.conj().T),
+                          2 ** self.n_qubits)
 
     def kraus(self, tol: float = 1e-12) -> List[np.ndarray]:
         vals, vecs = np.linalg.eigh((self.chi + self.chi.conj().T) / 2)
@@ -158,7 +188,7 @@ class DenseSuperoperator:
         if self.n_qubits != other.n_qubits:
             raise ValueError("size mismatch")
         return DenseSuperoperator.from_natural(
-            self.n_qubits, self.natural() @ other.natural())
+            self.n_qubits, _matmul(self.natural(), other.natural()))
 
     def is_trace_preserving(self, tol: float = 1e-10) -> bool:
         """sum_mk chi[m, k] P_k P_m is the identity."""
@@ -168,14 +198,6 @@ class DenseSuperoperator:
 
     def distance(self, other: "DenseSuperoperator") -> float:
         return float(np.max(np.abs(self.chi - other.chi)))
-
-
-def _signed_perm_natural(n: int, idx: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """Natural representation of P_m -> sign[m] * P_idx[m] acting by
-    conjugation: sum_m vec(sign[m] P_idx[m]) vec(P_m)+ / d."""
-    # rows are the column-stacked vec(P_m)
-    vecs = _basis_stack(n).transpose(0, 2, 1).reshape(4 ** n, -1)
-    return (sign[:, None] * vecs[idx]).T @ vecs.conj() / 2 ** n
 
 
 def superoperator_trace(s: DenseSuperoperator) -> float:
@@ -196,7 +218,8 @@ def conjugate_by_tableau(s: DenseSuperoperator, tab: CliffordTableau) -> DenseSu
 
     With C P_j C+ = t_j P_f(j), C+ P_f(j) C = t_j P_j, so
     chi'[j, l] = t_j t_l chi[f(j), f(l)]."""
-    idx, sign = _signed_perm(tab)
+    images, flips = _signed_tables([tab], s.n_qubits)
+    idx, sign = images[0], 1 - 2 * flips[0].astype(int)
     return DenseSuperoperator(s.n_qubits,
                               np.outer(sign, sign) * s.chi[np.ix_(idx, idx)])
 
@@ -206,7 +229,11 @@ def group_twirl(s: DenseSuperoperator,
     """Average of C+ . s . C over a set of Cliffords, or over all Paulis when
     group == "pauli".  The Pauli twirl keeps the diagonal of chi: the signs
     t_j of conjugation by the Paulis are orthogonal characters, so the
-    average of t_j t_l is 1 if j == l and 0 otherwise."""
+    average of t_j t_l is 1 if j == l and 0 otherwise.
+
+    A Clifford set is one gather of `conjugate_by_tableau`'s summands from
+    the set's label tables, summed over chunks of at most _TWIRL_CHUNK
+    entries."""
     if isinstance(group, str):
         if group != "pauli":
             raise ValueError(f"unknown twirl group {group!r}")
@@ -214,9 +241,18 @@ def group_twirl(s: DenseSuperoperator,
     group = list(group)
     if not group:
         raise ValueError("empty twirl set")
-    acc = np.zeros_like(s.chi)
-    for tab in group:
-        acc += conjugate_by_tableau(s, tab).chi
+    images, flips = _signed_tables(group, s.n_qubits)
+    d2 = len(s.chi)
+    # t_j t_l chi[f(j), f(l)] is entry (t_j ^ t_l) d2^2 + f(j) d2 + f(l) of
+    # [chi, -chi]; the three fields hold disjoint bits, so it is one XOR of
+    # a key of j and a key of l
+    signed = np.concatenate([s.chi.ravel(), -s.chi.ravel()])
+    acc = np.zeros((d2, d2), dtype=complex)
+    step = max(1, _TWIRL_CHUNK // (d2 * d2))
+    for lo in range(0, len(group), step):
+        t = flips[lo:lo + step].astype(np.intp) * (d2 * d2)
+        f = images[lo:lo + step].astype(np.intp)
+        acc += signed[(t + f * d2)[:, :, None] ^ (t + f)[:, None, :]].sum(0)
     return DenseSuperoperator(s.n_qubits, acc / len(group))
 
 

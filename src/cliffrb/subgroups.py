@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .clifford import CliffordTableau, _local_table, _solve_affine, clifford_compose
+import numpy as np
+
+from .clifford import CliffordTableau, _label_tables, _solve_affine, clifford_compose
 from .gates import get_gate
 from .pauli import PauliOperator
 
@@ -195,10 +197,9 @@ def verify_twirl_set(k_set: Sequence[CliffordTableau]) -> bool:
     if n > 2:
         raise ValueError("verification limited to n <= 2")
     size = (1 << (2 * n)) - 1
-    counts = [[0] * size for _ in range(size)]
-    for tab in k_set:
-        table = _local_table(tab)
-        for m in range(1, size + 1):
-            counts[m - 1][table[m][0] - 1] += 1
-    want = counts[0][0]
-    return all(c == want for row in counts for c in row)
+    images, _ = _label_tables(k_set)
+    # pair (m, image of m) of non-identity labels counts in bin
+    # (m - 1) size + image - 1
+    pairs = images[:, 1:] + np.arange(size) * size - 1
+    counts = np.bincount(pairs.ravel(), minlength=size * size)
+    return bool(np.all(counts == counts[0]))

@@ -24,7 +24,8 @@ dense superoperator engine are the paths that the signed Pauli-label tables
 
 The quotient-group loops are the element-by-element `bounds` convolution
 and undetected-error probability that the product table and the image array
-replaced.
+replaced, and the image array built by GF(2) linearity, which the batched
+signed-label tables (`clifford._label_tables`) replaced.
 
 The per-replicate bootstrap is the loop that the batched
 `analysis.bootstrap` replaced: one `RBDataset` and one scalar
@@ -539,6 +540,19 @@ def _quotient_group(n):
     images = tuple(tuple(img for img, _ in packed._local_table(tab))
                    for tab in elements)
     return elements, index, images
+
+
+def quotient_images_by_linearity(n):
+    """quotient_group(n).images from the elements' packed images alone:
+    sign-free images are GF(2)-linear, so label v maps to the XOR of the
+    images of its bits."""
+    vecs = np.array([tab.vecs for tab in packed.enumerate_group(n, True)],
+                    dtype=np.uint8)
+    images = np.zeros((len(vecs), 4 ** n), dtype=np.uint8)
+    for v in range(1, 4 ** n):
+        low = v & -v
+        images[:, v] = images[:, v ^ low] ^ vecs[:, low.bit_length() - 1]
+    return images
 
 
 def group_convolve(a, b):

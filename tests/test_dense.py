@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cliffrb.clifford import enumerate_group, sample_uniform
+from cliffrb.clifford import CliffordTableau, enumerate_group, sample_uniform
 from cliffrb.dense import (
     DenseSuperoperator,
     conjugate_by_tableau,
@@ -150,6 +150,15 @@ class TestTwirls:
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
             group_twirl(DenseSuperoperator.identity(1), [])
+
+    def test_wrong_qubit_count_rejected(self):
+        s = DenseSuperoperator.identity(2)
+        one, two = CliffordTableau.identity(1), CliffordTableau.identity(2)
+        for group in ([one], [two, one], [one, two]):
+            with pytest.raises(ValueError, match="qubits"):
+                group_twirl(s, group)
+        with pytest.raises(ValueError, match="qubits"):
+            conjugate_by_tableau(s, one)
 
 
 class TestGateFidelity:

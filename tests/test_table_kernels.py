@@ -1,6 +1,7 @@
 """Cross-checks of the table-driven small-group kernels against the paths
 they replaced (kept in tests/oracles.py): the packed Cayley-graph Dijkstra,
-the stacked-basis dense contractions, the signed-permutation conjugation and
+the batched signed-label tables against the per-tableau `_local_table`, the
+basis-change dense representations, the signed-permutation conjugation and
 twirls, the image lookups of `subgroups` and `bounds`, and the `bounds`
 product table and commutation array against the element-by-element loops."""
 
@@ -18,9 +19,12 @@ from cliffrb.bounds import (
 )
 from cliffrb.clifford import (
     CliffordTableau,
+    _label_tables,
+    _local_table,
     clifford_apply,
     embed_tableau,
     enumerate_group,
+    quotient_group,
     sample_uniform,
 )
 from cliffrb.decomp import cayley_search
@@ -62,6 +66,37 @@ class TestCayleyAgainstObjectDijkstra:
         table = cayley_search(gs, n, quotient=quotient, primary_gates=primary)
         want = oracles.cayley_search_entries(gs, n, quotient, primary)
         assert table.entries == want
+
+
+def assert_tables_match(tabs):
+    images, flips = _label_tables(tabs)
+    want = np.array([_local_table(tab) for tab in tabs])
+    assert images.dtype == flips.dtype == np.uint8
+    assert np.array_equal(images, want[..., 0])
+    assert np.array_equal(flips, want[..., 1])
+
+
+class TestLabelTables:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_whole_signed_group(self, n):
+        assert_tables_match(enumerate_group(n))
+
+    def test_random_three_qubit_tableaux(self):
+        rng = np.random.default_rng(70)
+        tabs = [sample_uniform(3, rng) for _ in range(50)]
+        assert len({tab.signs for tab in tabs}) > 1
+        assert_tables_match(tabs)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_quotient_images_unchanged(self, n):
+        images = quotient_group(n).images
+        assert images.dtype == np.uint8
+        assert np.array_equal(images, oracles.quotient_images_by_linearity(n))
+
+    def test_mixed_sizes_rejected(self):
+        with pytest.raises(ValueError, match="qubits"):
+            _label_tables([CliffordTableau.identity(2),
+                           CliffordTableau.identity(1)])
 
 
 @pytest.fixture(params=[1, 2, 3])
