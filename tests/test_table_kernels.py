@@ -93,11 +93,6 @@ class TestLabelTables:
         assert images.dtype == np.uint8
         assert np.array_equal(images, oracles.quotient_images_by_linearity(n))
 
-    def test_mixed_sizes_rejected(self):
-        with pytest.raises(ValueError, match="qubits"):
-            _label_tables([CliffordTableau.identity(2),
-                           CliffordTableau.identity(1)])
-
 
 @pytest.fixture(params=[1, 2, 3])
 def channel(request):
