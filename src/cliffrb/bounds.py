@@ -90,9 +90,6 @@ class GroupDistribution:
     def support(self) -> np.ndarray:
         return np.nonzero(self.probs > 0)[0]
 
-    def prob_of(self, tab: CliffordTableau) -> float:
-        return float(self.probs[_group(self.n_qubits).index_of(tab)])
-
 
 def convolve(a: GroupDistribution, b: GroupDistribution) -> GroupDistribution:
     """Distribution of the composition (a-element applied after b-element)."""

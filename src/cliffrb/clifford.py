@@ -23,14 +23,15 @@ basis vectors plus a sign fix.
 Conjugating packed rows by a named one- or two-qubit gate does not need a
 full tableau product (Aaronson & Gottesman, quant-ph/0406196): the gate only
 rewrites the 2 or 4 bits of each row on its qubits and flips the row's sign.
-`_local_table` tabulates that rewrite for every local (x, z) pattern and
-`_local_update` applies it to a list of rows in place, O(rows) per gate;
-the Cayley search moves its rows by the same table of an embedded gate.
-`_label_tables` builds the tables of a whole list of small tableaux at
-once, as two uint8 arrays of image labels and sign flips, by running
-`_image`'s recurrence across the list; it is how the dense twirls, the
-twirl-set check and the quotient record apply many Cliffords to Pauli
-labels.
+That rewrite is the gate's signed Pauli-label table: for every local
+label x | z << m, its image label and sign flip.  `_label_tables` is the
+one builder of such tables; it takes a whole list of small tableaux at
+once and returns two uint8 arrays of image labels and sign flips, by
+running `_image`'s recurrence across the list.  `_local_update` applies
+one (images, flips) row pair to a list of rows in place, O(rows) per gate;
+the Cayley search moves its rows by the rows of the embedded gates, and
+the dense twirls, the twirl-set check and the quotient record read the
+rows of their whole sets.
 
 At n <= 2 the Pauli quotient of the group (6 or 720 elements) is held as
 arrays: `quotient_group(n)` builds, on first use, one record of its
@@ -586,22 +587,16 @@ def embed_tableau(t: CliffordTableau, positions: Sequence[int], n: int) -> Cliff
     return CliffordTableau(n, tuple(vecs), signs)
 
 
-def _local_table(t: CliffordTableau) -> Tuple[Tuple[int, int], ...]:
-    """Signed permutation of the 4^m Pauli labels under any m-qubit tableau
-    t: entry k = x | z << m is the (image label, sign flip) of the phase-0
-    factor-form Pauli k.  For a named gate it is the local update table; for
-    a whole tableau it is its action on every Pauli label."""
-    return tuple(_image_sign(t, k, 0) for k in range(4 ** t.n_qubits))
-
-
 # popcount of every uint8: the label tables' exponents count at most n bits
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
 def _label_tables(tabs: Sequence[CliffordTableau]
                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """`_local_table` of every tableau in tabs at once, as two uint8 arrays
-    of shape (len(tabs), 4^n): the image labels and the sign flips.
+    """Signed Pauli-label tables of every tableau in tabs, as two uint8
+    arrays of shape (len(tabs), 4^n): entry [g, k] is the image label and
+    the sign flip of the phase-0 factor-form Pauli k = x | z << n under
+    tableau g.
 
     Each label v is one step of `_image`'s recurrence, run across all
     tableaux at once: label v is the label without its highest bit times
@@ -639,31 +634,33 @@ def _label_tables(tabs: Sequence[CliffordTableau]
 
 
 def _local_update(vecs: List[int], signs: int, n: int,
-                  table: Sequence[Tuple[int, int]],
+                  table: Tuple[List[int], List[int]],
                   positions: Sequence[int]) -> int:
     """Conjugate the packed n-qubit rows `vecs` in place by the gate whose
-    `_local_table` is `table`, acting on `positions`; return the new sign
-    mask.  Only the gate's bits and the sign of each row change."""
+    `_label_tables` row pair is `table` = (images, flips), acting on
+    `positions`; return the new sign mask.  Only the gate's bits and the
+    sign of each row change."""
+    images, flips = table
     if len(positions) == 1:
         a, = positions
         b = a + n
         clear = ~((1 << a) | (1 << b))
-        new = [((img & 1) << a) | ((img >> 1) << b) for img, _ in table]
+        new = [((img & 1) << a) | ((img >> 1) << b) for img in images]
         for r, v in enumerate(vecs):
             k = ((v >> a) & 1) | ((v >> b) & 1) << 1
             if k:
                 vecs[r] = (v & clear) | new[k]
-                signs ^= table[k][1] << r
+                signs ^= flips[k] << r
         return signs
     a0, a1 = positions
     b0, b1 = a0 + n, a1 + n
     clear = ~((1 << a0) | (1 << a1) | (1 << b0) | (1 << b1))
     new = [((img & 1) << a0) | ((img >> 1 & 1) << a1)
-           | ((img >> 2 & 1) << b0) | ((img >> 3) << b1) for img, _ in table]
+           | ((img >> 2 & 1) << b0) | ((img >> 3) << b1) for img in images]
     for r, v in enumerate(vecs):
         k = ((v >> a0) & 1 | (v >> a1 & 1) << 1
              | (v >> b0 & 1) << 2 | (v >> b1 & 1) << 3)
         if k:
             vecs[r] = (v & clear) | new[k]
-            signs ^= table[k][1] << r
+            signs ^= flips[k] << r
     return signs

@@ -13,7 +13,7 @@ The Choi matrix is the stabilizer matrix of the 2n-qubit Choi state, so it
 is a 2n-qubit instance of `stabilizer.PackedRows`, the simulator's own row
 type: row i is X_i (x) C(X_i), row n+i is Z_i (x) C(Z_i) (left half in the
 low n bits of each mask), and elementary gates act on the right-hand n
-qubits only, through their local update tables.  Step 1 brings the
+qubits only, through their signed Pauli-label tables.  Step 1 brings the
 bottom-right block to graph-state standard form with
 `stabilizer.gssf_reduce`, the simulator's reducer, on rows offset by n.
 Quadrants are numbered clockwise from the top-left (1 = top-left block,
@@ -26,10 +26,13 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
+import numpy as np
+
 from .clifford import (
     CliffordTableau,
     GateSequence,
-    _local_table,
+    _label_tables,
+    _local_update,
     embed_tableau,
     group_order,
 )
@@ -45,8 +48,8 @@ def _pair_gate_table() -> Dict[Tuple[str, str], str]:
     """(A, B) -> palette gate g with g(A) = +-X and g(B) = +-Z."""
     table = {}
     for name in _PALETTE:
-        image = {_FACTOR[k]: img for k, (img, _) in
-                 enumerate(get_gate(name).local)}
+        image = {_FACTOR[k]: img for k, img in
+                 enumerate(get_gate(name).local[0])}
         a = next(k for k in "XYZ" if image[k] == 1)
         b = next(k for k in "XYZ" if image[k] == 2)
         table[(a, b)] = name
@@ -87,21 +90,23 @@ def cayley_search(gs: GateSet, n: int, quotient: bool = False,
 
     A node is the tuple of the 2n signed rows ``vec | sign << 2n`` of a
     tableau.  Composing a gate on the left maps every row through the gate's
-    signed Pauli-label table (`_local_table` of the embedded gate); in the
-    quotient the sign bit stays 0."""
+    signed Pauli-label table; one `_label_tables` call builds the tables of
+    all the embedded gates.  In the quotient the sign bit stays 0."""
     if n >= (4 if quotient else 3):
         raise ValueError(
             f"group too large to search (n={n}, quotient={quotient})")
     width = 2 * n
     moves = []
-    for name, idxs, _w in gs.moves(n):
-        table = _local_table(embed_tableau(get_gate(name).tableau, idxs, n))
-        # step[row] is the image row; a signed row also carries the flip
-        step = [img if quotient else img | flip << width
-                for img, flip in table]
-        if not quotient:
-            step += [img | (flip ^ 1) << width for img, flip in table]
-        moves.append(((name, idxs), step, 1 if name in primary_gates else 0))
+    gate_moves = gs.moves(n)
+    if gate_moves:  # with none, only the identity is reached: CoverageError
+        images, flips = _label_tables([
+            embed_tableau(get_gate(name).tableau, idxs, n)
+            for name, idxs, _w in gate_moves])
+        # steps[g, row] is the image row; a signed row also carries the flip
+        steps = images if quotient else np.concatenate(
+            [images | flips << width, images | (flips ^ 1) << width], axis=1)
+        moves = [((name, idxs), step, 1 if name in primary_gates else 0)
+                 for (name, idxs, _w), step in zip(gate_moves, steps.tolist())]
     vec_mask = (1 << width) - 1
     start = tuple(1 << i for i in range(width))
     # a node is settled when popped at its best cost; every later push costs
@@ -157,7 +162,10 @@ class _ChoiMatrix(PackedRows):
         return (self.vecs[r] >> (2 * self.n + col)) & 1
 
     def apply(self, name: str, idxs: Tuple[int, ...]) -> None:
-        self.apply_gate(get_gate(name).local, tuple(self.n + i for i in idxs))
+        """Conjugate every row by the named gate on the right-half qubits."""
+        self.signs = _local_update(self.vecs, self.signs, self.n_qubits,
+                                   get_gate(name).local,
+                                   tuple(self.n + i for i in idxs))
 
 
 def block_decompose(c: CliffordTableau, fix_signs: bool = True) -> GateSequence:

@@ -11,7 +11,9 @@ matrix V whose column m is vec(P_m), and Kraus operators and states meet the
 cached stack of the 4^n basis matrices; the loop forms over the 16^n Pauli
 pairs are kept as oracles in tests/oracles.py.  A Clifford acts on the basis
 as the signed permutation of Pauli labels given by its
-`clifford._label_tables` row, and a twirl reads the rows of its whole set.
+`clifford._label_tables` row.  A twirl is one gather from the rows of its
+whole set, and conjugation by one Clifford is the twirl over that Clifford
+alone.
 
 Basis ordering: Pauli index m = x_mask | (z_mask << n), so m = 0 is the
 identity; state index bit j is qubit j (qubit 0 = low-order bit).
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Union
 
 import numpy as np
 
@@ -77,16 +79,6 @@ def _reshuffle(m: np.ndarray, d: int) -> np.ndarray:
     """Swap the first and last of the four d-sized axes of a d^2 x d^2
     matrix: vec(P_m) vec(P_k)+ <-> kron(P_k^T, P_m).  Its own inverse."""
     return m.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
-
-
-def _signed_tables(tabs: Sequence[CliffordTableau], n: int
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """C P_m C+ = (-1)^flips[g, m] P_images[g, m] for the g-th tableau."""
-    images, flips = _label_tables(tabs)
-    if images.shape[1] != 4 ** n:
-        raise ValueError(f"tableaux act on {tabs[0].n_qubits} qubits, "
-                         f"the channel on {n}")
-    return images, flips
 
 
 @dataclass(frozen=True)
@@ -214,14 +206,9 @@ def depolarization_strength(s: DenseSuperoperator) -> float:
 
 
 def conjugate_by_tableau(s: DenseSuperoperator, tab: CliffordTableau) -> DenseSuperoperator:
-    """Process matrix of C+ . s . C (twirl summand for Clifford C).
-
-    With C P_j C+ = t_j P_f(j), C+ P_f(j) C = t_j P_j, so
-    chi'[j, l] = t_j t_l chi[f(j), f(l)]."""
-    images, flips = _signed_tables([tab], s.n_qubits)
-    idx, sign = images[0], 1 - 2 * flips[0].astype(int)
-    return DenseSuperoperator(s.n_qubits,
-                              np.outer(sign, sign) * s.chi[np.ix_(idx, idx)])
+    """Process matrix of C+ . s . C (twirl summand for Clifford C): the
+    twirl over the one-element set {C}."""
+    return group_twirl(s, [tab])
 
 
 def group_twirl(s: DenseSuperoperator,
@@ -231,9 +218,10 @@ def group_twirl(s: DenseSuperoperator,
     t_j of conjugation by the Paulis are orthogonal characters, so the
     average of t_j t_l is 1 if j == l and 0 otherwise.
 
-    A Clifford set is one gather of `conjugate_by_tableau`'s summands from
-    the set's label tables, summed over chunks of at most _TWIRL_CHUNK
-    entries."""
+    For a Clifford C with C P_j C+ = t_j P_f(j), C+ P_f(j) C = t_j P_j, so
+    its summand is chi'[j, l] = t_j t_l chi[f(j), f(l)].  A Clifford set is
+    one gather of these summands from the set's label tables, summed over
+    chunks of at most _TWIRL_CHUNK entries."""
     if isinstance(group, str):
         if group != "pauli":
             raise ValueError(f"unknown twirl group {group!r}")
@@ -241,8 +229,11 @@ def group_twirl(s: DenseSuperoperator,
     group = list(group)
     if not group:
         raise ValueError("empty twirl set")
-    images, flips = _signed_tables(group, s.n_qubits)
+    images, flips = _label_tables(group)
     d2 = len(s.chi)
+    if images.shape[1] != d2:
+        raise ValueError(f"tableaux act on {group[0].n_qubits} qubits, "
+                         f"the channel on {s.n_qubits}")
     # t_j t_l chi[f(j), f(l)] is entry (t_j ^ t_l) d2^2 + f(j) d2 + f(l) of
     # [chi, -chi]; the three fields hold disjoint bits, so it is one XOR of
     # a key of j and a key of l

@@ -9,7 +9,8 @@ including its sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple, Union
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .clifford import (
     CliffordTableau,
     GateSequence,
-    _local_table,
+    _label_tables,
     _local_update,
     clifford_apply,
     embed_tableau,
@@ -39,15 +40,14 @@ def _hi(mat: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GateDefinition:
-    """A named gate.  `local` is its local update table (see
-    `clifford._local_table`), used to apply the gate to packed rows."""
+    """A named gate.  `local` is its signed Pauli-label table, the
+    (images, flips) lists of its `clifford._label_tables` row, used to apply
+    the gate to packed rows."""
 
     name: str
     arity: int
     tableau: CliffordTableau
     dense: np.ndarray
-    local: Tuple[Tuple[int, int], ...] = field(init=False, repr=False,
-                                               compare=False)
 
     def __post_init__(self):
         if self.tableau.n_qubits != self.arity:
@@ -55,7 +55,11 @@ class GateDefinition:
         if self.dense.shape != (2 ** self.arity, 2 ** self.arity):
             raise ValueError("dense matrix shape mismatch")
         _check_consistency(self)
-        object.__setattr__(self, "local", _local_table(self.tableau))
+
+    @cached_property
+    def local(self) -> Tuple[List[int], List[int]]:
+        images, flips = _label_tables([self.tableau])
+        return images[0].tolist(), flips[0].tolist()
 
 
 def _check_consistency(g: GateDefinition) -> None:

@@ -241,13 +241,24 @@ class RBDataset:
 
     @classmethod
     def from_csv(cls, text: str) -> "RBDataset":
-        lines = [ln for ln in text.strip().splitlines() if ln]
-        if lines[0] != "protocol,length,seq_index,n_shots,n_correct":
+        """Parse `to_csv` text.  A row with length < 1, n_shots < 1 or
+        n_correct outside [0, n_shots] is a ValueError naming its line."""
+        lines = [(no, ln.strip()) for no, ln in
+                 enumerate(text.splitlines(), 1) if ln.strip()]
+        if lines[0][1] != "protocol,length,seq_index,n_shots,n_correct":
             raise ValueError("unrecognized dataset header")
         rows = []
-        for ln in lines[1:]:
-            tag, l, s, ns, nc = ln.split(",")
-            rows.append((tag, int(l), int(s), int(ns), int(nc)))
+        for no, ln in lines[1:]:
+            tag, *fields = ln.split(",")
+            l, s, ns, nc = map(int, fields)
+            if l < 1:
+                raise ValueError(f"line {no}: length must be at least 1")
+            if ns < 1:
+                raise ValueError(f"line {no}: n_shots must be positive")
+            if not 0 <= nc <= ns:
+                raise ValueError(f"line {no}: n_correct must lie in "
+                                 f"[0, n_shots]")
+            rows.append((tag, l, s, ns, nc))
         return cls(rows)
 
     def lengths(self) -> List[int]:

@@ -3,7 +3,7 @@
 `PackedRows` is the one type for commuting signed Pauli rows: row r is the
 factor-form Pauli (-1)^sign(r) · X^x Z^z, packed as ``x | z << n`` plus one
 bit of a sign mask (Aaronson & Gottesman, quant-ph/0406196; Stim).  Row
-swaps, row products and gate updates act on the ints.  `StabilizerState` is
+swaps and row products act on the ints.  `StabilizerState` is
 an n-qubit instance; the Choi matrix `decomp.block_decompose` reduces is a
 2n-qubit one.
 
@@ -20,7 +20,6 @@ from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
 from .clifford import (
     CliffordTableau,
     _image_sign,
-    _local_update,
     _pack,
     _pauli_product,
     _rand_bits,
@@ -84,12 +83,6 @@ class PackedRows:
                 vec, sign = _pauli_product(vec, sign, v, self.sign(r),
                                            self.n_qubits)
         return vec, sign
-
-    def apply_gate(self, table: Sequence[Tuple[int, int]],
-                   positions: Sequence[int]) -> None:
-        """Conjugate every row by the gate with local update `table`."""
-        self.signs = _local_update(self.vecs, self.signs, self.n_qubits,
-                                   table, positions)
 
 
 def gssf_reduce(m: PackedRows, n: int, fixed: Iterable[int],

@@ -37,6 +37,7 @@ class FieldContext:
     poly: int
     basis: Tuple[int, ...]
     dual: Tuple[int, ...]
+    first: int  # parity(y & first) is the coefficient of basis[0] in y
 
 
 def _poly_mul_mod(a: int, b: int, poly: int, n: int) -> int:
@@ -68,37 +69,31 @@ def field_inv(ctx: FieldContext, a: int) -> int:
     return out
 
 
-def coordinates(ctx: FieldContext, y: int, basis: Optional[Sequence[int]] = None) -> int:
-    """Expansion coordinates of y over the basis, as a bitmask (bit i = coefficient of basis[i])."""
-    basis = ctx.basis if basis is None else basis
-    constraints = []
-    for t in range(ctx.n):
-        w = sum(1 << i for i, b in enumerate(basis) if (b >> t) & 1)
-        constraints.append((w, (y >> t) & 1))
-    particular, null = _solve_affine(constraints, ctx.n)
-    assert not null, "basis is not independent"
-    return particular
+def _first_coord_mask(n: int, basis: Sequence[int]) -> int:
+    """The mask m with parity(y & m) = coefficient of basis[0] in y: the
+    first coordinate is linear in y, and m is fixed by parity(m & b_i) =
+    [i == 0]."""
+    # checked apart: a dependent basis can make the system below inconsistent
+    assert not _solve_affine([(b, 0) for b in basis], n)[1], \
+        "basis is not independent"
+    return _solve_affine([(b, int(i == 0)) for i, b in enumerate(basis)], n)[0]
 
 
 def first_coord(ctx: FieldContext, y: int) -> int:
     """Coefficient of b_1 in the basis expansion of y."""
-    return coordinates(ctx, y) & 1
+    return (y & ctx.first).bit_count() & 1
 
 
 def dual_basis(n: int, poly: int, basis: Sequence[int]) -> Tuple[int, ...]:
     """The basis dual to the given one under (a, b) -> first coordinate of a*b."""
-    ctx = FieldContext(n, poly, tuple(basis), tuple(basis))  # dual unused below
+    first = _first_coord_mask(n, basis)
     # first_coord(b_i * e) is linear in e; solve for each dual vector
+    rows = [sum(((_poly_mul_mod(b, 1 << t, poly, n) & first).bit_count() & 1)
+                << t for t in range(n)) for b in basis]
     dual = []
     for j in range(n):
-        constraints = []
-        for i in range(n):
-            w = 0
-            for t in range(n):
-                if first_coord(ctx, field_mul(ctx, basis[i], 1 << t)):
-                    w |= 1 << t
-            constraints.append((w, 1 if i == j else 0))
-        particular, null = _solve_affine(constraints, n)
+        particular, null = _solve_affine(
+            [(w, int(i == j)) for i, w in enumerate(rows)], n)
         assert not null, "dual system is singular"
         dual.append(particular)
     return tuple(dual)
@@ -113,7 +108,8 @@ def field_context(n: int, basis: Optional[Sequence[int]] = None) -> FieldContext
     basis = tuple(basis)
     if basis[0] != 1:
         raise ValueError("first basis element must be 1")
-    return FieldContext(n, poly, basis, dual_basis(n, poly, basis))
+    return FieldContext(n, poly, basis, dual_basis(n, poly, basis),
+                        _first_coord_mask(n, basis))
 
 
 # -- Pauli <-> field-pair encoding ---------------------------------------------

@@ -20,7 +20,9 @@ every row swap and product of a stabilizer simulation of the sequence.
 
 The Cayley-graph Dijkstra over tableau objects and the loop forms of the
 dense superoperator engine are the paths that the signed Pauli-label tables
-(`clifford._local_table`) and the stacked-basis contractions replaced.
+(`local_table`, per tableau) and the stacked-basis contractions replaced.
+`local_table` is also the per-tableau reference of the batched builder
+`clifford._label_tables`.
 
 The quotient-group loops are the element-by-element `bounds` convolution
 and undetected-error probability that the product table and the image array
@@ -241,6 +243,17 @@ class ChoiMatrix:
         tab = embed_tableau(get_gate(name).tableau,
                             tuple(self.n + i for i in idxs), 2 * self.n)
         self.rows = [clifford_apply(tab, r) for r in self.rows]
+
+
+# ---------------------------------------------------------------------------
+# signed Pauli-label table of one tableau
+
+
+def local_table(t):
+    """Signed permutation of the 4^m Pauli labels under the m-qubit tableau
+    t: entry k = x | z << m is the (image label, sign flip) of the phase-0
+    factor-form Pauli k, one `_image_sign` call per label."""
+    return tuple(packed._image_sign(t, k, 0) for k in range(4 ** t.n_qubits))
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +550,7 @@ def _quotient_group(n):
     element's image label of every Pauli label, as tuples."""
     elements = packed.enumerate_group(n, quotient=True)
     index = {tab.encode(): i for i, tab in enumerate(elements)}
-    images = tuple(tuple(img for img, _ in packed._local_table(tab))
+    images = tuple(tuple(img for img, _ in local_table(tab))
                    for tab in elements)
     return elements, index, images
 

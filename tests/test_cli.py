@@ -378,6 +378,11 @@ class TestBadInput:
         assert_usage_error(["search-decomp", "--n", "1", "--gates", "S"],
                            "--gates")
 
+    def test_search_decomp_no_moves(self):
+        # CX needs two qubits, so at n = 1 the gate set has no move at all
+        assert_usage_error(["search-decomp", "--n", "1", "--gates", "CX"],
+                           "--gates")
+
     def test_missing_input_files(self, tmp_path):
         missing = str(tmp_path / "missing.csv")
         assert_usage_error(["fit", "--data", missing, "--n", "1"], "--data")
@@ -508,6 +513,31 @@ class TestBadInput:
         data = tmp_path / "d.csv"
         data.write_text("protocol,length,seq_index,n_shots,n_correct\n")
         assert_usage_error(["fit", "--data", str(data), "--n", "1"], "--data")
+
+    @pytest.mark.parametrize("row", ["exact,1,1,0,0", "exact,1,1,100,150",
+                                     "exact,1,1,100,-1", "exact,0,1,100,99"],
+                             ids=["no-shots", "above-shots", "negative",
+                                  "length-0"])
+    def test_bad_dataset_row(self, tmp_path, row):
+        # zero shots divided by zero in fit, bootstrap and interleaved, and
+        # a count above the shots was fitted as a survival above 1
+        bad = tmp_path / "bad.csv"
+        bad.write_text("protocol,length,seq_index,n_shots,n_correct\n"
+                       f"exact,1,0,100,99\n\n{row}\n")
+        good = tmp_path / "good.csv"
+        counts = {l: 50 + 45 * 19 ** l // 20 ** l for l in (1, 2, 4, 8, 16)}
+        good.write_text("protocol,length,seq_index,n_shots,n_correct\n"
+                        + "".join(f"exact,{l},0,100,{c}\n"
+                                  for l, c in counts.items()))
+        for args, option in (
+                (["fit", "--data", str(bad)], "--data"),
+                (["bootstrap", "--data", str(bad), "--seed", "1"], "--data"),
+                (["interleaved", "--reference", str(bad),
+                  "--interleaved", str(good)], "--reference"),
+                (["interleaved", "--reference", str(good),
+                  "--interleaved", str(bad)], "--interleaved")):
+            error = assert_usage_error(args + ["--n", "1"], option)
+            assert "line 4" in error
 
 
 @pytest.fixture(scope="module")

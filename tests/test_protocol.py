@@ -192,6 +192,15 @@ class TestExperiment:
                               ErrorModel(PauliChannel.depolarizing(1, 0.1)), 1)
         assert RBDataset.from_csv(data.to_csv()).rows == data.rows
 
+    @pytest.mark.parametrize("row,what", [
+        ("exact,2,0,0,0", "n_shots"), ("exact,2,0,10,11", "n_correct"),
+        ("exact,2,0,10,-1", "n_correct"), ("exact,0,0,10,9", "length")])
+    def test_csv_rejects_bad_rows(self, row, what):
+        text = ("protocol,length,seq_index,n_shots,n_correct\n"
+                f"exact,1,0,10,10\n{row}\n")
+        with pytest.raises(ValueError, match=f"line 3: {what}"):
+            RBDataset.from_csv(text)
+
     def test_decay_matches_depolarizing_model(self):
         p, pm = 0.08, 0.04
         model = ErrorModel(PauliChannel.depolarizing(1, p),

@@ -1,6 +1,6 @@
 """Cross-checks of the table-driven small-group kernels against the paths
 they replaced (kept in tests/oracles.py): the packed Cayley-graph Dijkstra,
-the batched signed-label tables against the per-tableau `_local_table`, the
+the batched signed-label tables against the per-tableau `local_table`, the
 basis-change dense representations, the signed-permutation conjugation and
 twirls, the image lookups of `subgroups` and `bounds`, and the `bounds`
 product table and commutation array against the element-by-element loops."""
@@ -20,7 +20,6 @@ from cliffrb.bounds import (
 from cliffrb.clifford import (
     CliffordTableau,
     _label_tables,
-    _local_table,
     clifford_apply,
     embed_tableau,
     enumerate_group,
@@ -70,7 +69,7 @@ class TestCayleyAgainstObjectDijkstra:
 
 def assert_tables_match(tabs):
     images, flips = _label_tables(tabs)
-    want = np.array([_local_table(tab) for tab in tabs])
+    want = np.array([oracles.local_table(tab) for tab in tabs])
     assert images.dtype == flips.dtype == np.uint8
     assert np.array_equal(images, want[..., 0])
     assert np.array_equal(flips, want[..., 1])
