@@ -525,7 +525,7 @@ class TestBadInput:
         bad.write_text("protocol,length,seq_index,n_shots,n_correct\n"
                        f"exact,1,0,100,99\n\n{row}\n")
         good = tmp_path / "good.csv"
-        counts = {l: 50 + 45 * 19 ** l // 20 ** l for l in (1, 2, 4, 8, 16)}
+        counts = {l: round(50 + 45 * 0.95 ** l) for l in (1, 2, 4, 8, 16)}
         good.write_text("protocol,length,seq_index,n_shots,n_correct\n"
                         + "".join(f"exact,{l},0,100,{c}\n"
                                   for l, c in counts.items()))
