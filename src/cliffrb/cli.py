@@ -508,12 +508,12 @@ def interleaved_cmd(reference, interleaved_data, model, n, printed_form,
                     output, pretty):
     """Per-gate error from a reference / interleaved benchmark pair."""
     alpha = analysis.alpha_n(n)
+    ref_data = _load_dataset(reference, "'--reference'")
+    inter_data = _load_dataset(interleaved_data, "'--interleaved'")
     with _fit_errors("'--reference'"):
-        ref = analysis.fit(_load_dataset(reference, "'--reference'"), model,
-                           alpha)
+        ref = analysis.fit(ref_data, model, alpha)
     with _fit_errors("'--interleaved'"):
-        inter = analysis.fit(
-            _load_dataset(interleaved_data, "'--interleaved'"), model, alpha)
+        inter = analysis.fit(inter_data, model, alpha)
     with _fit_errors("'--reference'"):
         eps_g, se = analysis.interleaved_gate_error(
             ref, inter, printed_form=printed_form)

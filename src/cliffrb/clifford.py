@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from operator import itemgetter
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -193,11 +194,12 @@ class GateSequence:
     gates: Tuple[Tuple[str, Tuple[int, ...]], ...]
 
     def __post_init__(self):
-        for name, idxs in self.gates:
-            if len(set(idxs)) != len(idxs):
-                raise ValueError(f"repeated index in gate {name}{idxs}")
-            if any(i < 0 or i >= self.n_qubits for i in idxs):
-                raise ValueError(f"index out of range in gate {name}{idxs}")
+        for idxs in set(map(itemgetter(1), self.gates)):  # each tuple once
+            if len(set(idxs)) != len(idxs) or idxs and (
+                    min(idxs) < 0 or max(idxs) >= self.n_qubits):
+                name = next(g for g, i in self.gates if i == idxs)
+                raise ValueError(
+                    f"repeated or out-of-range index in gate {name}{idxs}")
 
     def __len__(self) -> int:
         return len(self.gates)

@@ -2,9 +2,9 @@
 
 Two routes:
 
-* `cayley_search` -- exhaustive Dijkstra over the group's Cayley graph with a
-  lexicographic (two-qubit gates, total gates) weight; optimal but only
-  feasible for n <= 2 (n <= 3 for the Pauli quotient).
+* `cayley_search` -- Dijkstra over the Cayley graph on a bucket queue (ties
+  settle in push order) with a lexicographic (two-qubit gates, total gates)
+  weight; optimal but only feasible for n <= 2 (n <= 3 for the quotient).
 * `block_decompose` -- O(n^2)-gate algorithmic decomposition for any n,
   reducing the Bell-pair (Choi) stabilizer matrix of the operator to the
   identity with blocks of one-qubit gates, CZ gates and CX gates.
@@ -22,8 +22,8 @@ Quadrants are numbered clockwise from the top-left (1 = top-left block,
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Set, Tuple
 
 import numpy as np
@@ -91,7 +91,8 @@ def cayley_search(gs: GateSet, n: int, quotient: bool = False,
     A node is the tuple of the 2n signed rows ``vec | sign << 2n`` of a
     tableau.  Composing a gate on the left maps every row through the gate's
     signed Pauli-label table; one `_label_tables` call builds the tables of
-    all the embedded gates.  In the quotient the sign bit stays 0."""
+    all the embedded gates.  In the quotient the sign bit stays 0.  The queue
+    is a bucket per cost, drained lowest first; ties settle in push order."""
     if n >= (4 if quotient else 3):
         raise ValueError(
             f"group too large to search (n={n}, quotient={quotient})")
@@ -109,27 +110,27 @@ def cayley_search(gs: GateSet, n: int, quotient: bool = False,
                  for (name, idxs, _w), step in zip(gate_moves, steps.tolist())]
     vec_mask = (1 << width) - 1
     start = tuple(1 << i for i in range(width))
-    # a node is settled when popped at its best cost; every later push costs
-    # more than that, so settled nodes never re-enter the heap
+    # a node is settled when drained at its best cost; every move adds 1 to
+    # tot, so no push lands in the bucket being drained or below it
     best: Dict[Tuple[int, ...], Tuple[int, int]] = {start: (0, 0)}
     entries: Dict[int, Tuple[GateSequence, Tuple[int, int]]] = {}
-    counter = 0
-    heap = [(0, 0, counter, start, ())]
-    while heap:
-        prim, tot, _, rows, seq = heapq.heappop(heap)
-        if best[rows] != (prim, tot):
-            continue
-        key = 0  # CliffordTableau.encode(): the sign mask, then the vecs
-        for i, r in enumerate(rows):
-            key |= (r >> width) << i | (r & vec_mask) << (width * (i + 1))
-        entries[key] = (GateSequence(n, seq), (prim, tot))
-        for gate, step, gprim in moves:
-            new = tuple(step[r] for r in rows)
-            cost = (prim + gprim, tot + 1)
-            if cost < best.get(new, (1 << 60, 0)):
-                best[new] = cost
-                counter += 1
-                heapq.heappush(heap, (*cost, counter, new, seq + (gate,)))
+    buckets = {(0, 0): [(start, ())]}  # cost -> (node, sequence) in push order
+    while buckets:
+        cost = min(buckets)
+        costs = ((cost[0], cost[1] + 1), (cost[0] + 1, cost[1] + 1))
+        for rows, seq in buckets.pop(cost):
+            if best[rows] != cost:
+                continue
+            key = 0  # CliffordTableau.encode(): the sign mask, then the vecs
+            for i, r in enumerate(rows):
+                key |= (r >> width) << i | (r & vec_mask) << (width * (i + 1))
+            entries[key] = (GateSequence(n, seq), cost)
+            image = itemgetter(*rows)  # builds each neighbour's rows in C
+            for gate, step, gprim in moves:
+                new, c = image(step), costs[gprim]
+                if c < best.get(new, (1 << 60, 0)):
+                    best[new] = c
+                    buckets.setdefault(c, []).append((new, seq + (gate,)))
     expected = group_order(n, quotient)
     if len(entries) != expected:
         raise CoverageError(

@@ -168,8 +168,9 @@ class GateSet:
             else:
                 idx_sets = list(pattern)
             for idxs in idx_sets:
-                if len(idxs) != gate.arity:
-                    raise ValueError(f"{gname} takes {gate.arity} indices")
+                if len(idxs) != gate.arity or len(set(idxs)) != gate.arity:
+                    raise ValueError(f"{gname} takes {gate.arity} distinct "
+                                     f"indices, got {tuple(idxs)}")
                 if all(i < n for i in idxs):
                     out.append((gname, tuple(idxs), weight))
         return out

@@ -241,16 +241,22 @@ class RBDataset:
 
     @classmethod
     def from_csv(cls, text: str) -> "RBDataset":
-        """Parse `to_csv` text.  A row with length < 1, n_shots < 1 or
+        """Parse `to_csv` text.  A malformed row, length < 1, n_shots < 1 or
         n_correct outside [0, n_shots] is a ValueError naming its line."""
         lines = [(no, ln.strip()) for no, ln in
                  enumerate(text.splitlines(), 1) if ln.strip()]
+        if not lines:
+            raise ValueError("empty dataset")
         if lines[0][1] != "protocol,length,seq_index,n_shots,n_correct":
             raise ValueError("unrecognized dataset header")
         rows = []
         for no, ln in lines[1:]:
             tag, *fields = ln.split(",")
-            l, s, ns, nc = map(int, fields)
+            try:
+                l, s, ns, nc = map(int, fields)
+            except ValueError:
+                raise ValueError(f"line {no}: expected a protocol and four "
+                                 f"integers, got {ln!r}") from None
             if l < 1:
                 raise ValueError(f"line {no}: length must be at least 1")
             if ns < 1:

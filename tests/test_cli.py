@@ -540,6 +540,37 @@ class TestBadInput:
             assert "line 4" in error
 
 
+    @pytest.mark.parametrize("row", ["exact,1,0,100", "exact,1,0,100,99,1",
+                                     "exact,1,x,100,99"],
+                             ids=["too-few", "too-many", "non-integer"])
+    def test_malformed_dataset_row(self, tmp_path, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("protocol,length,seq_index,n_shots,n_correct\n"
+                       f"exact,1,0,100,99\n{row}\n")
+        error = assert_usage_error(["fit", "--data", str(bad), "--n", "1"],
+                                   "--data")
+        assert "line 3" in error
+
+    def test_empty_dataset(self, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("\n")
+        error = assert_usage_error(["fit", "--data", str(empty), "--n", "1"],
+                                   "--data")
+        assert "empty dataset" in error
+
+    def test_interleaved_file_read_before_reference_fit(self, tmp_path,
+                                                        saturated):
+        # the saturated reference cannot be fitted by magesan; the bad
+        # interleaved file is still the error reported
+        bad = tmp_path / "bad.csv"
+        bad.write_text("protocol,length,seq_index,n_shots,n_correct\n"
+                       "exact,1,0,100\n")
+        error = assert_usage_error(["interleaved", "--reference", saturated,
+                                    "--interleaved", str(bad), "--model",
+                                    "magesan", "--n", "1"], "'--interleaved'")
+        assert "line 2" in error
+
+
 @pytest.fixture(scope="module")
 def saturated(tmp_path_factory):
     """A 1q dataset whose decay is already saturated at length 1."""

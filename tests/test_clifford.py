@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -213,3 +215,21 @@ class TestEmbedAndSequences:
         for _ in range(20):
             c = sample_uniform(3, rng)
             assert CliffordTableau.from_json(c.to_json()) == c
+
+
+class TestGateSequenceChecks:
+    """Each bad index tuple is reported with the first gate that uses it,
+    also when valid gates on the same qubits come before it."""
+
+    @pytest.mark.parametrize("bad", [("CZ", (1, 1)), ("CX", (0, -1)),
+                                     ("CX", (1, 2))],
+                             ids=["repeated", "negative", "too-large"])
+    @pytest.mark.parametrize("prefix", [(), (("H", (0,)), ("H", (1,)),
+                                             ("CX", (0, 1)), ("CX", (1, 0)))],
+                             ids=["alone", "after-valid"])
+    def test_bad_index_names_gate(self, bad, prefix):
+        name, idxs = bad
+        # a later gate on the same tuple is not the one named
+        gates = prefix + (bad, ("SWAP", idxs))
+        with pytest.raises(ValueError, match=re.escape(f"{name}{idxs}")):
+            GateSequence(2, gates)

@@ -103,3 +103,10 @@ def test_gate_set_moves():
     assert ("H", (0,), 1.0) in moves and ("H", (1,), 1.0) in moves
     assert ("CX", (0, 1), 1.0) in moves and ("CX", (1, 0), 1.0) in moves
     assert len(moves) == 4
+
+
+def test_gate_set_moves_reject_repeated_qubit():
+    # embedding CX on (0, 0) gives the identity, so the move was a no-op
+    gs = GateSet("bad", (("H", "each", 1.0), ("CX", ((0, 0),), 1.0)))
+    with pytest.raises(ValueError, match=r"CX takes 2 distinct indices"):
+        gs.moves(2)

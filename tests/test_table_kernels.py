@@ -66,6 +66,22 @@ class TestCayleyAgainstObjectDijkstra:
         want = oracles.cayley_search_entries(gs, n, quotient, primary)
         assert table.entries == want
 
+    @pytest.mark.parametrize("gs,n,quotient,primary", [
+        (standard_gate_set(), 1, False, ("CX",)),
+        (XY, 1, False, ("X90",)),
+        (XY, 1, True, ("X90",)),
+        (HS_CX01, 2, False, ("CX",)),
+        (standard_gate_set(), 2, False, ("CX",)),
+        (ONEQ_CX, 2, True, ("CX",)),
+        (standard_gate_set(), 2, True, ("CZ",)),
+    ], ids=["1q-standard", "1q-xy", "1q-xy-quotient", "2q-hs-cx01",
+            "2q-standard", "2q-1q+cx-quotient", "2q-standard-quotient-cz"])
+    def test_entries_in_settle_order(self, gs, n, quotient, primary):
+        # the bucket queue settles ties in push order, as the heap's counter
+        table = cayley_search(gs, n, quotient=quotient, primary_gates=primary)
+        want = oracles.cayley_search_entries(gs, n, quotient, primary)
+        assert list(table.entries.items()) == list(want.items())
+
 
 def assert_tables_match(tabs):
     images, flips = _label_tables(tabs)
