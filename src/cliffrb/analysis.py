@@ -11,6 +11,9 @@ There is one Levenberg-Marquardt refiner, `_lm`, which works on R stacked
 problems at once: `fit` is its R = 1 case, and `bootstrap` refits all its
 replicates in one call, each bit for bit as a lone fit of that replicate
 would come out.  Replicate fits skip the covariance and the chi-squared test.
+The fit's separable start, `_initial_guess`, likewise solves each stage's
+least-squares problems in one stacked LAPACK call, row by row as
+np.linalg.lstsq would.
 The bootstrap's RNG draw order (per replicate, per length: one `integers`
 call, then one `binomial` call; see `_resample`) is an interface: a seed
 always gives the same replicates.
@@ -23,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.special import gammaincc
 
 from .protocol import RBDataset
@@ -193,29 +197,53 @@ class FitReport:
 
 
 def _design_columns(model: DecayModel, lengths: np.ndarray,
-                    q: float) -> np.ndarray:
-    """Basis functions multiplying the linear parameters at fixed decay q."""
-    ones = np.ones_like(lengths)
-    cols = {"main": [q ** lengths],
-            "main-app": [q ** lengths],
-            "three-param": [ones, q ** lengths],
-            "magesan": [ones, q ** lengths,
-                        (lengths - 1) * q ** (lengths - 2.0)]}[model.tag]
-    return np.column_stack(cols)
+                    q: np.ndarray) -> np.ndarray:
+    """(Q, L, p) basis functions multiplying the linear parameters, one
+    slice per decay base in the (Q, 1) column q."""
+    decay = q ** lengths
+    if model.tag in ("main", "main-app"):
+        return decay[:, :, None]
+    ones = np.ones_like(decay)
+    if model.tag == "three-param":
+        return np.stack([ones, decay], axis=-1)
+    return np.stack([ones, decay, (lengths - 1) * q ** (lengths - 2.0)],
+                    axis=-1)
 
 
-def _linear_solve(model: DecayModel, lengths, f, alpha, q):
+def _lstsq_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _linear_solve(model: DecayModel, lengths, f, alpha,
+                  qs) -> Tuple[np.ndarray, np.ndarray]:
+    """(Q, p) linear parameters and (Q,) residual sums of squares of the
+    least-squares fits at each decay base in qs.
+
+    One stacked call of the LAPACK gelsd gufunc that np.linalg.lstsq wraps,
+    with its rcond and error handling, so each row is bit for bit what
+    np.linalg.lstsq gives on that q alone (numpy >= 2.0 names it `lstsq`).
+    """
     asym = {"main": 1 - alpha, "main-app": 0.5}.get(model.tag, 0.0)
-    design = _design_columns(model, lengths, q)
-    coef, *_ = np.linalg.lstsq(design, f - asym, rcond=None)
-    resid = f - asym - design @ coef
-    return coef, float(resid @ resid)
+    design = _design_columns(model, lengths, np.asarray(qs, float)[:, None])
+    y = (f - asym)[:, None]
+    rcond = np.finfo(float).eps * max(design.shape[1:])  # lstsq's default
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        coef = _umath_linalg.lstsq(design, y, rcond, signature="ddd->ddid")[0]
+    resid = y[:, 0] - np.matmul(design, coef)[:, :, 0]
+    return coef[:, :, 0], _sumsq(resid)
 
 
 def _initial_guess(model: DecayModel, lengths: np.ndarray, f: np.ndarray,
                    alpha: float) -> np.ndarray:
     """Separable start: scan the decay base q, solving the (linear) remaining
-    parameters exactly at each candidate, then refine q by golden section."""
+    parameters exactly at each candidate, then refine q by golden section.
+
+    Each stage is one stacked LAPACK call (`_linear_solve`), whose rows are
+    independent like `_lm`'s: the scan, each golden-section step of all local
+    minima at once, the candidates' costs and the final coefficients.  The
+    steps stop early once no bracket moves, as every later step would repeat.
+    """
     lo, hi = 1e-6, 1 - 1e-9
     grid = np.linspace(lo, hi, 400)
     # seed the grid with a log-linear estimate when the data allows one
@@ -224,33 +252,30 @@ def _initial_guess(model: DecayModel, lengths: np.ndarray, f: np.ndarray,
         mask = y > 1e-12
         slope, _ = np.polyfit(lengths[mask], np.log(y[mask]), 1)
         grid = np.append(grid, np.clip(np.exp(slope), lo, hi))
-    costs = [_linear_solve(model, lengths, f, alpha, q)[1] for q in grid]
+    costs = _linear_solve(model, lengths, f, alpha, grid)[1]
     order = np.argsort(grid)
-    grid, costs = grid[order], np.asarray(costs)[order]
-    phi = (np.sqrt(5) - 1) / 2
-
-    def refine(k):
-        a, b = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
-        for _ in range(80):
-            c, d = b - phi * (b - a), a + phi * (b - a)
-            if _linear_solve(model, lengths, f, alpha, c)[1] <= \
-                    _linear_solve(model, lengths, f, alpha, d)[1]:
-                b = d
-            else:
-                a = c
-        return (a + b) / 2
-
+    grid, costs = grid[order], costs[order]
     # the scan can expose several local minima; polish each candidate basin
-    local = [k for k in range(len(grid))
-             if (k == 0 or costs[k] <= costs[k - 1])
-             and (k == len(grid) - 1 or costs[k] <= costs[k + 1])]
+    local = np.flatnonzero(np.r_[True, costs[1:] <= costs[:-1]]
+                           & np.r_[costs[:-1] <= costs[1:], True])
+    a = grid[np.maximum(local - 1, 0)]
+    b = grid[np.minimum(local + 1, len(grid) - 1)]
+    phi = (np.sqrt(5) - 1) / 2
+    for _ in range(80):
+        c, d = b - phi * (b - a), a + phi * (b - a)
+        cost = _linear_solve(model, lengths, f, alpha, np.r_[c, d])[1]
+        left = cost[:len(c)] <= cost[len(c):]
+        a_next, b_next = np.where(left, a, c), np.where(left, d, b)
+        if np.array_equal(a_next, a) and np.array_equal(b_next, b):
+            break
+        a, b = a_next, b_next
+    cands = (a + b) / 2
     q, best = None, np.inf
-    for k in local:
-        cand = refine(k)
-        cost = _linear_solve(model, lengths, f, alpha, cand)[1]
+    for cand, cost in zip(cands, _linear_solve(model, lengths, f, alpha,
+                                               cands)[1]):
         if cost < best:
             q, best = cand, cost
-    coef, _ = _linear_solve(model, lengths, f, alpha, q)
+    coef = _linear_solve(model, lengths, f, alpha, [q])[0][0]
     eps_s = alpha * (1 - q)
     if model.tag == "main":
         return np.array([eps_s, alpha - coef[0]])

@@ -29,6 +29,10 @@ and undetected-error probability that the product table and the image array
 replaced, and the image array built by GF(2) linearity, which the batched
 signed-label tables (`clifford._label_tables`) replaced.
 
+The separable start `initial_guess` is the one-q-at-a-time search that the
+stacked `analysis._initial_guess` replaced: one `np.linalg.lstsq` call per
+scanned q and per golden-section point.  `scalar_fit` starts from it.
+
 The per-replicate bootstrap is the loop that the batched
 `analysis.bootstrap` replaced: one `RBDataset` and one scalar
 Levenberg-Marquardt fit per replicate, drawing its counts one row at a time.
@@ -613,6 +617,80 @@ def kappa_extremes(dists, measured=None):
 
 
 # ---------------------------------------------------------------------------
+# separable start, one q at a time (analysis)
+
+
+def _design_columns(model, lengths, q):
+    """Basis functions multiplying the linear parameters at fixed decay q."""
+    ones = np.ones_like(lengths)
+    cols = {"main": [q ** lengths],
+            "main-app": [q ** lengths],
+            "three-param": [ones, q ** lengths],
+            "magesan": [ones, q ** lengths,
+                        (lengths - 1) * q ** (lengths - 2.0)]}[model.tag]
+    return np.column_stack(cols)
+
+
+def linear_solve(model, lengths, f, alpha, q):
+    asym = {"main": 1 - alpha, "main-app": 0.5}.get(model.tag, 0.0)
+    design = _design_columns(model, lengths, q)
+    coef, *_ = np.linalg.lstsq(design, f - asym, rcond=None)
+    resid = f - asym - design @ coef
+    return coef, float(resid @ resid)
+
+
+def initial_guess(model, lengths, f, alpha):
+    """Separable start: scan the decay base q, solving the (linear) remaining
+    parameters exactly at each candidate, then refine q by golden section."""
+    lo, hi = 1e-6, 1 - 1e-9
+    grid = np.linspace(lo, hi, 400)
+    # seed the grid with a log-linear estimate when the data allows one
+    y = f - (0.5 if model.tag == "main-app" else 1 - alpha)
+    if np.sum(y > 1e-12) >= 2:
+        mask = y > 1e-12
+        slope, _ = np.polyfit(lengths[mask], np.log(y[mask]), 1)
+        grid = np.append(grid, np.clip(np.exp(slope), lo, hi))
+    costs = [linear_solve(model, lengths, f, alpha, q)[1] for q in grid]
+    order = np.argsort(grid)
+    grid, costs = grid[order], np.asarray(costs)[order]
+    phi = (np.sqrt(5) - 1) / 2
+
+    def refine(k):
+        a, b = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+        for _ in range(80):
+            c, d = b - phi * (b - a), a + phi * (b - a)
+            if linear_solve(model, lengths, f, alpha, c)[1] <= \
+                    linear_solve(model, lengths, f, alpha, d)[1]:
+                b = d
+            else:
+                a = c
+        return (a + b) / 2
+
+    # the scan can expose several local minima; polish each candidate basin
+    local = [k for k in range(len(grid))
+             if (k == 0 or costs[k] <= costs[k - 1])
+             and (k == len(grid) - 1 or costs[k] <= costs[k + 1])]
+    q, best = None, np.inf
+    for k in local:
+        cand = refine(k)
+        cost = linear_solve(model, lengths, f, alpha, cand)[1]
+        if cost < best:
+            q, best = cand, cost
+    coef, _ = linear_solve(model, lengths, f, alpha, q)
+    eps_s = alpha * (1 - q)
+    if model.tag == "main":
+        return np.array([eps_s, alpha - coef[0]])
+    if model.tag == "main-app":
+        return np.array([eps_s, alpha * (1 - 2 * coef[0])])
+    if model.tag == "three-param":
+        c = coef[0] / (1 - alpha)
+        scale = c if abs(c) > 1e-12 else 1.0
+        return np.array([eps_s, alpha - coef[1] / scale, scale])
+    # magesan: coef = (a, amplitude, b)
+    return np.array([eps_s, alpha - coef[1], coef[0], coef[2]])
+
+
+# ---------------------------------------------------------------------------
 # per-replicate bootstrap (analysis)
 
 
@@ -646,7 +724,7 @@ def scalar_fit(ds, model, alpha, init=None, max_iterations=200):
     m = analysis.MODELS[model]
     lengths, f_l, sigma = length_moments(ds)
     theta = (np.asarray(init, dtype=float).copy() if init is not None
-             else analysis._initial_guess(m, lengths, f_l, alpha))
+             else initial_guess(m, lengths, f_l, alpha))
 
     def residual(th):
         return (f_l - m.func(lengths, th, alpha)) / sigma

@@ -431,3 +431,64 @@ class TestBatchedAgainstLoop:
         assert got.objective_trace == want.objective_trace
         assert got.converged == want.converged
         assert got.to_json() == want.to_json()
+
+
+def start_data(kind, alpha):
+    """Seeded per-length means of one kind, and their lengths."""
+    rng = np.random.default_rng(21)
+    lengths = np.array(LENGTHS, dtype=float)
+    if kind == "realistic":
+        f = (model_predict("main", LENGTHS, (0.04, 0.05), alpha)
+             + rng.normal(0, 0.01, len(lengths)))
+    elif kind == "saturated":
+        f = np.full(len(lengths), 1 - alpha)
+    elif kind == "flat":
+        f = np.ones(len(lengths))
+    elif kind == "uniform":
+        f = rng.uniform(0, 1, len(lengths))
+    else:  # fast decay at long lengths, where q ** l underflows
+        lengths = np.array([1, 2, 5, 20, 100, 500], dtype=float)
+        f = (1 - alpha) + alpha * 0.9 * 0.2 ** lengths
+    return lengths, f
+
+
+class TestSeparableStart:
+    """The stacked separable start against the one-q-at-a-time search in
+    tests/oracles.py, and each stacked least-squares row against
+    np.linalg.lstsq on that row alone."""
+
+    @pytest.mark.parametrize("kind", ["realistic", "saturated", "flat",
+                                      "uniform", "underflow"])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_initial_guess(self, model, kind):
+        lengths, f = start_data(kind, 0.75)
+        got = analysis._initial_guess(MODELS[model], lengths, f, 0.75)
+        want = oracles.initial_guess(MODELS[model], lengths, f, 0.75)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_linear_solve_slices(self, model):
+        rng = np.random.default_rng(3)
+        qs = np.r_[1e-6, 0.5, 1 - 1e-9, 1.0, rng.uniform(0, 1, 40)]
+        for lengths in (np.array(LENGTHS, dtype=float),
+                        np.array([1, 2, 5, 20, 100, 500], dtype=float)):
+            f = rng.uniform(0.4, 1.0, len(lengths))
+            coef, cost = analysis._linear_solve(MODELS[model], lengths, f,
+                                                0.75, qs)
+            assert coef.shape == (len(qs), MODELS[model].n_params - 1)
+            for q, c, r in zip(qs, coef, cost):
+                want_c, want_r = oracles.linear_solve(MODELS[model], lengths,
+                                                      f, 0.75, q)
+                assert c.tobytes() == want_c.tobytes()
+                assert r.tobytes() == np.float64(want_r).tobytes()
+
+    def test_nan_q_raises_as_lstsq(self):
+        lengths = np.array(LENGTHS, dtype=float)
+        f = np.linspace(0.9, 0.6, len(lengths))
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            oracles.linear_solve(MODELS["main"], lengths, f, 0.5, np.nan)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            analysis._linear_solve(MODELS["main"], lengths, f, 0.5,
+                                   [0.5, np.nan])
+        assert str(got.value) == str(want.value) == \
+            "SVD did not converge in Linear Least Squares"

@@ -50,37 +50,35 @@ ONEQ_CX = GateSet("1q+cx", each("H", "S", "Sdg", "X90", "X90m")
 XY = GateSet("xy", each("X90", "X90m", "Y90", "Y90m"))
 
 
-class TestCayleyAgainstObjectDijkstra:
-    @pytest.mark.parametrize("gs,n,quotient,primary", [
-        (standard_gate_set(), 1, False, ("CX",)),
-        (XY, 1, False, ("X90",)),
-        (XY, 1, True, ("X90",)),
-        (HS_CX01, 2, False, ("CX",)),
-        (standard_gate_set(), 2, False, ("CX",)),
-        (ONEQ_CX, 2, True, ("CX",)),
-        (standard_gate_set(), 2, True, ("CZ",)),
-    ], ids=["1q-standard", "1q-xy", "1q-xy-quotient", "2q-hs-cx01",
-            "2q-standard", "2q-1q+cx-quotient", "2q-standard-quotient-cz"])
-    def test_entries_equal(self, gs, n, quotient, primary):
-        table = cayley_search(gs, n, quotient=quotient, primary_gates=primary)
-        want = oracles.cayley_search_entries(gs, n, quotient, primary)
-        assert table.entries == want
+CAYLEY_CASES = {
+    "1q-standard": (standard_gate_set(), 1, False, ("CX",)),
+    "1q-xy": (XY, 1, False, ("X90",)),
+    "1q-xy-quotient": (XY, 1, True, ("X90",)),
+    "2q-hs-cx01": (HS_CX01, 2, False, ("CX",)),
+    "2q-standard": (standard_gate_set(), 2, False, ("CX",)),
+    "2q-1q+cx-quotient": (ONEQ_CX, 2, True, ("CX",)),
+    "2q-standard-quotient-cz": (standard_gate_set(), 2, True, ("CZ",)),
+}
 
-    @pytest.mark.parametrize("gs,n,quotient,primary", [
-        (standard_gate_set(), 1, False, ("CX",)),
-        (XY, 1, False, ("X90",)),
-        (XY, 1, True, ("X90",)),
-        (HS_CX01, 2, False, ("CX",)),
-        (standard_gate_set(), 2, False, ("CX",)),
-        (ONEQ_CX, 2, True, ("CX",)),
-        (standard_gate_set(), 2, True, ("CZ",)),
-    ], ids=["1q-standard", "1q-xy", "1q-xy-quotient", "2q-hs-cx01",
-            "2q-standard", "2q-1q+cx-quotient", "2q-standard-quotient-cz"])
-    def test_entries_in_settle_order(self, gs, n, quotient, primary):
-        # the bucket queue settles ties in push order, as the heap's counter
+
+class TestCayleyAgainstObjectDijkstra:
+    @pytest.fixture(scope="class", params=list(CAYLEY_CASES.values()),
+                    ids=list(CAYLEY_CASES))
+    def searched(self, request):
+        """The search's entries and the heap oracle's, once per case."""
+        gs, n, quotient, primary = request.param
         table = cayley_search(gs, n, quotient=quotient, primary_gates=primary)
-        want = oracles.cayley_search_entries(gs, n, quotient, primary)
-        assert list(table.entries.items()) == list(want.items())
+        return table.entries, oracles.cayley_search_entries(gs, n, quotient,
+                                                            primary)
+
+    def test_entries_equal(self, searched):
+        got, want = searched
+        assert got == want
+
+    def test_entries_in_settle_order(self, searched):
+        # the bucket queue settles ties in push order, as the heap's counter
+        got, want = searched
+        assert list(got.items()) == list(want.items())
 
 
 def assert_tables_match(tabs):
