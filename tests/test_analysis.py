@@ -441,7 +441,7 @@ def start_data(kind, alpha):
         f = (model_predict("main", LENGTHS, (0.04, 0.05), alpha)
              + rng.normal(0, 0.01, len(lengths)))
     elif kind == "saturated":
-        f = np.full(len(lengths), 1 - alpha)
+        f = (1 - alpha) + rng.normal(0, 0.005, len(lengths))
     elif kind == "flat":
         f = np.ones(len(lengths))
     elif kind == "uniform":

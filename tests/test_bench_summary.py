@@ -58,3 +58,23 @@ def test_summary(tmp_path, monkeypatch):
         "tests/test_a.py::test_slow", "tests/test_a.py::test_b",
         "tests/test_c.py::test_d", "tests/test_c.py::test_e",
         "tests/test_c.py::test_f"]
+
+
+def test_traced_records(tmp_path, monkeypatch):
+    write_runs(tmp_path / "parent", "aaa", 100, (1.0, 1.2, 1.1))
+    write_runs(tmp_path / "change", "bbb", 90, (0.5, 1.3, 0.4))
+    for side, fit_s in (("parent", 0.2), ("change", 0.05)):
+        (tmp_path / f"{side}-t.json").write_text(json.dumps({
+            "workload": "rb_1q", "seed": 7, "metrics": {
+                "analysis.fit.self_s": fit_s, "bounds.self_s": 0.0}}))
+    monkeypatch.chdir(tmp_path)
+    assert bench_summary.main([
+        "--parent", "parent", "--change", "change", "--topic", "x",
+        "--trace-parent", "parent-t.json",
+        "--trace-change", "change-t.json"]) == 0
+    out = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert "tier1" not in out
+    assert out["traced"] == {
+        side: {"workload": "rb_1q", "seed": 7,
+               "metrics": {"analysis.fit.self_s": fit_s}}
+        for side, fit_s in (("parent", 0.2), ("change", 0.05))}

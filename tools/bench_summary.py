@@ -2,7 +2,8 @@
 
     python3 tools/bench_summary.py --parent PARENT/.bench_results \\
         [--change .bench_results] --topic NAME \\
-        [--tier1-parent LOG] [--tier1-change LOG] [--change-rev TEXT]
+        [--tier1-parent LOG] [--tier1-change LOG] [--change-rev TEXT] \\
+        [--trace-parent RECORD] [--trace-change RECORD]
 
 `perfbench/run.py --trace 0` writes one record per workload and seed,
 `<workload>-seed<N>-trace0.json`, to the `.bench_results/` of the checkout it
@@ -12,7 +13,9 @@ pairs the runs by (workload, seed) and writes, per workload, the medians of
 the four end-to-end metrics on each side and how many pairs moved down.  The
 git revs and `src/` line counts come from the run records.  A Tier-1 log is
 the output of `pytest --durations=N` (N >= 5); its wall time, counts and
-five slowest tests are copied in.  Standard library only.
+five slowest tests are copied in.  A `--trace 1` run record
+(`<workload>-seed<N>-trace1.json`) gives its workload, seed and nonzero
+per-layer metrics.  Standard library only.
 """
 
 import argparse
@@ -64,6 +67,14 @@ def tier1(log_path):
             "slowest": sorted(slowest, key=lambda t: -t[1])[:5]}
 
 
+def traced(record_path):
+    """Workload, seed and nonzero per-layer metrics of a traced run."""
+    with open(record_path) as f:
+        run = json.load(f)
+    return {"workload": run["workload"], "seed": run["seed"],
+            "metrics": {k: v for k, v in run["metrics"].items() if v}}
+
+
 def summarize(parent_runs, change_runs):
     pairs = sorted(set(parent_runs) & set(change_runs))
     if not pairs:
@@ -101,6 +112,8 @@ def main(argv=None):
     ap.add_argument("--change-rev",
                     help="label for the change side when its runs came "
                          "from an uncommitted tree")
+    ap.add_argument("--trace-parent", help="a --trace 1 run record, parent")
+    ap.add_argument("--trace-change", help="a --trace 1 run record, change")
     args = ap.parse_args(argv)
 
     parent_runs, change_runs = load_runs(args.parent), load_runs(args.change)
@@ -126,6 +139,10 @@ def main(argv=None):
     if any(logs.values()):
         summary["tier1"] = {name: tier1(path) for name, path in logs.items()
                             if path}
+    records = {"parent": args.trace_parent, "change": args.trace_change}
+    if any(records.values()):
+        summary["traced"] = {name: traced(path)
+                             for name, path in records.items() if path}
     out = f"BENCH_{args.topic}.json"
     with open(out, "w") as f:
         json.dump(summary, f, indent=2)
