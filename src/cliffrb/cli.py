@@ -231,6 +231,10 @@ _measured = click.IntRange(1, DEFAULT_QUBIT_CAP)  # simulate measures them all
 _input_file = click.Path(exists=True, dir_okay=False)
 _seed_opt = click.option("--seed", type=int, default=None,
                          help="Master seed (generated and printed if omitted).")
+# commands that hand the seed to np.random.default_rng, which wants it >= 0
+_rng_seed_opt = click.option(
+    "--seed", type=click.IntRange(min=0), default=None,
+    help="Master seed, non-negative (generated and printed if omitted).")
 
 
 @click.group()
@@ -305,13 +309,15 @@ def search_decomp_cmd(n, gates, primary, quotient, output, pretty):
               help="Decompose a uniformly random tableau instead.")
 @click.option("--target", type=click.Choice(["native", "cz", "cx"]),
               default="native", help="Two-qubit gate to rewrite onto.")
-@_seed_opt
+@_rng_seed_opt
 @_output
 @_pretty
 def decompose_cmd(input_path, n, randomize, target, seed, output, pretty):
     """Block-decompose a Clifford into 1q / CZ / CX layers."""
     if randomize and input_path:
         raise click.UsageError("--random and --input exclude each other")
+    if n is not None and not randomize:
+        raise click.BadParameter("--n needs --random", param_hint="'--n'")
     if randomize:
         if n is None:
             raise click.BadParameter("--random needs --n")
@@ -344,7 +350,7 @@ def decompose_cmd(input_path, n, randomize, target, seed, output, pretty):
 @main.command("sample-clifford")
 @click.option("--n", "n", type=_positive, required=True)
 @click.option("--count", type=_positive, default=1)
-@_seed_opt
+@_rng_seed_opt
 @_output
 @_pretty
 def sample_clifford_cmd(n, count, seed, output, pretty):
@@ -473,7 +479,7 @@ def fit_cmd(data, model, n, output, pretty):
               default="main")
 @click.option("--n", "n", type=_positive, required=True)
 @click.option("--resamples", type=click.IntRange(min=2), default=1000)
-@_seed_opt
+@_rng_seed_opt
 @_output
 @_pretty
 def bootstrap_cmd(data, model, n, resamples, seed, output, pretty):

@@ -27,11 +27,18 @@ That rewrite is the gate's signed Pauli-label table: for every local
 label x | z << m, its image label and sign flip.  `_label_tables` is the
 one builder of such tables; it takes a whole list of small tableaux at
 once and returns two uint8 arrays of image labels and sign flips, by
-running `_image`'s recurrence across the list.  `_local_update` applies
-one (images, flips) row pair to a list of rows in place, O(rows) per gate;
-the Cayley search moves its rows by the rows of the embedded gates, and
-the dense twirls, the twirl-set check and the quotient record read the
-rows of their whole sets.
+running `_image`'s recurrence across the list.  The Cayley search moves its
+rows by the rows of the embedded gates, and the dense twirls, the twirl-set
+check and the quotient record read the rows of their whole sets.
+
+Long gate sequences apply a gate to every row at once, bit-sliced (Stim,
+arXiv:2103.02202): the rows are held as bit columns, one int per bit
+position with bit r for row r.  `_sliced_form` turns a gate's table row
+into the XOR sources of each output column and the AND-monomials of its
+sign flip, and `_sliced_update` applies that to the gate's 2 or 4 columns
+with a few big-int XORs and ANDs, however many rows there are.
+`gates.sequence_tableau` and the block decomposition's Choi matrix both
+use it; `_transpose_bits` turns columns back into rows.
 
 At n <= 2 the Pauli quotient of the group (6 or 720 elements) is held as
 arrays: `quotient_group(n)` builds, on first use, one record of its
@@ -635,34 +642,61 @@ def _label_tables(tabs: Sequence[CliffordTableau]
         (flips >> 1 & 1).T)
 
 
-def _local_update(vecs: List[int], signs: int, n: int,
-                  table: Tuple[List[int], List[int]],
-                  positions: Sequence[int]) -> int:
-    """Conjugate the packed n-qubit rows `vecs` in place by the gate whose
-    `_label_tables` row pair is `table` = (images, flips), acting on
-    `positions`; return the new sign mask.  Only the gate's bits and the
-    sign of each row change."""
-    images, flips = table
-    if len(positions) == 1:
-        a, = positions
-        b = a + n
-        clear = ~((1 << a) | (1 << b))
-        new = [((img & 1) << a) | ((img >> 1) << b) for img in images]
-        for r, v in enumerate(vecs):
-            k = ((v >> a) & 1) | ((v >> b) & 1) << 1
-            if k:
-                vecs[r] = (v & clear) | new[k]
-                signs ^= flips[k] << r
-        return signs
-    a0, a1 = positions
-    b0, b1 = a0 + n, a1 + n
-    clear = ~((1 << a0) | (1 << a1) | (1 << b0) | (1 << b1))
-    new = [((img & 1) << a0) | ((img >> 1 & 1) << a1)
-           | ((img >> 2 & 1) << b0) | ((img >> 3) << b1) for img in images]
-    for r, v in enumerate(vecs):
-        k = ((v >> a0) & 1 | (v >> a1 & 1) << 1
-             | (v >> b0 & 1) << 2 | (v >> b1 & 1) << 3)
-        if k:
-            vecs[r] = (v & clear) | new[k]
-            signs ^= flips[k] << r
-    return signs
+# (sources, monomials): tuples of label-bit indices, see `_sliced_form`
+SlicedForm = Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]
+
+
+def _sliced_form(images: Sequence[int], flips: Sequence[int]) -> SlicedForm:
+    """Bit-sliced form of one signed Pauli-label table (a `_label_tables`
+    row pair) on 2m label bits: (sources, monomials).
+
+    Images are linear in the label, so output bit i is the XOR of the input
+    bits j in sources[i], those whose basis label 1 << j has bit i in its
+    image.  The sign flip is a Boolean function of the label; its algebraic
+    normal form (a Möbius transform over GF(2)) is the XOR of the ANDs of the
+    input bits in each of `monomials`.  Label 0 never flips, so no monomial
+    is empty."""
+    width = len(images).bit_length() - 1
+    sources = tuple(tuple(j for j in range(width) if images[1 << j] >> i & 1)
+                    for i in range(width))
+    anf = list(flips)
+    for j in range(width):
+        for k in range(len(anf)):
+            if k >> j & 1:
+                anf[k] ^= anf[k ^ 1 << j]
+    monomials = tuple(tuple(j for j in range(width) if k >> j & 1)
+                      for k, a in enumerate(anf) if a)
+    return sources, monomials
+
+
+def _sliced_update(sliced: SlicedForm, ins: Sequence[int]
+                   ) -> Tuple[List[int], int]:
+    """Apply a gate's `_sliced_form` to bit columns: ins[j] holds label bit j
+    of every row (bit r for row r).  Returns the new columns in the same
+    order and the mask of rows whose sign flips: a few big-int XORs and
+    ANDs, however many rows there are."""
+    sources, monomials = sliced
+    outs = []
+    for src in sources:
+        out = 0
+        for j in src:
+            out ^= ins[j]
+        outs.append(out)
+    flip = 0
+    for mono in monomials:
+        term = ins[mono[0]]
+        for j in mono[1:]:
+            term &= ins[j]
+        flip ^= term
+    return outs, flip
+
+
+def _transpose_bits(words: Sequence[int], width: int) -> List[int]:
+    """Bit-matrix transpose: bit r of out[c] is bit c of words[r], for the
+    `width` columns c."""
+    nbytes = (width + 7) // 8
+    rows = np.frombuffer(b"".join(w.to_bytes(nbytes, "little") for w in words),
+                         dtype=np.uint8).reshape(len(words), nbytes)
+    bits = np.unpackbits(rows, axis=1, count=width, bitorder="little")
+    cols = np.packbits(bits.T, axis=1, bitorder="little")
+    return [int.from_bytes(c.tobytes(), "little") for c in cols]

@@ -9,13 +9,14 @@ Two routes:
   reducing the Bell-pair (Choi) stabilizer matrix of the operator to the
   identity with blocks of one-qubit gates, CZ gates and CX gates.
 
-The Choi matrix is the stabilizer matrix of the 2n-qubit Choi state, so it
-is a 2n-qubit instance of `stabilizer.PackedRows`, the simulator's own row
-type: row i is X_i (x) C(X_i), row n+i is Z_i (x) C(Z_i) (left half in the
-low n bits of each mask), and elementary gates act on the right-hand n
-qubits only, through their signed Pauli-label tables.  Step 1 brings the
-bottom-right block to graph-state standard form with
-`stabilizer.gssf_reduce`, the simulator's reducer, on rows offset by n.
+The Choi matrix is the stabilizer matrix of the 2n-qubit Choi state: row i
+is X_i (x) C(X_i), row n+i is Z_i (x) C(Z_i) (left half in the low n
+qubits).  It is held bit-sliced, as its 4n bit columns in one int, so a row
+swap, a row product or an elementary gate is a few big-int operations
+whatever n is.  Gates act on the right-hand n qubits only, through their
+`clifford._sliced_form`.  Step 1 brings the bottom-right block to
+graph-state standard form with `stabilizer.gssf_reduce`, the simulator's
+reducer, on rows offset by n.
 Quadrants are numbered clockwise from the top-left (1 = top-left block,
 2 = top-right, 3 = bottom-right, 4 = bottom-left).
 """
@@ -32,13 +33,15 @@ from .clifford import (
     CliffordTableau,
     GateSequence,
     _label_tables,
-    _local_update,
+    _pauli_product,
+    _sliced_update,
+    _transpose_bits,
     embed_tableau,
     group_order,
 )
 from .gates import INVERSE_NAMES, GateSet, get_gate
 from .pauli import _FACTOR
-from .stabilizer import PackedRows, default_neighbor, gssf_reduce
+from .stabilizer import default_neighbor, gssf_reduce
 
 # one-qubit palette covering the six quotient cosets, all with named inverses
 _PALETTE = ("I", "S", "H", "X90", "T", "T2")
@@ -141,32 +144,71 @@ def cayley_search(gs: GateSet, n: int, quotient: bool = False,
 # -- algorithmic block decomposition -------------------------------------------
 
 
-class _ChoiMatrix(PackedRows):
-    """Mutable 2n-row stabilizer matrix of the Choi state of a Clifford;
-    `entry` reads the right half."""
+class _ChoiMatrix:
+    """Mutable 2n-row stabilizer matrix of the Choi state of a Clifford,
+    held bit-sliced: row r is the 2n-qubit Pauli ``x | z << 2n`` (left half
+    in the low n qubits), and column c of those 4n bits is bits
+    [c·2n, (c+1)·2n) of `cols`, bit r for row r.  `entry` reads the right
+    half."""
 
     def __init__(self, c: CliffordTableau):
         n = c.n_qubits
         self.n = n
-        low = (1 << n) - 1
-        # X_i / Z_i on the left, C(X_i) / C(Z_i) on the right
-        super().__init__(2 * n, [(1 << i if i < n else 1 << (n + i))
-                                 | (v & low) << n | (v >> n) << (3 * n)
-                                 for i, v in enumerate(c.vecs)], c.signs)
+        w = 2 * n
+        right = _transpose_bits(c.vecs, w)  # C(X_i) / C(Z_i) on the right
+        left_x = [1 << q for q in range(n)]  # X_i / Z_i on the left
+        left_z = [1 << (n + q) for q in range(n)]
+        self.cols = 0
+        for k, col in enumerate(left_x + right[:n] + left_z + right[n:]):
+            self.cols |= col << (k * w)
+        self.signs = c.signs
+        self._row_mask = (1 << w) - 1
+        # bit 0 of every column: a row, spread one bit per column
+        self._spread = sum(1 << (k * w) for k in range(2 * w))
 
     def entry(self, r: int, col: int) -> str:
         """Factor of row r at right-half column col (0-based)."""
-        return PackedRows.entry(self, r, self.n + col)
+        w = 2 * self.n
+        v = self.cols >> ((self.n + col) * w + r)
+        return _FACTOR[(v & 1) | (v >> (w * w) & 1) << 1]
 
     def left_z(self, r: int, col: int) -> int:
         """Z bit of row r at left-half column col."""
-        return (self.vecs[r] >> (2 * self.n + col)) & 1
+        return (self.cols >> ((2 * self.n + col) * 2 * self.n + r)) & 1
+
+    def sign(self, r: int) -> int:
+        return (self.signs >> r) & 1
+
+    def swap_rows(self, a: int, b: int) -> None:
+        lo, hi = min(a, b), max(a, b)
+        t = ((self.cols >> (hi - lo)) ^ self.cols) & (self._spread << lo)
+        self.cols ^= t | t << (hi - lo)
+        if self.sign(a) != self.sign(b):
+            self.signs ^= (1 << a) | (1 << b)
+
+    def mul_rows(self, dst: int, src: int) -> None:
+        """Row dst *= row src (the rows must commute).  The two rows are
+        extracted one bit per column, which keeps each X bit 2n·2n bits
+        below its Z bit, so `_pauli_product` reads them as they are."""
+        u = (self.cols >> dst) & self._spread
+        v = (self.cols >> src) & self._spread
+        _, s = _pauli_product(u, self.sign(dst), v, self.sign(src),
+                              4 * self.n * self.n)
+        self.cols ^= v << dst
+        self.signs ^= (s ^ self.sign(dst)) << dst
 
     def apply(self, name: str, idxs: Tuple[int, ...]) -> None:
-        """Conjugate every row by the named gate on the right-half qubits."""
-        self.signs = _local_update(self.vecs, self.signs, self.n_qubits,
-                                   get_gate(name).local,
-                                   tuple(self.n + i for i in idxs))
+        """Conjugate every row by the named gate on the right-half qubits:
+        its X and Z columns there go through `_sliced_update`."""
+        n, w, cols = self.n, 2 * self.n, self.cols
+        shifts = ([(n + i) * w for i in idxs]
+                  + [(3 * n + i) * w for i in idxs])
+        ins = [cols >> s & self._row_mask for s in shifts]
+        outs, flip = _sliced_update(get_gate(name).sliced, ins)
+        for s, old, new in zip(shifts, ins, outs):
+            cols ^= (old ^ new) << s
+        self.cols = cols
+        self.signs ^= flip
 
 
 def block_decompose(c: CliffordTableau, fix_signs: bool = True) -> GateSequence:

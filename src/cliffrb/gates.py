@@ -18,8 +18,11 @@ import numpy as np
 from .clifford import (
     CliffordTableau,
     GateSequence,
+    SlicedForm,
     _label_tables,
-    _local_update,
+    _sliced_form,
+    _sliced_update,
+    _transpose_bits,
     clifford_apply,
     embed_tableau,
 )
@@ -41,8 +44,9 @@ def _hi(mat: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class GateDefinition:
     """A named gate.  `local` is its signed Pauli-label table, the
-    (images, flips) lists of its `clifford._label_tables` row, used to apply
-    the gate to packed rows."""
+    (images, flips) lists of its `clifford._label_tables` row; `sliced` is
+    that table's `clifford._sliced_form`, which applies the gate to bit
+    columns of packed rows."""
 
     name: str
     arity: int
@@ -60,6 +64,10 @@ class GateDefinition:
     def local(self) -> Tuple[List[int], List[int]]:
         images, flips = _label_tables([self.tableau])
         return images[0].tolist(), flips[0].tolist()
+
+    @cached_property
+    def sliced(self) -> SlicedForm:
+        return _sliced_form(*self.local)
 
 
 def _check_consistency(g: GateDefinition) -> None:
@@ -211,17 +219,24 @@ def standard_gate_set() -> GateSet:
 
 
 def sequence_tableau(seq: GateSequence) -> CliffordTableau:
-    """Compose a gate sequence against the builtin registry, one O(n) local
-    update of the packed images per gate."""
+    """Compose a gate sequence against the builtin registry.  The 2n packed
+    images are held as their 2n bit columns (bit r of column c is bit c of
+    image r); each gate rewrites its own 2·arity columns and the sign mask
+    with `clifford._sliced_update`, and the columns are transposed back to
+    images once, at the end."""
     n = seq.n_qubits
-    vecs = [1 << i for i in range(2 * n)]
+    cols = [1 << i for i in range(2 * n)]
     signs = 0
     for name, idxs in seq.gates:
         gate = get_gate(name)
         if len(idxs) != gate.arity:
             raise ValueError(f"{name} takes {gate.arity} indices")
-        signs = _local_update(vecs, signs, n, gate.local, idxs)
-    return CliffordTableau(n, tuple(vecs), signs)
+        slots = idxs + tuple(n + i for i in idxs)
+        outs, flip = _sliced_update(gate.sliced, [cols[s] for s in slots])
+        for s, col in zip(slots, outs):
+            cols[s] = col
+        signs ^= flip
+    return CliffordTableau(n, tuple(_transpose_bits(cols, 2 * n)), signs)
 
 
 def invert_sequence(seq: GateSequence) -> GateSequence:

@@ -4,8 +4,9 @@
 factor-form Pauli (-1)^sign(r) · X^x Z^z, packed as ``x | z << n`` plus one
 bit of a sign mask (Aaronson & Gottesman, quant-ph/0406196; Stim).  Row
 swaps and row products act on the ints.  `StabilizerState` is
-an n-qubit instance; the Choi matrix `decomp.block_decompose` reduces is a
-2n-qubit one.
+an n-qubit instance.  `gssf_reduce` needs only the `ReducibleRows` methods,
+which the bit-sliced Choi matrix that `decomp.block_decompose` reduces also
+has.
 
 GSSF means: every column has a non-identity diagonal entry; every other
 non-identity entry in a column equals that column's designated neighbor
@@ -15,7 +16,8 @@ symmetric.  `gssf_reduce` restores it with row swaps and row products only.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import (Iterable, List, Optional, Protocol, Sequence, Set, Tuple,
+                    Union)
 
 from .clifford import (
     CliffordTableau,
@@ -85,7 +87,17 @@ class PackedRows:
         return vec, sign
 
 
-def gssf_reduce(m: PackedRows, n: int, fixed: Iterable[int],
+class ReducibleRows(Protocol):
+    """The row operations `gssf_reduce` uses."""
+
+    def entry(self, r: int, q: int) -> str: ...
+
+    def swap_rows(self, a: int, b: int) -> None: ...
+
+    def mul_rows(self, dst: int, src: int) -> None: ...
+
+
+def gssf_reduce(m: ReducibleRows, n: int, fixed: Iterable[int],
                 neighbor: List[Optional[str]], offset: int = 0) -> None:
     """Reduce rows offset..offset+n-1 of m over the columns 0..n-1 of
     `m.entry` to GSSF with row swaps and row products only, starting from

@@ -434,6 +434,31 @@ class TestBadInput:
         assert_usage_error(["decompose", "--random", "--n", "1",
                             "--input", str(path), "--seed", "1"], "--input")
 
+    def test_decompose_n_needs_random(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(CliffordTableau.identity(1).to_json()))
+        assert_usage_error(["decompose", "--input", str(path), "--n", "5"],
+                           "--n")
+        assert_usage_error(["decompose", "--n", "5"], "--n")
+
+    def test_negative_seed_for_rng_commands(self, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("protocol,length,seq_index,n_shots,n_correct\n"
+                        "exact,1,0,100,99\n")
+        for args in (["sample-clifford", "--n", "1", "--seed", "-5"],
+                     ["decompose", "--random", "--n", "1", "--seed", "-1"],
+                     ["bootstrap", "--data", str(data), "--n", "1",
+                      "--seed", "-1"]):
+            assert_usage_error(args, "--seed")
+
+    def test_negative_seed_hashed_commands(self, runner, tmp_path):
+        # these derive per-sequence seeds by hashing, so any integer works
+        run_ok(runner, ["gen-sequences", "--n", "1", "--lengths", "1",
+                        "--seed", "-3"])
+        run_ok(runner, ["simulate", "--n", "1", "--lengths", "1",
+                        "--depolarizing", "0.01", "--seed", "-3",
+                        "-o", str(tmp_path / "d.csv")])
+
     def test_decompose_malformed_json(self, tmp_path):
         path = tmp_path / "t.json"
         path.write_text("{")

@@ -12,6 +12,7 @@ from cliffrb import cli, decomp
 from cliffrb.clifford import (
     CliffordTableau,
     GateSequence,
+    _sliced_update,
     clifford_apply,
     clifford_compose,
     clifford_inverse,
@@ -21,6 +22,8 @@ from cliffrb.gates import builtin_gates, sequence_tableau
 from cliffrb.pauli import PauliDimensionError, PauliOperator
 
 SIZES = (1, 2, 3, 6, 16)
+# one size whose bit columns run past 64 bits (2n rows, 4n Choi columns)
+WIDE_SIZES = SIZES + (33,)
 
 
 def random_pauli(n, rng, phase):
@@ -77,7 +80,7 @@ def test_inverse_round_trips(n):
         assert inv.vecs == tuple(oracles.gf2_invert(c.vecs, 2 * n))
 
 
-@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("n", WIDE_SIZES)
 def test_sequence_tableau_matches_oracle(n):
     rng = np.random.default_rng(400 + n)
     for length in (0, 1, 7, 40):
@@ -85,7 +88,7 @@ def test_sequence_tableau_matches_oracle(n):
         assert sequence_tableau(seq) == oracles.sequence_tableau(seq)
 
 
-@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("n", WIDE_SIZES)
 def test_choi_matrix_matches_oracle(n):
     rng = np.random.default_rng(500 + n)
     c = sample_uniform(n, rng)
@@ -111,6 +114,27 @@ def test_choi_matrix_matches_oracle(n):
             if a != b:
                 m.mul_rows(a, b)
     same()
+
+
+@pytest.mark.parametrize("name", sorted(builtin_gates()))
+def test_sliced_form_matches_label_table(name):
+    # one row per label: column j holds label bit j of that single row
+    gate = builtin_gates()[name]
+    images, flips = gate.local
+    width = 2 * gate.arity
+    for label in range(4 ** gate.arity):
+        outs, flip = _sliced_update(gate.sliced,
+                                    [label >> j & 1 for j in range(width)])
+        assert all(col in (0, 1) for col in outs) and flip in (0, 1)
+        assert sum(col << i for i, col in enumerate(outs)) == images[label]
+        assert flip == flips[label]
+
+
+def test_choi_rows_that_anticommute_are_refused():
+    m = decomp._ChoiMatrix(CliffordTableau.identity(1))
+    m.cols ^= 1 << 2  # row 0 loses its right X: X (x) I against Z (x) Z
+    with pytest.raises(ValueError, match="rows do not commute"):
+        m.mul_rows(0, 1)
 
 
 def test_dimension_errors():
