@@ -562,8 +562,11 @@ def bootstrap(ds: RBDataset, model: str, alpha: float, n_resamples: int = 1000,
     replicates are then refit by one stacked `_lm` call started at the
     original fit; a replicate fails only when it reaches the iteration
     limit, and no replicate's covariance is computed.  Aborts if more than
-    10% of replicate fits fail.
+    10% of replicate fits fail.  Needs at least two resamples.
     """
+    if n_resamples < 2:
+        raise ValueError(
+            f"need at least 2 bootstrap resamples, got {n_resamples}")
     rng = np.random.default_rng() if rng is None else rng
     base = fit(ds, model, alpha)
     lengths, f, var = _resample(ds, n_resamples, rng)

@@ -84,6 +84,9 @@ class GroupDistribution:
         group = _group(n_qubits)
         p = np.zeros(len(group.elements))
         for tab, w in weights:
+            if tab.n_qubits != n_qubits:
+                raise ValueError(f"tableau acts on {tab.n_qubits} qubits, "
+                                 f"the distribution on {n_qubits}")
             p[group.index_of(tab)] += w
         return cls(n_qubits, p)
 

@@ -266,31 +266,28 @@ def _pauli_product(u: int, su: int, v: int, sv: int, n: int
     return u ^ v, su ^ sv ^ phase >> 1
 
 
-def _image_phase(c: CliffordTableau, w: int, e: int) -> Tuple[int, int]:
-    """`_image` under c, returned as (packed vec, real factor-form phase)."""
-    out, e = _image(c.vecs, c.signs, c.n_qubits, w, e)
-    e = _to_factor_phase(out, e, c.n_qubits)
-    if e & 1:
-        raise ValueError("invalid tableau: image has imaginary phase")
-    return out, e
-
-
 def _image_sign(c: CliffordTableau, vec: int, sign: int) -> Tuple[int, int]:
     """Image of the signed factor-form Pauli (vec, sign) as (vec, sign)."""
-    out, e = _image_phase(
-        c, vec, 2 * sign + (vec & (vec >> c.n_qubits)).bit_count())
+    n = c.n_qubits
+    out, e = _image(c.vecs, c.signs, n, vec,
+                    2 * sign + (vec & (vec >> n)).bit_count())
+    e = _to_factor_phase(out, e, n)
+    if e & 1:
+        raise ValueError("invalid tableau: image has imaginary phase")
     return out, e >> 1
 
 
 def clifford_apply(c: CliffordTableau, p: PauliOperator) -> PauliOperator:
     """Conjugation image ±P' of p under c (exact sign, global phase fixed by
-    the Y = i·X·Z convention)."""
+    the Y = i·X·Z convention).  Raises `PauliDimensionError` when p acts on
+    another number of qubits, and `ValueError` when p has an imaginary
+    phase or c maps it to one."""
     if c.n_qubits != p.n_qubits:
         raise PauliDimensionError("tableau / operator size mismatch")
-    n = c.n_qubits
-    out, e = _image_phase(c, p.x_mask | (p.z_mask << n),
-                          p.phase + (p.x_mask & p.z_mask).bit_count())
-    return PauliOperator(n, out & ((1 << n) - 1), out >> n, e)
+    if p.phase % 2:
+        raise ValueError(f"cannot conjugate {p}: imaginary phase")
+    vec, sign = _image_sign(c, _pack(p), p.phase >> 1)
+    return _unpack(vec, c.n_qubits, sign)
 
 
 def clifford_compose(c: CliffordTableau, d: CliffordTableau) -> CliffordTableau:
@@ -579,11 +576,16 @@ def quotient_group(n: int) -> QuotientGroup:
 
 
 def embed_tableau(t: CliffordTableau, positions: Sequence[int], n: int) -> CliffordTableau:
-    """Embed a small tableau at the given qubit positions of an n-qubit system."""
-    ident = CliffordTableau.identity(n)
-    vecs = list(ident.vecs)
-    signs = 0
+    """Embed a small tableau at the given qubit positions of an n-qubit
+    system.  Raises `ValueError` unless the positions name t.n_qubits
+    distinct qubits, and `IndexError` when one lies outside 0..n-1."""
     m = t.n_qubits
+    if len(positions) != m or len(set(positions)) != m:
+        raise ValueError(f"positions {tuple(positions)} for a {m}-qubit tableau")
+    if any(not 0 <= q < n for q in positions):
+        raise IndexError(f"positions {tuple(positions)} outside {n} qubits")
+    vecs = [1 << i for i in range(2 * n)]
+    signs = 0
     for i in range(2 * m):
         v = t.vecs[i]
         big = 0

@@ -225,12 +225,7 @@ def block_decompose(c: CliffordTableau, fix_signs: bool = True) -> GateSequence:
         gates.append((name, idxs))
         m.apply(name, idxs)
 
-    def bell_form() -> bool:
-        return all(m.entry(r, col) == ("I" if col != r % n else
-                                       ("X" if r < n else "Z"))
-                   for r in range(2 * n) for col in range(n))
-
-    if not bell_form():  # identity coset needs at most the sign fix
+    if not c.strip_signs().is_identity():  # a Pauli needs only the sign fix
         _reduce_to_bell(m, n, emit)
     # 8. optional Pauli sign fix
     if fix_signs:

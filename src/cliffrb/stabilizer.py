@@ -1,17 +1,17 @@
 """Stabilizer-state simulation in graph-state standard form (GSSF).
 
-`PackedRows` is the one type for commuting signed Pauli rows: row r is the
+`StabilizerState` holds n commuting signed Pauli rows: row r is the
 factor-form Pauli (-1)^sign(r) · X^x Z^z, packed as ``x | z << n`` plus one
 bit of a sign mask (Aaronson & Gottesman, quant-ph/0406196; Stim).  Row
-swaps and row products act on the ints.  `StabilizerState` is
-an n-qubit instance.  `gssf_reduce` needs only the `ReducibleRows` methods,
-which the bit-sliced Choi matrix that `decomp.block_decompose` reduces also
-has.
+swaps and row products act on the ints.  `gssf_reduce` needs only the
+`ReducibleRows` methods, which the bit-sliced Choi matrix that
+`decomp.block_decompose` reduces also has.
 
 GSSF means: every column has a non-identity diagonal entry; every other
 non-identity entry in a column equals that column's designated neighbor
 operator, which anticommutes with the diagonal; and the identity pattern is
-symmetric.  `gssf_reduce` restores it with row swaps and row products only.
+symmetric.  Two single-qubit factors anticommute when neither is I and they
+differ.  `gssf_reduce` restores GSSF with row swaps and row products only.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ from .clifford import (
 from .gates import find_mapping, sequence_tableau
 from .pauli import _FACTOR, PauliOperator, pauli_commutes
 
-_ANTICOMMUTERS = {"X": ("Z", "Y"), "Y": ("Z", "X"), "Z": ("X", "Y")}
-_NEIGHBOR_PREFERENCE = ("Z", "X", "Y")
-
 
 class InvalidStateError(ValueError):
     pass
@@ -44,47 +41,8 @@ class InvalidStateError(ValueError):
 
 def default_neighbor(diag: str) -> str:
     """Neighbor operator of a column with no anticommuting off-diagonal
-    entry: a deterministic choice among the anticommuters of its diagonal."""
-    return next(c for c in _NEIGHBOR_PREFERENCE if c in _ANTICOMMUTERS[diag])
-
-
-class PackedRows:
-    """Mutable signed Pauli rows on n qubits: `vecs[r]` is ``x | z << n`` of
-    row r and bit r of `signs` its sign."""
-
-    def __init__(self, n: int, vecs: List[int], signs: int = 0):
-        self.n_qubits = n
-        self.vecs = vecs
-        self.signs = signs
-
-    def entry(self, r: int, q: int) -> str:
-        """Factor of row r at qubit q."""
-        v = self.vecs[r] >> q
-        return _FACTOR[(v & 1) | (v >> self.n_qubits & 1) << 1]
-
-    def sign(self, r: int) -> int:
-        return (self.signs >> r) & 1
-
-    def swap_rows(self, a: int, b: int) -> None:
-        self.vecs[a], self.vecs[b] = self.vecs[b], self.vecs[a]
-        if self.sign(a) != self.sign(b):
-            self.signs ^= (1 << a) | (1 << b)
-
-    def mul_rows(self, dst: int, src: int) -> None:
-        """Row dst *= row src (the rows must commute)."""
-        self.vecs[dst], s = _pauli_product(
-            self.vecs[dst], self.sign(dst), self.vecs[src], self.sign(src),
-            self.n_qubits)
-        self.signs ^= (s ^ self.sign(dst)) << dst
-
-    def product(self, mask: int) -> Tuple[int, int]:
-        """(vec, sign) of the product of the rows selected by mask."""
-        vec = sign = 0
-        for r, v in enumerate(self.vecs):
-            if (mask >> r) & 1:
-                vec, sign = _pauli_product(vec, sign, v, self.sign(r),
-                                           self.n_qubits)
-        return vec, sign
+    entry: Z, or X when the diagonal is Z."""
+    return "X" if diag == "Z" else "Z"
 
 
 class ReducibleRows(Protocol):
@@ -118,7 +76,7 @@ def gssf_reduce(m: ReducibleRows, n: int, fixed: Iterable[int],
         diag = m.entry(offset + d, d)
         others = [a for a in range(offset, offset + n) if a != offset + d]
         nb = next((e for e in (m.entry(a, d) for a in others)
-                   if e in _ANTICOMMUTERS[diag]), None) or default_neighbor(diag)
+                   if e != "I" and e != diag), None) or default_neighbor(diag)
         neighbor[d] = nb
         for a in others:
             e = m.entry(a, d)
@@ -127,17 +85,47 @@ def gssf_reduce(m: ReducibleRows, n: int, fixed: Iterable[int],
         fixed.add(d)
 
 
-class StabilizerState(PackedRows):
+class StabilizerState:
     """Single-owner mutable stabilizer state; create via zero_state() or
-    reduce_gssf()."""
+    reduce_gssf().  `vecs[r]` is ``x | z << n`` of row r and bit r of
+    `signs` its sign; `neighbor[c]` is column c's neighbor operator."""
 
     def __init__(self, rows: Sequence[PauliOperator],
                  neighbor: Optional[List[Optional[str]]] = None):
-        n = rows[0].n_qubits if rows else 0
-        super().__init__(n, [_pack(r) for r in rows],
-                         sum(r.sign_bit << i for i, r in enumerate(rows)))
+        self.n_qubits = rows[0].n_qubits if rows else 0
+        self.vecs = [_pack(r) for r in rows]
+        self.signs = sum(r.sign_bit << i for i, r in enumerate(rows))
         self.neighbor: List[Optional[str]] = (
             list(neighbor) if neighbor else [None] * len(rows))
+
+    def entry(self, r: int, q: int) -> str:
+        """Factor of row r at qubit q."""
+        v = self.vecs[r] >> q
+        return _FACTOR[(v & 1) | (v >> self.n_qubits & 1) << 1]
+
+    def sign(self, r: int) -> int:
+        return (self.signs >> r) & 1
+
+    def swap_rows(self, a: int, b: int) -> None:
+        self.vecs[a], self.vecs[b] = self.vecs[b], self.vecs[a]
+        if self.sign(a) != self.sign(b):
+            self.signs ^= (1 << a) | (1 << b)
+
+    def mul_rows(self, dst: int, src: int) -> None:
+        """Row dst *= row src (the rows must commute)."""
+        self.vecs[dst], s = _pauli_product(
+            self.vecs[dst], self.sign(dst), self.vecs[src], self.sign(src),
+            self.n_qubits)
+        self.signs ^= (s ^ self.sign(dst)) << dst
+
+    def product(self, mask: int) -> Tuple[int, int]:
+        """(vec, sign) of the product of the rows selected by mask."""
+        vec = sign = 0
+        for r, v in enumerate(self.vecs):
+            if (mask >> r) & 1:
+                vec, sign = _pauli_product(vec, sign, v, self.sign(r),
+                                           self.n_qubits)
+        return vec, sign
 
     @property
     def rows(self) -> List[PauliOperator]:
@@ -162,7 +150,7 @@ class StabilizerState(PackedRows):
                     continue
                 e = self.entry(r, c)
                 if e != "I":
-                    if e != self.neighbor[c] or e not in _ANTICOMMUTERS[self.diag(c)]:
+                    if e != self.neighbor[c] or e == self.diag(c):
                         raise InvalidStateError(
                             f"column {c}: off-diagonal entry {e} at row {r}")
                 if (e == "I") != (self.entry(c, r) == "I"):
@@ -194,8 +182,9 @@ class StabilizerState(PackedRows):
 def zero_state(n: int) -> StabilizerState:
     """|0...0>: rows +Z_j."""
     state = StabilizerState([])
-    for _ in range(n):
-        prepare_zero(state)
+    state.n_qubits = n
+    state.vecs = [1 << (n + j) for j in range(n)]
+    state.neighbor = [None] * n
     return state
 
 
@@ -230,11 +219,11 @@ def reduce_gssf(rows: Sequence[PauliOperator], signs: Optional[Sequence[int]] = 
 def apply_clifford(state: StabilizerState,
                    c: Union[CliffordTableau, "GateDefinition"],
                    indices: Optional[Sequence[int]] = None) -> StabilizerState:
-    """Conjugate every row by the operator and restore GSSF on its support."""
+    """Conjugate every row by the operator and restore GSSF on its support.
+    With indices, the operator is embedded at those qubits first
+    (`embed_tableau` checks them)."""
     tab = c if isinstance(c, CliffordTableau) else c.tableau
     if indices is not None:
-        if any(i >= state.n_qubits or i < 0 for i in indices):
-            raise IndexError("gate index out of range")
         tab = embed_tableau(tab, tuple(indices), state.n_qubits)
     elif tab.n_qubits != state.n_qubits:
         raise ValueError("tableau size mismatch")

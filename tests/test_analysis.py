@@ -212,6 +212,16 @@ class TestBootstrap:
             hits += rep.ellipse_contains(truth)
         assert hits >= 20
 
+    @pytest.mark.parametrize("n_resamples", [0, 1])
+    def test_too_few_resamples(self, n_resamples):
+        ds = RBDataset([("x", l, i, 50, 50 - l)
+                        for l in (1, 3, 6) for i in range(3)])
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="at least 2"):
+            bootstrap(ds, "main", 0.5, n_resamples=n_resamples, rng=rng)
+        assert rng.bit_generator.state == state  # no draw made
+
     def test_json_and_csv_exports(self):
         ds = RBDataset([("x", l, i, 50, 50 - l)
                         for l in (1, 3, 6) for i in range(3)])

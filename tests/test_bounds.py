@@ -17,7 +17,7 @@ from cliffrb.bounds import (
     tv_series_csv,
     undetected_probability,
 )
-from cliffrb.clifford import clifford_compose, enumerate_group
+from cliffrb.clifford import clifford_compose, embed_tableau, enumerate_group
 from cliffrb.gates import get_gate
 from cliffrb.pauli import PauliOperator, pauli_commutes
 
@@ -52,6 +52,16 @@ class TestGroupDistribution:
             GroupDistribution(1, np.full(6, 0.3))
         with pytest.raises(ValueError):
             GroupDistribution(1, np.zeros(5))
+
+    @pytest.mark.parametrize("n, tab, width", [
+        (2, get_gate("H").tableau, 1),
+        (1, get_gate("CX").tableau, 2),
+        (2, embed_tableau(get_gate("CX").tableau, (0, 2), 3), 3),
+    ])
+    def test_tableau_on_other_qubit_count(self, n, tab, width):
+        with pytest.raises(ValueError,
+                           match=f"acts on {width} qubits, .* on {n}$"):
+            GroupDistribution.from_weights(n, [(tab, 1.0)])
 
     def test_enumeration_limit(self):
         with pytest.raises(EnumerationUnavailableError):

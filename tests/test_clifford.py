@@ -206,6 +206,22 @@ class TestEmbedAndSequences:
         p = PauliOperator.from_string("IIX")  # X on qubit 2 (the control)
         assert str(clifford_apply(big, p)) == "+XIX"
 
+    def test_embed_rejects_bad_positions(self):
+        cx = get_gate("CX").tableau
+        with pytest.raises(ValueError, match="positions"):
+            embed_tableau(cx, (0,), 3)  # wrong count
+        with pytest.raises(ValueError, match="positions"):
+            embed_tableau(cx, (1, 1), 3)  # repeated
+        with pytest.raises(IndexError):
+            embed_tableau(cx, (-1, 0), 3)
+        with pytest.raises(IndexError):
+            embed_tableau(cx, (0, 3), 3)
+
+    def test_apply_names_imaginary_operand(self):
+        ix = PauliOperator.from_string("iX")
+        with pytest.raises(ValueError, match="iX: imaginary"):
+            clifford_apply(get_gate("H").tableau, ix)
+
     def test_sequence_roundtrip_json(self):
         seq = GateSequence(2, (("H", (0,)), ("CX", (0, 1))))
         assert GateSequence.from_json(seq.to_json()) == seq

@@ -8,6 +8,7 @@ from cliffrb.stabilizer import (
     InvalidStateError,
     StabilizerState,
     apply_clifford,
+    default_neighbor,
     deterministic_z_outcome,
     measure_pauli,
     measure_z,
@@ -46,6 +47,14 @@ class TestPrepare:
         prepare_zero(s)
         assert s.n_qubits == 1
         assert str(s.rows[0]) == "+Z"
+
+    def test_zero_state_matches_prepared_qubits(self):
+        s = zero_state(0)
+        for _ in range(3):
+            prepare_zero(s)
+        z = zero_state(3)
+        assert (z.n_qubits, z.vecs, z.signs, z.neighbor) == (
+            s.n_qubits, s.vecs, s.signs, s.neighbor)
 
     def test_prepared_qubit_measures_zero(self):
         s = zero_state(3)
@@ -97,6 +106,10 @@ class TestReduce:
                          PauliOperator.from_string("ZI")])
 
 
+def test_default_neighbor_anticommutes_with_diagonal():
+    assert [default_neighbor(d) for d in "XYZ"] == ["Z", "Z", "X"]
+
+
 class TestApplyClifford:
     def test_h_on_zero_gives_plus(self):
         s = zero_state(1)
@@ -131,6 +144,15 @@ class TestApplyClifford:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             apply_clifford(zero_state(1), get_gate("H").tableau, (1,))
+
+    def test_repeated_index_rejected(self):
+        with pytest.raises(ValueError, match="positions"):
+            apply_clifford(zero_state(2), get_gate("CX"), (0, 0))
+
+    def test_index_count_must_match_arity(self):
+        # a one-qubit gate given two qubits
+        with pytest.raises(ValueError, match="positions"):
+            apply_clifford(zero_state(2), get_gate("H"), (0, 1))
 
 
 class TestMeasureZ:
