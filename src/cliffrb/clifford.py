@@ -193,6 +193,14 @@ class CliffordTableau:
         return cls.from_image_strings(obj["image_x"], obj["image_z"])
 
 
+def _check_positions(positions: Sequence[int], n: int) -> None:
+    """Gate placement: `ValueError` for a repeat, `IndexError` outside 0..n-1."""
+    if len(set(positions)) != len(positions):
+        raise ValueError(f"repeated qubit in positions {tuple(positions)}")
+    if any(not 0 <= q < n for q in positions):
+        raise IndexError(f"positions {tuple(positions)} outside {n} qubits")
+
+
 @dataclass(frozen=True)
 class GateSequence:
     """An ordered list of (gate name, qubit indices) on n_qubits qubits."""
@@ -202,11 +210,12 @@ class GateSequence:
 
     def __post_init__(self):
         for idxs in set(map(itemgetter(1), self.gates)):  # each tuple once
-            if len(set(idxs)) != len(idxs) or idxs and (
-                    min(idxs) < 0 or max(idxs) >= self.n_qubits):
+            try:
+                _check_positions(idxs, self.n_qubits)
+            except (ValueError, IndexError):
                 name = next(g for g, i in self.gates if i == idxs)
-                raise ValueError(
-                    f"repeated or out-of-range index in gate {name}{idxs}")
+                raise ValueError("repeated or out-of-range index in gate "
+                                 f"{name}{idxs}") from None
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -580,10 +589,9 @@ def embed_tableau(t: CliffordTableau, positions: Sequence[int], n: int) -> Cliff
     system.  Raises `ValueError` unless the positions name t.n_qubits
     distinct qubits, and `IndexError` when one lies outside 0..n-1."""
     m = t.n_qubits
-    if len(positions) != m or len(set(positions)) != m:
+    if len(positions) != m:
         raise ValueError(f"positions {tuple(positions)} for a {m}-qubit tableau")
-    if any(not 0 <= q < n for q in positions):
-        raise IndexError(f"positions {tuple(positions)} outside {n} qubits")
+    _check_positions(positions, n)
     vecs = [1 << i for i in range(2 * n)]
     signs = 0
     for i in range(2 * m):

@@ -182,9 +182,8 @@ class StabilizerState:
 def zero_state(n: int) -> StabilizerState:
     """|0...0>: rows +Z_j."""
     state = StabilizerState([])
-    state.n_qubits = n
-    state.vecs = [1 << (n + j) for j in range(n)]
-    state.neighbor = [None] * n
+    for _ in range(n):
+        prepare_zero(state)
     return state
 
 

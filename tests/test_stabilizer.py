@@ -48,14 +48,6 @@ class TestPrepare:
         assert s.n_qubits == 1
         assert str(s.rows[0]) == "+Z"
 
-    def test_zero_state_matches_prepared_qubits(self):
-        s = zero_state(0)
-        for _ in range(3):
-            prepare_zero(s)
-        z = zero_state(3)
-        assert (z.n_qubits, z.vecs, z.signs, z.neighbor) == (
-            s.n_qubits, s.vecs, s.signs, s.neighbor)
-
     def test_prepared_qubit_measures_zero(self):
         s = zero_state(3)
         rng = CountingRng(0)
