@@ -193,14 +193,6 @@ class CliffordTableau:
         return cls.from_image_strings(obj["image_x"], obj["image_z"])
 
 
-def _check_positions(positions: Sequence[int], n: int) -> None:
-    """Gate placement: `ValueError` for a repeat, `IndexError` outside 0..n-1."""
-    if len(set(positions)) != len(positions):
-        raise ValueError(f"repeated qubit in positions {tuple(positions)}")
-    if any(not 0 <= q < n for q in positions):
-        raise IndexError(f"positions {tuple(positions)} outside {n} qubits")
-
-
 @dataclass(frozen=True)
 class GateSequence:
     """An ordered list of (gate name, qubit indices) on n_qubits qubits."""
@@ -209,13 +201,14 @@ class GateSequence:
     gates: Tuple[Tuple[str, Tuple[int, ...]], ...]
 
     def __post_init__(self):
+        # checked inline (embed_tableau has its own check): cayley_search
+        # builds one per group element, where a helper call per tuple costs
         for idxs in set(map(itemgetter(1), self.gates)):  # each tuple once
-            try:
-                _check_positions(idxs, self.n_qubits)
-            except (ValueError, IndexError):
+            if len(set(idxs)) != len(idxs) or idxs and (
+                    min(idxs) < 0 or max(idxs) >= self.n_qubits):
                 name = next(g for g, i in self.gates if i == idxs)
-                raise ValueError("repeated or out-of-range index in gate "
-                                 f"{name}{idxs}") from None
+                raise ValueError(
+                    f"repeated or out-of-range index in gate {name}{idxs}")
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -589,9 +582,10 @@ def embed_tableau(t: CliffordTableau, positions: Sequence[int], n: int) -> Cliff
     system.  Raises `ValueError` unless the positions name t.n_qubits
     distinct qubits, and `IndexError` when one lies outside 0..n-1."""
     m = t.n_qubits
-    if len(positions) != m:
+    if len(positions) != m or len(set(positions)) != m:
         raise ValueError(f"positions {tuple(positions)} for a {m}-qubit tableau")
-    _check_positions(positions, n)
+    if any(not 0 <= q < n for q in positions):
+        raise IndexError(f"positions {tuple(positions)} outside {n} qubits")
     vecs = [1 << i for i in range(2 * n)]
     signs = 0
     for i in range(2 * m):
