@@ -27,12 +27,9 @@ from .clifford import (
     QUOTIENT_TABLE_MAX_QUBITS,
     CliffordTableau,
     QuotientGroup,
-    _pack,
-    _symplectic,
-    _unpack,
     quotient_group,
 )
-from .pauli import PauliOperator
+from .pauli import PauliOperator, _pack, _symplectic, _unpack
 
 MAX_QUBITS = QUOTIENT_TABLE_MAX_QUBITS
 # l·error above which kappa_bounds flags its first-order expansion as unsafe

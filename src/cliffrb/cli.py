@@ -64,8 +64,21 @@ def _resolve_seed(seed: Optional[int]) -> int:
     return seed
 
 
-def _manifest(command: str, params: dict, seed: Optional[int] = None) -> dict:
-    man = {"schema_version": SCHEMA_VERSION, "command": command,
+# options that say where or how a report is written, and the seed, which
+# the manifest records apart (resolved when it was omitted)
+_UNRECORDED = {"output", "pretty", "seed", "csv_path"}
+
+
+def _manifest(seed: Optional[int] = None) -> dict:
+    """Manifest of the running command: its name and the value of each of
+    its other options, keyed by the long option name with "_" for "-"."""
+    ctx = click.get_current_context()
+    params = {}
+    for p in ctx.command.params:  # declaration order
+        if p.name not in _UNRECORDED:
+            long = next(o for o in p.opts if o.startswith("--"))
+            params[long[2:].replace("-", "_")] = ctx.params[p.name]
+    man = {"schema_version": SCHEMA_VERSION, "command": ctx.info_name,
            "parameters": params, "versions": _versions()}
     if seed is not None:
         man["seed"] = seed
@@ -251,8 +264,7 @@ def main():
 @_pretty
 def enumerate_cmd(n, quotient, list_elements, output, pretty):
     """Count (and optionally list) the Clifford group."""
-    report = {"manifest": _manifest("enumerate", {
-        "n": n, "quotient": quotient, "elements": list_elements})}
+    report = {"manifest": _manifest()}
     report["count"] = group_order(n, quotient=quotient)
     if list_elements:
         try:
@@ -292,11 +304,9 @@ def search_decomp_cmd(n, gates, primary, quotient, output, pretty):
     hist = table.cost_histogram()
     size = sum(hist.values())
     mean = sum(k * v for k, v in hist.items()) / size
-    report = {"manifest": _manifest("search-decomp", {
-        "n": n, "gates": gates, "primary": primary, "quotient": quotient}),
-        "group_size": size,
-        "histogram": {str(k): v for k, v in sorted(hist.items())},
-        "mean_primary_count": mean}
+    report = {"manifest": _manifest(), "group_size": size,
+              "histogram": {str(k): v for k, v in sorted(hist.items())},
+              "mean_primary_count": mean}
     _emit(report, output, pretty)
 
 
@@ -339,11 +349,9 @@ def decompose_cmd(input_path, n, randomize, target, seed, output, pretty):
                                 (two_q, "all-pairs", 1.0)))
         seq = translate_sequence(seq, gs)
     ok = sequence_tableau(seq) == tab
-    report = {"manifest": _manifest("decompose", {
-        "input": input_path, "n": n, "random": randomize, "target": target},
-        seed=seed),
-        "tableau": tab.to_json(), "sequence": seq.to_json(),
-        "gate_count": len(seq.gates), "verified": ok}
+    report = {"manifest": _manifest(seed=seed),
+              "tableau": tab.to_json(), "sequence": seq.to_json(),
+              "gate_count": len(seq.gates), "verified": ok}
     _emit(report, output, pretty)
 
 
@@ -357,8 +365,7 @@ def sample_clifford_cmd(n, count, seed, output, pretty):
     """Draw uniformly random Clifford tableaux."""
     seed = _resolve_seed(seed)
     rng = np.random.default_rng(seed)
-    report = {"manifest": _manifest("sample-clifford",
-                                    {"n": n, "count": count}, seed=seed),
+    report = {"manifest": _manifest(seed=seed),
               "samples": [sample_uniform(n, rng).to_json()
                           for _ in range(count)]}
     _emit(report, output, pretty)
@@ -383,10 +390,8 @@ def gen_sequences_cmd(protocol, n, lengths, n_seq, gate, seed, output, pretty):
     factory = sequence_factory(protocol, n, gate_tab)
     seqs = [factory(l, np.random.default_rng(sequence_seed(seed, protocol, l, i)))
             for l in parsed_lengths for i in range(n_seq)]
-    report = {"manifest": _manifest("gen-sequences", {
-        "protocol": protocol, "n": n, "lengths": lengths, "n_seq": n_seq,
-        "gate": gate}, seed=seed),
-        "sequences": [s.to_json() for s in seqs]}
+    report = {"manifest": _manifest(seed=seed),
+              "sequences": [s.to_json() for s in seqs]}
     _emit(report, output, pretty)
 
 
@@ -447,11 +452,7 @@ def simulate_cmd(protocol, n, lengths, n_seq, shots, gate, model_path,
     seed = _resolve_seed(seed)
     design = ExperimentDesign(parsed_lengths, n_seq, shots, master_seed=seed)
     data = run_experiment(design, protocol, model, n, gate=gate_tab)
-    man = _manifest("simulate", {
-        "protocol": protocol, "n": n, "lengths": lengths, "n_seq": n_seq,
-        "shots": shots, "gate": gate, "error_model": model_path,
-        "depolarizing": depolarizing, "spam": spam}, seed=seed)
-    _write_csv(data.to_csv(), output, man)
+    _write_csv(data.to_csv(), output, _manifest(seed=seed))
 
 
 @main.command("fit")
@@ -466,7 +467,7 @@ def fit_cmd(data, model, n, output, pretty):
     with _fit_errors("'--data'"):
         rep = analysis.fit(_load_dataset(data, "'--data'"), model,
                            analysis.alpha_n(n))
-    man = _manifest("fit", {"data": data, "model": model, "n": n})
+    man = _manifest()
     man.update(n_iterations=rep.n_iterations,
                objective_trace=rep.objective_trace, converged=rep.converged)
     _warn(man, _unphysical(rep.params, rep.alpha))
@@ -489,9 +490,7 @@ def bootstrap_cmd(data, model, n, resamples, seed, output, pretty):
         rep = analysis.bootstrap(_load_dataset(data, "'--data'"), model,
                                  analysis.alpha_n(n), n_resamples=resamples,
                                  rng=np.random.default_rng(seed))
-    man = _manifest("bootstrap", {
-        "data": data, "model": model, "n": n, "resamples": resamples},
-        seed=seed)
+    man = _manifest(seed=seed)
     man["lm_iterations"] = rep.lm_iterations
     _warn(man, _unphysical(rep.original, analysis.alpha_n(n)))
     _emit({"manifest": man, "bootstrap": json.loads(rep.to_json())}, output,
@@ -523,9 +522,7 @@ def interleaved_cmd(reference, interleaved_data, model, n, printed_form,
     with _fit_errors("'--reference'"):
         eps_g, se = analysis.interleaved_gate_error(
             ref, inter, printed_form=printed_form)
-    man = _manifest("interleaved", {
-        "reference": reference, "interleaved": interleaved_data,
-        "model": model, "n": n, "printed_form": printed_form})
+    man = _manifest()
     _warn(man, _unphysical(ref.params, alpha, "reference ")
           + _unphysical(inter.params, alpha, "interleaved "))
     report = {"manifest": man, "reference_fit": _fit_report_dict(ref),
@@ -547,7 +544,7 @@ def tv_decay_cmd(n, dist, steps, csv_path, output, pretty):
     """Total-variation distance from uniform of the aggregate-step chain."""
     d = _parse_distribution(n, dist)
     series = bounds.tv_series(d, steps)
-    man = _manifest("tv-decay", {"n": n, "dist": dist, "steps": steps})
+    man = _manifest()
     if csv_path:
         _write_csv(bounds._tv_csv(series), csv_path, man)
     report = {"manifest": man,
@@ -576,10 +573,10 @@ def bounds_cmd(n, dist, eps, k_steps, length, output, pretty):
         kappa = bounds.kappa_bounds(bounds.step_aggregates(d, length), eps)
     except ValueError as err:  # InfeasibleBoundError or a negative eps
         raise click.BadParameter(str(err), param_hint="'--eps'") from None
-    report = {"manifest": _manifest("bounds", {
-        "n": n, "dist": dist, "eps": eps, "k": k_steps, "length": length}),
-        "step_comparison": {"delta_max": delta_max, "delta_min": delta_min},
-        "kappa": json.loads(kappa.to_json())}
+    report = {"manifest": _manifest(),
+              "step_comparison": {"delta_max": delta_max,
+                                  "delta_min": delta_min},
+              "kappa": json.loads(kappa.to_json())}
     _emit(report, output, pretty)
 
 

@@ -6,13 +6,12 @@ as packed 2n-bit GF(2) vectors ``x_mask | (z_mask << n)`` plus one sign bit
 each; phases beyond the sign never survive because tableaux act on the Pauli
 group modulo scalars.
 
-The group operations run on one integer-only kernel, `_image`.  Inside it a
-Pauli is written in X^x Z^z form: ``i**e * X^x Z^z`` with every X factor
-ordered before every Z factor.  A signed image with packed vec v and sign s
-has ``e = 2s + popcount(x & z)`` (each Y = i·X·Z contributes one i).  Two
-such operators multiply by XOR-ing their vecs and adding
-``2·popcount(z_1 & x_2)`` to the summed exponents (Z_1 moved past X_2);
-`_to_factor_phase` converts back with ``- popcount(x & z)``.
+The group operations run on one integer-only kernel, `_image`, which
+multiplies images in the X^x Z^z form and by the product phase rule that
+`pauli` defines for the packed layout; a signed image with sign s starts
+from ``e = 2s + popcount(x & z)``.  `_image_sign` is the one signed
+conjugation: `clifford_apply` and `clifford_compose` map through it, and
+`clifford_inverse` takes its sign fix from it.
 
 Inversion needs no elimination: a Clifford's sign-free part M is symplectic,
 so M⁻¹ = Ω Mᵀ Ω with Ω the x/z swap (Aaronson & Gottesman,
@@ -56,31 +55,8 @@ from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .pauli import PauliDimensionError, PauliOperator
-
-
-# ---------------------------------------------------------------------------
-# packed symplectic vectors
-
-
-def _pack(p: PauliOperator) -> int:
-    return p.x_mask | (p.z_mask << p.n_qubits)
-
-
-def _unpack(vec: int, n: int, sign: int = 0) -> PauliOperator:
-    mask = (1 << n) - 1
-    return PauliOperator(n, vec & mask, (vec >> n) & mask, 2 * (sign & 1))
-
-
-def _flip(v: int, n: int) -> int:
-    """Swap the x/z halves of a packed vector (constraint form of ⟨v,·⟩)."""
-    mask = (1 << n) - 1
-    return ((v & mask) << n) | ((v >> n) & mask)
-
-
-def _symplectic(u: int, v: int, n: int) -> int:
-    """Symplectic product of two packed vectors: 0 commute, 1 anticommute."""
-    return (u & _flip(v, n)).bit_count() & 1
+from .pauli import (PauliDimensionError, PauliOperator, _flip, _pack,
+                    _symplectic, _to_factor_phase, _unpack)
 
 
 @dataclass(frozen=True)
@@ -251,23 +227,6 @@ def _image(vecs: Sequence[int], signs: int, n: int, w: int, e: int
     return acc, e
 
 
-def _to_factor_phase(vec: int, e: int, n: int) -> int:
-    """Phase of ``i**e * X^x Z^z`` in I/X/Y/Z factor form, mod 4."""
-    return (e - (vec & (vec >> n)).bit_count()) & 3
-
-
-def _pauli_product(u: int, su: int, v: int, sv: int, n: int
-                   ) -> Tuple[int, int]:
-    """Product of the commuting signed factor-form Paulis (u, su)·(v, sv)
-    as (vec, sign); anticommuting rows raise `ValueError`."""
-    e = ((u & (u >> n)).bit_count() + (v & (v >> n)).bit_count()
-         + 2 * ((u >> n) & v).bit_count())
-    phase = _to_factor_phase(u ^ v, e, n)
-    if phase & 1:
-        raise ValueError("rows do not commute")
-    return u ^ v, su ^ sv ^ phase >> 1
-
-
 def _image_sign(c: CliffordTableau, vec: int, sign: int) -> Tuple[int, int]:
     """Image of the signed factor-form Pauli (vec, sign) as (vec, sign)."""
     n = c.n_qubits
@@ -293,22 +252,17 @@ def clifford_apply(c: CliffordTableau, p: PauliOperator) -> PauliOperator:
 
 
 def clifford_compose(c: CliffordTableau, d: CliffordTableau) -> CliffordTableau:
-    """Tableau of C∘D (apply d first): each signed image of d, written in
-    X^x Z^z form, mapped through c by one `_image` call."""
+    """Tableau of C∘D (apply d first): each signed image of d mapped
+    through c by `_image_sign`."""
     n = c.n_qubits
     if n != d.n_qubits:
         raise PauliDimensionError("tableau size mismatch")
-    cvecs, csigns, dsigns = c.vecs, c.signs, d.signs
     vecs = []
     signs = 0
     for i, v in enumerate(d.vecs):
-        out, e = _image(cvecs, csigns, n, v,
-                        2 * ((dsigns >> i) & 1) + (v & (v >> n)).bit_count())
-        e -= (out & (out >> n)).bit_count()  # back to factor form
-        if e & 1:
-            raise ValueError("invalid tableau: image has imaginary phase")
+        out, sign = _image_sign(c, v, (d.signs >> i) & 1)
         vecs.append(out)
-        signs |= ((e >> 1) & 1) << i
+        signs |= sign << i
     return CliffordTableau(n, tuple(vecs), signs)
 
 

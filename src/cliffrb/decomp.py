@@ -33,14 +33,13 @@ from .clifford import (
     CliffordTableau,
     GateSequence,
     _label_tables,
-    _pauli_product,
     _sliced_update,
     _transpose_bits,
     embed_tableau,
     group_order,
 )
-from .gates import INVERSE_NAMES, GateSet, get_gate
-from .pauli import _FACTOR
+from .gates import GateSet, get_gate, invert_sequence
+from .pauli import _FACTOR, _pauli_product
 from .stabilizer import default_neighbor, gssf_reduce
 
 # one-qubit palette covering the six quotient cosets, all with named inverses
@@ -236,12 +235,7 @@ def block_decompose(c: CliffordTableau, fix_signs: bool = True) -> GateSequence:
                 emit("X", k)
 
     # the collected gates reduce C to the identity; C is their inverse chain
-    out = []
-    for name, idxs in reversed(gates):
-        inv = INVERSE_NAMES[name]
-        if inv != "I":
-            out.append((inv, idxs))
-    return GateSequence(n, tuple(out))
+    return invert_sequence(GateSequence(n, tuple(gates)))
 
 
 def _reduce_to_bell(m: "_ChoiMatrix", n: int, emit) -> None:

@@ -27,8 +27,8 @@ from typing import Iterable, List, Sequence, Union
 
 import numpy as np
 
-from .clifford import CliffordTableau, _label_tables, _unpack
-from .pauli import PauliChannel, PauliOperator
+from .clifford import CliffordTableau, _label_tables
+from .pauli import PauliChannel, PauliOperator, _pack, _unpack
 
 _MATS = {
     "I": np.eye(2, dtype=complex),
@@ -129,7 +129,7 @@ class DenseSuperoperator:
         n = ch.n_qubits
         chi = np.zeros((4 ** n, 4 ** n), dtype=complex)
         for op, w in ch.weights.items():
-            m = op.x_mask | (op.z_mask << n)
+            m = _pack(op)
             chi[m, m] += w
         return cls(n, chi)
 

@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .clifford import _pack, _pull_back
-from .pauli import PauliChannel, PauliOperator
+from .clifford import _pull_back
+from .pauli import PauliChannel, PauliOperator, _pack
 
 DEFAULT_QUBIT_CAP = 20  # most measured Paulis: the sum runs over 2^k terms
 # the step labels of the exact and interleaved protocols

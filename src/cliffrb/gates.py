@@ -24,6 +24,7 @@ from .clifford import (
     _sliced_update,
     _transpose_bits,
     clifford_apply,
+    clifford_inverse,
     embed_tableau,
 )
 from .dense import dense_pauli
@@ -129,12 +130,10 @@ _REGISTRY = _build_registry()
 # aliases from common notation
 _ALIASES = {"Z90": "S", "P": "S", "Z90m": "Sdg", "CNOT": "CX", "Tdg": "T2"}
 
-INVERSE_NAMES = {
-    "I": "I", "X": "X", "Y": "Y", "Z": "Z", "H": "H",
-    "S": "Sdg", "Sdg": "S", "X90": "X90m", "X90m": "X90",
-    "Y90": "Y90m", "Y90m": "Y90", "T": "T2", "T2": "T",
-    "CX": "CX", "CZ": "CZ", "MS": None, "G": None,
-}
+# each gate's inverse is the registered gate with the inverse tableau, if any
+_NAME_OF = {g.tableau: name for name, g in _REGISTRY.items()}
+INVERSE_NAMES = {name: _NAME_OF.get(clifford_inverse(g.tableau))
+                 for name, g in _REGISTRY.items()}
 
 
 def builtin_gates() -> Dict[str, GateDefinition]:

@@ -8,13 +8,23 @@ products agree exactly (including phase) with dense matrix multiplication.
 
 Masks are plain Python integers, i.e. arbitrarily many qubits packed 64 per
 machine word under the hood.
+
+The module owns the packed layout the package computes on, one int
+``x | z << n`` per Pauli plus a sign bit (`_pack`, `_unpack`), and its
+product phase rule.  A product is taken in X^x Z^z form, ``i**e * X^x Z^z``
+with every X before every Z, where a phase-0 factor-form Pauli has
+``e = popcount(x & z)`` (each Y = i·X·Z gives one i): XOR the vecs, add
+``2·popcount(z_1 & x_2)`` (Z_1 moved past X_2) to the summed exponents, and
+convert back with `_to_factor_phase`.  `_product` is that rule for
+`pauli_multiply` and the signed-row product `_pauli_product`;
+`clifford._image` runs it across a tableau's images.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Set
+from typing import Dict, Iterable, Mapping, Set, Tuple
 
 
 _FACTOR = "IXZY"  # the one letter table, indexed by x | z << 1
@@ -115,29 +125,65 @@ def _check_dims(p: PauliOperator, q: PauliOperator) -> None:
             f"operand sizes differ: {p.n_qubits} vs {q.n_qubits}")
 
 
+# ---------------------------------------------------------------------------
+# packed symplectic vectors
+
+
+def _pack(p: PauliOperator) -> int:
+    return p.x_mask | (p.z_mask << p.n_qubits)
+
+
+def _unpack(vec: int, n: int, sign: int = 0) -> PauliOperator:
+    mask = (1 << n) - 1
+    return PauliOperator(n, vec & mask, (vec >> n) & mask, 2 * (sign & 1))
+
+
+def _flip(v: int, n: int) -> int:
+    """Swap the x/z halves of a packed vector (constraint form of ⟨v,·⟩)."""
+    mask = (1 << n) - 1
+    return ((v & mask) << n) | ((v >> n) & mask)
+
+
+def _symplectic(u: int, v: int, n: int) -> int:
+    """Symplectic product of two packed vectors: 0 commute, 1 anticommute."""
+    return (u & _flip(v, n)).bit_count() & 1
+
+
+def _to_factor_phase(vec: int, e: int, n: int) -> int:
+    """Phase of ``i**e * X^x Z^z`` in I/X/Y/Z factor form, mod 4."""
+    return (e - (vec & (vec >> n)).bit_count()) & 3
+
+
+def _product(u: int, v: int, n: int) -> Tuple[int, int]:
+    """Product of the phase-0 factor-form Paulis u·v as (vec, phase mod 4)."""
+    e = ((u & (u >> n)).bit_count() + (v & (v >> n)).bit_count()
+         + 2 * ((u >> n) & v).bit_count())
+    return u ^ v, _to_factor_phase(u ^ v, e, n)
+
+
+def _pauli_product(u: int, su: int, v: int, sv: int, n: int
+                   ) -> Tuple[int, int]:
+    """Product of the commuting signed factor-form Paulis (u, su)·(v, sv)
+    as (vec, sign); anticommuting rows raise `ValueError`."""
+    w, phase = _product(u, v, n)
+    if phase & 1:
+        raise ValueError("rows do not commute")
+    return w, su ^ sv ^ phase >> 1
+
+
 def pauli_multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
     """Exact matrix product p·q with phase mod 4."""
     _check_dims(p, q)
-    x = p.x_mask ^ q.x_mask
-    z = p.z_mask ^ q.z_mask
-    # Convert each factor to X^x Z^z form (Y contributes i), commute q's X
-    # part through p's Z part (each crossing contributes -1), convert back.
-    phase = (
-        p.phase
-        + q.phase
-        + (p.x_mask & p.z_mask).bit_count()
-        + (q.x_mask & q.z_mask).bit_count()
-        + 2 * (p.z_mask & q.x_mask).bit_count()
-        - (x & z).bit_count()
-    )
-    return PauliOperator(p.n_qubits, x, z, phase % 4)
+    n = p.n_qubits
+    w, phase = _product(_pack(p), _pack(q), n)
+    return PauliOperator(n, w & ((1 << n) - 1), w >> n,
+                         p.phase + q.phase + phase)
 
 
 def pauli_commutes(p: PauliOperator, q: PauliOperator) -> bool:
     """True iff the symplectic form x_p·z_q + z_p·x_q vanishes mod 2."""
     _check_dims(p, q)
-    return ((p.x_mask & q.z_mask).bit_count()
-            + (p.z_mask & q.x_mask).bit_count()) % 2 == 0
+    return not _symplectic(_pack(p), _pack(q), p.n_qubits)
 
 
 def pauli_support(p: PauliOperator) -> Set[int]:

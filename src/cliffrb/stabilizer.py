@@ -22,17 +22,15 @@ from typing import (Iterable, List, Optional, Protocol, Sequence, Set, Tuple,
 from .clifford import (
     CliffordTableau,
     _image_sign,
-    _pack,
-    _pauli_product,
     _rand_bits,
     _solve_affine,
-    _unpack,
     clifford_apply,
     clifford_inverse,
     embed_tableau,
 )
 from .gates import find_mapping, sequence_tableau
-from .pauli import _FACTOR, PauliOperator, pauli_commutes
+from .pauli import (_FACTOR, PauliDimensionError, PauliOperator, _pack,
+                    _pauli_product, _unpack, pauli_commutes)
 
 
 class InvalidStateError(ValueError):
@@ -200,8 +198,13 @@ def prepare_zero(state: StabilizerState) -> StabilizerState:
 
 def reduce_gssf(rows: Sequence[PauliOperator], signs: Optional[Sequence[int]] = None,
                 fixed: Optional[Set[int]] = None) -> StabilizerState:
-    """Build a GSSF state from commuting independent rows (+ optional signs)."""
+    """Build a GSSF state from n commuting independent rows on n qubits
+    (+ optional signs)."""
     rows = list(rows)
+    n = rows[0].n_qubits if rows else 0
+    if len(rows) != n:
+        raise InvalidStateError(
+            f"{len(rows)} rows on {n} qubits; a state needs one per qubit")
     if signs is not None:
         rows = [r.with_phase(2 * s) for r, s in zip(rows, signs)]
     for i, a in enumerate(rows):
@@ -211,7 +214,7 @@ def reduce_gssf(rows: Sequence[PauliOperator], signs: Optional[Sequence[int]] = 
             if not pauli_commutes(a, b):
                 raise InvalidStateError("rows do not commute")
     state = StabilizerState(rows)
-    gssf_reduce(state, len(rows), fixed or (), state.neighbor)
+    gssf_reduce(state, n, fixed or (), state.neighbor)
     return state
 
 
@@ -301,7 +304,10 @@ def stabilizer_decomposition(state: StabilizerState, p: PauliOperator
     """If ±p is in the stabilizer group, return (row_mask, sign_bit) with
     product over the masked rows equal to (-1)^sign_bit · p; else None."""
     n = state.n_qubits
-    target = p.x_mask | (p.z_mask << n)
+    if p.n_qubits != n:
+        raise PauliDimensionError(
+            f"{p.n_qubits}-qubit Pauli on a {n}-qubit state")
+    target = _pack(p)
     # one constraint per packed bit; the rows are independent, so the
     # solution (if any) is unique
     constraints = [(sum(((v >> k) & 1) << i for i, v in enumerate(state.vecs)),

@@ -197,6 +197,43 @@ class TestPipeline:
         assert len(rep["standard_errors"]) == 2
 
 
+class TestManifestParameters:
+    """The full `parameters` of a manifest, key order included: one entry
+    per option that shapes the result, named after its long option, in
+    declaration order whatever order the command line gives."""
+
+    def test_simulate(self, runner, tmp_path):
+        out = tmp_path / "d.csv"
+        run_ok(runner, ["simulate", "--seed", "4", "--shots", "5",
+                        "--depolarizing", "0.01", "--lengths", "1,2",
+                        "--n", "1", "--n-seq", "2", "-o", str(out)])
+        man = json.loads((tmp_path / "d.csv.manifest.json").read_text())
+        assert man["command"] == "simulate" and man["seed"] == 4
+        assert list(man["parameters"].items()) == [
+            ("protocol", "exact"), ("n", 1), ("lengths", "1,2"),
+            ("n_seq", 2), ("shots", 5), ("gate", None),
+            ("error_model", None), ("depolarizing", 0.01), ("spam", None)]
+
+    def test_decompose_random(self, runner):
+        res = run_ok(runner, ["decompose", "--seed", "5", "--n", "2",
+                              "--random", "--target", "cz"])
+        man = json.loads(res.stdout)["manifest"]
+        assert man["command"] == "decompose" and man["seed"] == 5
+        assert list(man["parameters"].items()) == [
+            ("input", None), ("n", 2), ("random", True), ("target", "cz")]
+
+    def test_tv_decay_csv(self, runner, tmp_path):
+        csv_path = tmp_path / "tv.csv"
+        res = run_ok(runner, ["tv-decay", "--csv", str(csv_path), "--steps",
+                              "3", "--dist", "X90:0.5,Y90:0.5"])
+        want = [("n", 1), ("dist", "X90:0.5,Y90:0.5"), ("steps", 3)]
+        man = json.loads(res.stdout)["manifest"]
+        assert man["command"] == "tv-decay" and "seed" not in man
+        assert list(man["parameters"].items()) == want
+        csv_man = json.loads((tmp_path / "tv.csv.manifest.json").read_text())
+        assert csv_man == man
+
+
 class TestBoundsCommands:
     def test_tv_decay(self, runner, tmp_path):
         csv_path = tmp_path / "tv.csv"

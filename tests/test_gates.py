@@ -3,6 +3,7 @@ import pytest
 
 from cliffrb.clifford import CliffordTableau, GateSequence, clifford_apply, clifford_compose, embed_tableau
 from cliffrb.gates import (
+    INVERSE_NAMES,
     GateSet,
     builtin_gates,
     generates_clifford_group,
@@ -74,6 +75,16 @@ def test_named_inverses():
         roundtrip = clifford_compose(sequence_tableau(invert_sequence(seq)),
                                      sequence_tableau(seq))
         assert roundtrip.is_identity()
+
+
+def test_inverse_names_table():
+    # read off the registry's tableaux: MS and G have no registered inverse
+    assert INVERSE_NAMES == {
+        "I": "I", "X": "X", "Y": "Y", "Z": "Z", "H": "H",
+        "S": "Sdg", "Sdg": "S", "X90": "X90m", "X90m": "X90",
+        "Y90": "Y90m", "Y90m": "Y90", "T": "T2", "T2": "T",
+        "CX": "CX", "CZ": "CZ", "MS": None, "G": None,
+    }
 
 
 def test_generates_clifford_group_examples():

@@ -3,7 +3,7 @@ import pytest
 
 from cliffrb.clifford import clifford_apply, sample_uniform
 from cliffrb.gates import get_gate
-from cliffrb.pauli import PauliOperator, pauli_multiply
+from cliffrb.pauli import PauliDimensionError, PauliOperator, pauli_multiply
 from cliffrb.stabilizer import (
     InvalidStateError,
     StabilizerState,
@@ -97,6 +97,13 @@ class TestReduce:
             reduce_gssf([PauliOperator.from_string("ZI"),
                          PauliOperator.from_string("ZI")])
 
+    @pytest.mark.parametrize("rows, counts", [
+        (["ZI"], "1 rows on 2 qubits"), (["XI"], "1 rows on 2 qubits"),
+        (["Z", "Z"], "2 rows on 1 qubits")])
+    def test_one_row_per_qubit(self, rows, counts):
+        with pytest.raises(InvalidStateError, match=counts):
+            reduce_gssf([PauliOperator.from_string(r) for r in rows])
+
 
 def test_default_neighbor_anticommutes_with_diagonal():
     assert [default_neighbor(d) for d in "XYZ"] == ["Z", "Z", "X"]
@@ -132,6 +139,14 @@ class TestApplyClifford:
             apply_clifford(s, c)
             dec = stabilizer_decomposition(s, clifford_apply(c, elem))
             assert dec is not None and dec[1] == 0
+
+    @pytest.mark.parametrize("text", ["Z", "ZZZ"])
+    def test_decomposition_checks_qubit_count(self, text):
+        # Z claimed membership and ZZZ failed an assert before the check
+        with pytest.raises(PauliDimensionError,
+                           match=f"{len(text)}-qubit .* 2-qubit"):
+            stabilizer_decomposition(zero_state(2),
+                                     PauliOperator.from_string(text))
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
