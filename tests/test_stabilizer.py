@@ -142,7 +142,6 @@ class TestApplyClifford:
 
     @pytest.mark.parametrize("text", ["Z", "ZZZ"])
     def test_decomposition_checks_qubit_count(self, text):
-        # Z claimed membership and ZZZ failed an assert before the check
         with pytest.raises(PauliDimensionError,
                            match=f"{len(text)}-qubit .* 2-qubit"):
             stabilizer_decomposition(zero_state(2),
