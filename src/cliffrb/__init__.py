@@ -13,7 +13,8 @@ from .clifford import (
     sample_uniform,
 )
 from .gates import GateSet, find_mapping, get_gate, sequence_tableau, standard_gate_set
-from .stabilizer import StabilizerState, apply_clifford, measure_pauli, measure_z, zero_state
+from .stabilizer import (StabilizerState, apply_clifford, measure_pauli, measure_z,
+                         reduce_gssf, zero_state)
 from .errors import ErrorModel, expected_sequence_fidelity
 from .dense import DenseSuperoperator, depolarization_strength, gate_fidelity, group_twirl
 from .subgroups import q_subgroup, t_subgroup, verify_twirl_set
@@ -68,6 +69,7 @@ __all__ = [
     "apply_clifford",
     "measure_pauli",
     "measure_z",
+    "reduce_gssf",
     "zero_state",
     "ErrorModel",
     "expected_sequence_fidelity",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -94,14 +94,6 @@ MODELS: Dict[str, DecayModel] = {
                               _f_three_param),
     "magesan": DecayModel("magesan", ("eps_s", "eps_m", "a", "b"), _f_magesan),
 }
-
-
-def model_predict(model: str, lengths: Sequence[int], params: Sequence[float],
-                  alpha: float) -> np.ndarray:
-    m = MODELS[model]
-    return np.asarray(
-        m.func(np.asarray(lengths, dtype=float), np.asarray(params, float),
-               alpha), dtype=float)
 
 
 # -- per-length statistics ----------------------------------------------------
@@ -188,12 +180,6 @@ class FitReport:
             "lengths": self.lengths.tolist(),
             "residuals": self.residuals.tolist(),
         }, indent=2)
-
-    def residuals_csv(self) -> str:
-        lines = ["length,residual"]
-        for l, r in zip(self.lengths, self.residuals):
-            lines.append(f"{int(l)},{r!r}")
-        return "\n".join(lines) + "\n"
 
 
 def _design_columns(model: DecayModel, lengths: np.ndarray,
@@ -332,6 +318,7 @@ def _solve(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 # _lm stop reasons, per row
 _CONVERGED, _STALLED, _ITERATION_LIMIT = 0, 1, 2
+_MAX_ITERATIONS = 200  # accepted steps before a row stops at _ITERATION_LIMIT
 
 
 @dataclass
@@ -345,8 +332,7 @@ class _LMResult:
 
 
 def _lm(m: DecayModel, lengths: np.ndarray, f: np.ndarray, sigma: np.ndarray,
-        alpha: float, theta: np.ndarray,
-        max_iterations: int = 200) -> _LMResult:
+        alpha: float, theta: np.ndarray) -> _LMResult:
     """Levenberg-Marquardt on R weighted least-squares problems at once.
 
     f and sigma are (R, L), theta the (R, p) starting points.  Each row keeps
@@ -355,7 +341,7 @@ def _lm(m: DecayModel, lengths: np.ndarray, f: np.ndarray, sigma: np.ndarray,
     objective, and divides it by 3 after an accepted step.  A row stops when
     the relative decrease or the largest step component falls below 1e-14
     (_CONVERGED), when no damped step lowers its objective (_STALLED), or
-    after max_iterations accepted steps (_ITERATION_LIMIT).
+    after _MAX_ITERATIONS accepted steps (_ITERATION_LIMIT).
 
     Every product and sum (matmul for J^T J, J^T r and r . r, the stacked
     solve, elementwise powers) reduces each row exactly as the 2-d problem
@@ -372,7 +358,7 @@ def _lm(m: DecayModel, lengths: np.ndarray, f: np.ndarray, sigma: np.ndarray,
     trace = [float(cost[0])]
     diag = np.arange(n_params)
     active = np.arange(n_rows)
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         if not len(active):
             break
         jac = (_jacobian(m, lengths, theta[active], alpha)
@@ -415,9 +401,7 @@ def _lm(m: DecayModel, lengths: np.ndarray, f: np.ndarray, sigma: np.ndarray,
     return _LMResult(theta, status, steps, trace)
 
 
-def fit(ds: RBDataset, model: str, alpha: float,
-        init: Optional[Sequence[float]] = None,
-        max_iterations: int = 200) -> FitReport:
+def fit(ds: RBDataset, model: str, alpha: float) -> FitReport:
     """Weighted nonlinear least-squares fit of a decay model.
 
     Minimizes sum_l (F_l - model(l))^2 / sigma_l^2 with `_lm` on a single
@@ -437,10 +421,8 @@ def fit(ds: RBDataset, model: str, alpha: float,
     var = np.where(np.isnan(var), 0.0, var)
     sigma = np.sqrt(np.maximum(var, VARIANCE_FLOOR))
 
-    theta = (np.asarray(init, dtype=float).copy() if init is not None
-             else _initial_guess(m, lengths, f_l, alpha))
-    res = _lm(m, lengths, f_l[None, :], sigma[None, :], alpha, theta[None, :],
-              max_iterations)
+    theta = _initial_guess(m, lengths, f_l, alpha)
+    res = _lm(m, lengths, f_l[None, :], sigma[None, :], alpha, theta[None, :])
     trace = res.trace
     if res.status[0] == _ITERATION_LIMIT:
         raise FitError("fit did not converge", trace)
@@ -481,15 +463,6 @@ class BootstrapReport:
     n_failures: int = 0
     lm_iterations: int = 0  # accepted LM steps summed over all replicates
 
-    def ellipse_contains(self, point: Sequence[float]) -> bool:
-        cov = np.cov(self.samples[:, :2].T)
-        delta = np.asarray(point, float) - self.ellipse_center
-        try:
-            dist2 = float(delta @ np.linalg.solve(cov, delta))
-        except np.linalg.LinAlgError:
-            return bool(np.allclose(delta, 0, atol=1e-12))
-        return dist2 <= _ELLIPSE_QUANTILE
-
     def to_json(self) -> str:
         return json.dumps({
             "n_resamples": self.n_resamples,
@@ -503,12 +476,6 @@ class BootstrapReport:
             "ellipse_axes": self.ellipse_axes.tolist(),
             "n_failures": self.n_failures,
         }, indent=2)
-
-    def samples_csv(self) -> str:
-        lines = [",".join(self.param_names)]
-        for row in self.samples:
-            lines.append(",".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
 
 
 def _resample(ds: RBDataset, n_resamples: int, rng: np.random.Generator
@@ -656,17 +623,3 @@ def consistency_check(eps_g: float, eps_s1: float, eps_s2: float,
     _, embed_factor = embed_depolarizing(1.0, 1, 2)
     return float(w_g * eps_g
                  + embed_factor * w_1q * (eps_s1 + eps_s2) / (2 * step_scale))
-
-
-def truncation_scan(ds: RBDataset, model: str, alpha: float,
-                    windows: Sequence[Tuple[int, int]]) -> List[FitReport]:
-    """Refit over length windows [lo, hi] to diagnose time dependence."""
-    reports = []
-    n_params = MODELS[model].n_params
-    for lo, hi in windows:
-        rows = [r for r in ds.rows if lo <= r[1] <= hi]
-        kept = {l for _, l, _, _, _ in rows}
-        if len(kept) < n_params + 1:
-            raise ValueError(f"window [{lo}, {hi}] keeps too few lengths")
-        reports.append(fit(RBDataset(rows), model, alpha))
-    return reports

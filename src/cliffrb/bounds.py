@@ -133,10 +133,6 @@ def _tv_csv(series: Sequence[float]) -> str:
     return "\n".join(["steps,total_variation"] + rows) + "\n"
 
 
-def tv_series_csv(d: GroupDistribution, j_max: int) -> str:
-    return _tv_csv(tv_series(d, j_max))
-
-
 # -- LP bound on the error-per-step comparison --------------------------------
 
 

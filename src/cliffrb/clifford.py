@@ -307,13 +307,6 @@ def group_order(n: int, quotient: bool = False) -> int:
     return order // 4 ** n if quotient else order
 
 
-def sample_choice_counts(n: int) -> List[Tuple[int, int]]:
-    """Per-step (X-image, Z-image) choice-set sizes of the uniform sampler,
-    its nonzero X draws and all its Z draws, each with either sign; their
-    product is exactly group_order(n)."""
-    return [(2 * ((1 << wx) - 1), 1 << (wz + 1)) for wx, wz in _draw_widths(n)]
-
-
 # ---------------------------------------------------------------------------
 # GF(2) linear solving for sampling / enumeration
 

@@ -210,11 +210,10 @@ class _ChoiMatrix:
         self.signs ^= flip
 
 
-def block_decompose(c: CliffordTableau, fix_signs: bool = True) -> GateSequence:
+def block_decompose(c: CliffordTableau) -> GateSequence:
     """Decompose into blocks of 1q / CZ / CX / 1q / CZ / (1q) gates.
 
-    The returned sequence composes exactly to c when fix_signs is true, and
-    to a Pauli-equivalent operator otherwise.
+    The returned sequence composes exactly to c.
     """
     n = c.n_qubits
     m = _ChoiMatrix(c)
@@ -226,16 +225,15 @@ def block_decompose(c: CliffordTableau, fix_signs: bool = True) -> GateSequence:
 
     if not c.strip_signs().is_identity():  # a Pauli needs only the sign fix
         _reduce_to_bell(m, n, emit)
-    # 8. optional Pauli sign fix
-    if fix_signs:
-        for k in range(n):
-            if m.sign(k):
-                emit("Z", k)
-            if m.sign(n + k):
-                emit("X", k)
+    # 8. Pauli sign fix
+    for k in range(n):
+        if m.sign(k):
+            emit("Z", k)
+        if m.sign(n + k):
+            emit("X", k)
 
     # the collected gates reduce C to the identity; C is their inverse chain
-    return invert_sequence(GateSequence(n, tuple(gates)))
+    return GateSequence(n, invert_sequence(gates))
 
 
 def _reduce_to_bell(m: "_ChoiMatrix", n: int, emit) -> None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -134,17 +134,6 @@ class DenseSuperoperator:
         return cls(n, chi)
 
     @classmethod
-    def from_tableau(cls, tab: CliffordTableau) -> "DenseSuperoperator":
-        """Channel rho -> C rho C+ of a Clifford, built from its signed
-        Pauli permutation (no dense unitary needed)."""
-        n = tab.n_qubits
-        images, flips = _label_tables([tab])
-        # sum_m vec(sign[m] P_idx[m]) vec(P_m)+ / d
-        v = _vec_basis(n)
-        signed = v[:, images[0]] * (1 - 2 * flips[0].astype(int))
-        return cls.from_natural(n, _matmul(signed, v.conj().T) / 2 ** n)
-
-    @classmethod
     def from_natural(cls, n_qubits: int, nat: np.ndarray) -> "DenseSuperoperator":
         """chi[m, k] = tr(kron(P_k^T, P_m)+ nat) / d^2."""
         d = 2 ** n_qubits
@@ -161,14 +150,6 @@ class DenseSuperoperator:
         return _reshuffle(_matmul(_matmul(v, self.chi), v.conj().T),
                           2 ** self.n_qubits)
 
-    def kraus(self, tol: float = 1e-12) -> List[np.ndarray]:
-        vals, vecs = np.linalg.eigh((self.chi + self.chi.conj().T) / 2)
-        if np.any(vals < -1e-9):
-            raise ValueError("process matrix is not completely positive")
-        keep = vals > tol
-        weighted = (vecs[:, keep] * np.sqrt(vals[keep])).T
-        return list(np.tensordot(weighted, _basis_stack(self.n_qubits), 1))
-
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """sum_mk chi[m, k] P_m rho P_k."""
         b = _basis_stack(self.n_qubits)
@@ -182,11 +163,11 @@ class DenseSuperoperator:
         return DenseSuperoperator.from_natural(
             self.n_qubits, _matmul(self.natural(), other.natural()))
 
-    def is_trace_preserving(self, tol: float = 1e-10) -> bool:
-        """sum_mk chi[m, k] P_k P_m is the identity."""
+    def is_trace_preserving(self) -> bool:
+        """sum_mk chi[m, k] P_k P_m is the identity (to 1e-10)."""
         b = _basis_stack(self.n_qubits)
         total = np.einsum("mk,kab,mbc->ac", self.chi, b, b, optimize=True)
-        return bool(np.allclose(total, np.eye(2 ** self.n_qubits), atol=tol))
+        return bool(np.allclose(total, np.eye(2 ** self.n_qubits), atol=1e-10))
 
     def distance(self, other: "DenseSuperoperator") -> float:
         return float(np.max(np.abs(self.chi - other.chi)))
@@ -252,13 +233,3 @@ def gate_fidelity(s: DenseSuperoperator, u: np.ndarray) -> float:
     err = s.compose(DenseSuperoperator.from_unitary(np.asarray(u).conj().T))
     d = 2 ** s.n_qubits
     return float((1 + d * np.real(err.chi[0, 0])) / (1 + d))
-
-
-def random_tp_channel(n_qubits: int, rng) -> DenseSuperoperator:
-    """Random trace-preserving channel with four Kraus operators, from a
-    Haar-ish random isometry."""
-    d = 2 ** n_qubits
-    g = rng.normal(size=(4 * d, d)) + 1j * rng.normal(size=(4 * d, d))
-    q, _ = np.linalg.qr(g)
-    kraus = [q[i * d:(i + 1) * d, :] for i in range(4)]
-    return DenseSuperoperator.from_kraus(n_qubits, kraus)

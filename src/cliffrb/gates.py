@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -136,11 +136,6 @@ INVERSE_NAMES = {name: _NAME_OF.get(clifford_inverse(g.tableau))
                  for name, g in _REGISTRY.items()}
 
 
-def builtin_gates() -> Dict[str, GateDefinition]:
-    """Registry of named standard gates (read-only by convention)."""
-    return dict(_REGISTRY)
-
-
 def get_gate(name: str) -> GateDefinition:
     return _REGISTRY[_ALIASES.get(name, name)]
 
@@ -238,16 +233,18 @@ def sequence_tableau(seq: GateSequence) -> CliffordTableau:
     return CliffordTableau(n, tuple(_transpose_bits(cols, 2 * n)), signs)
 
 
-def invert_sequence(seq: GateSequence) -> GateSequence:
-    """Reverse the sequence, replacing each gate by its named inverse."""
-    gates = []
-    for name, idxs in reversed(seq.gates):
+def invert_sequence(gates: Sequence[Tuple[str, Tuple[int, ...]]]
+                    ) -> Tuple[Tuple[str, Tuple[int, ...]], ...]:
+    """Reverse a (gate name, qubit indices) list, replacing each gate by its
+    named inverse."""
+    out = []
+    for name, idxs in reversed(gates):
         inv = INVERSE_NAMES.get(_ALIASES.get(name, name))
         if inv is None:
             raise ValueError(f"gate {name} has no registered named inverse")
         if inv != "I":
-            gates.append((inv, idxs))
-    return GateSequence(seq.n_qubits, tuple(gates))
+            out.append((inv, idxs))
+    return tuple(out)
 
 
 # single-qubit gate mapping factor σ to ±τ (unsigned coset choices)
@@ -300,17 +297,3 @@ def find_mapping(p: PauliOperator, q: PauliOperator) -> GateSequence:
         emit(_ONE_QUBIT_MAP[(cur.factor(a), q.factor(a))], (a,))
     assert cur.representative() == q.representative(), "mapping construction failed"
     return GateSequence(n, tuple(gates))
-
-
-def generates_clifford_group(gs: GateSet, n: int, quotient: bool = False) -> bool:
-    """True iff the closure of the gate set under composition is all of C_n
-    (or its Pauli quotient)."""
-    if n > 2:
-        raise ValueError("generation check enumerates the group; n <= 2 only")
-    from .decomp import CoverageError, cayley_search  # decomp imports gates
-
-    try:
-        cayley_search(gs, n, quotient, primary_gates=())
-    except CoverageError:
-        return False
-    return True

@@ -62,10 +62,10 @@ class PauliOperator:
         return cls(n_qubits, 0, 0, 0)
 
     @classmethod
-    def single(cls, n_qubits: int, qubit: int, kind: str, phase: int = 0) -> "PauliOperator":
+    def single(cls, n_qubits: int, qubit: int, kind: str) -> "PauliOperator":
         """One non-identity factor `kind` in {X,Y,Z} at `qubit`, identity elsewhere."""
         x, z = _CHAR_TO_BITS[kind]
-        return cls(n_qubits, x << qubit, z << qubit, phase)
+        return cls(n_qubits, x << qubit, z << qubit)
 
     @classmethod
     def from_string(cls, text: str) -> "PauliOperator":
@@ -100,9 +100,6 @@ class PauliOperator:
         if self.phase == 0:
             return self
         return PauliOperator(self.n_qubits, self.x_mask, self.z_mask, 0)
-
-    def with_phase(self, phase: int) -> "PauliOperator":
-        return PauliOperator(self.n_qubits, self.x_mask, self.z_mask, phase)
 
     @property
     def sign_bit(self) -> int:
@@ -199,12 +196,10 @@ def pauli_support(p: PauliOperator) -> Set[int]:
     return out
 
 
-def enumerate_paulis(n_qubits: int, include_identity: bool = True) -> Iterable[PauliOperator]:
+def enumerate_paulis(n_qubits: int) -> Iterable[PauliOperator]:
     """All 4**n phase-0 representatives in (x, z) lexicographic order."""
     for x in range(1 << n_qubits):
         for z in range(1 << n_qubits):
-            if not include_identity and x == 0 and z == 0:
-                continue
             yield PauliOperator(n_qubits, x, z, 0)
 
 
@@ -262,15 +257,6 @@ class PauliChannel:
         for op in enumerate_paulis(n_qubits):
             w[op] = 1.0 - p * (d4 - 1) / d4 if op.is_identity() else p / d4
         return cls(n_qubits, w)
-
-    @classmethod
-    def pauli_error(cls, op: PauliOperator, p: float) -> "PauliChannel":
-        """Apply `op` with probability p, identity otherwise."""
-        rep = op.representative()
-        ident = PauliOperator.identity(op.n_qubits)
-        if rep.is_identity():
-            return cls(op.n_qubits, {ident: 1.0})
-        return cls(op.n_qubits, {ident: 1.0 - p, rep: p})
 
     def scaled(self, factor: float) -> "PauliChannel":
         """Multiply every non-identity weight by `factor` (time ramping)."""

@@ -424,22 +424,3 @@ def run_experiment(design: ExperimentDesign, protocol: str, model: ErrorModel,
             n_correct = int(rng.binomial(design.n_shots, fid))
             data.rows.append((protocol, length, s, design.n_shots, n_correct))
     return data
-
-
-def max_useful_length(eps_est: float, n: int, n_e: int, n_l: int,
-                      cap: int = 10 ** 6) -> int:
-    """Largest length whose expected decay amplitude still clears the binomial
-    noise floor of the averaged survival estimate."""
-    alpha = (2 ** n - 1) / 2 ** n
-    if not 0 < eps_est < alpha:
-        raise ValueError("error estimate must lie in (0, alpha_n)")
-    best = 0
-    for l in range(1, cap):
-        amp = alpha * (1 - eps_est / alpha) ** l
-        f = (1 - alpha) + amp
-        noise = np.sqrt(f * (1 - f) / (n_e * n_l))
-        if noise < amp:
-            best = l
-        else:
-            break
-    return best

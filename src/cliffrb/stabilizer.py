@@ -16,7 +16,7 @@ differ.  `gssf_reduce` restores GSSF with row swaps and row products only.
 
 from __future__ import annotations
 
-from typing import (Iterable, List, Optional, Protocol, Sequence, Set, Tuple,
+from typing import (Iterable, List, Optional, Protocol, Sequence, Tuple,
                     Union)
 
 from .clifford import (
@@ -137,44 +137,8 @@ class StabilizerState:
     def diag(self, c: int) -> str:
         return self.entry(c, c)
 
-    def check_gssf(self) -> None:
-        """Raise unless the three GSSF conditions hold (test hook)."""
-        n = len(self.vecs)
-        for c in range(n):
-            if self.diag(c) == "I":
-                raise InvalidStateError(f"column {c}: identity diagonal")
-            for r in range(n):
-                if r == c:
-                    continue
-                e = self.entry(r, c)
-                if e != "I":
-                    if e != self.neighbor[c] or e == self.diag(c):
-                        raise InvalidStateError(
-                            f"column {c}: off-diagonal entry {e} at row {r}")
-                if (e == "I") != (self.entry(c, r) == "I"):
-                    raise InvalidStateError(
-                        f"identity pattern not symmetric at ({r},{c})")
-
     def __str__(self) -> str:
         return "\n".join(str(row) for row in self.rows)
-
-    def canonical_row_span(self) -> Tuple[Tuple[int, int], ...]:
-        """Canonical form of the signed stabilizer group (RREF over GF(2) of
-        packed rows, carrying signs along); equal iff the states are equal."""
-        n = self.n_qubits
-        pivots: List[Tuple[int, int, int]] = []  # (vec, sign, column)
-        for r, v in enumerate(self.vecs):
-            s = self.sign(r)
-            for pv, ps, col in pivots:
-                if (v >> col) & 1:
-                    v, s = _pauli_product(v, s, pv, ps, n)
-            if v == 0:
-                raise InvalidStateError("dependent rows")
-            col = v.bit_length() - 1
-            pivots = [(*_pauli_product(pv, ps, v, s, n), pcol)
-                      if (pv >> col) & 1 else (pv, ps, pcol)
-                      for pv, ps, pcol in pivots] + [(v, s, col)]
-        return tuple(sorted((v, 2 * s) for v, s, _ in pivots))
 
 
 def zero_state(n: int) -> StabilizerState:
@@ -196,17 +160,14 @@ def prepare_zero(state: StabilizerState) -> StabilizerState:
     return state
 
 
-def reduce_gssf(rows: Sequence[PauliOperator], signs: Optional[Sequence[int]] = None,
-                fixed: Optional[Set[int]] = None) -> StabilizerState:
-    """Build a GSSF state from n commuting independent rows on n qubits
-    (+ optional signs)."""
+def reduce_gssf(rows: Sequence[PauliOperator]) -> StabilizerState:
+    """Build a GSSF state from n commuting independent signed rows on n
+    qubits."""
     rows = list(rows)
     n = rows[0].n_qubits if rows else 0
     if len(rows) != n:
         raise InvalidStateError(
             f"{len(rows)} rows on {n} qubits; a state needs one per qubit")
-    if signs is not None:
-        rows = [r.with_phase(2 * s) for r, s in zip(rows, signs)]
     for i, a in enumerate(rows):
         if a.phase % 2:
             raise InvalidStateError("row signs must be real")
@@ -214,7 +175,7 @@ def reduce_gssf(rows: Sequence[PauliOperator], signs: Optional[Sequence[int]] = 
             if not pauli_commutes(a, b):
                 raise InvalidStateError("rows do not commute")
     state = StabilizerState(rows)
-    gssf_reduce(state, n, fixed or (), state.neighbor)
+    gssf_reduce(state, n, (), state.neighbor)
     return state
 
 

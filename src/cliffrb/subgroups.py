@@ -3,14 +3,14 @@
 Paulis on n qubits are encoded as pairs of field elements (a, c): the X part
 is expanded over a basis b_1..b_n (b_1 = 1) and the Z part over the dual
 basis, chosen so that the first expansion coordinate of b_i * dual_j is the
-Kronecker delta.  In that encoding raising a Pauli to a field-element power
-and the 2^n(4^n - 1)-element twirl subgroup Q_n become one-line formulas.
+Kronecker delta.  In that encoding the 2^n(4^n - 1)-element twirl subgroup
+Q_n becomes a one-line formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -99,30 +99,17 @@ def dual_basis(n: int, poly: int, basis: Sequence[int]) -> Tuple[int, ...]:
     return tuple(dual)
 
 
-def field_context(n: int, basis: Optional[Sequence[int]] = None) -> FieldContext:
+def field_context(n: int) -> FieldContext:
+    """The field GF(2^n) with the monomial basis 1, x, ..., x^(n-1)."""
     if n not in _IRREDUCIBLE:
         raise ValueError(f"no built-in irreducible polynomial for n={n}")
     poly = _IRREDUCIBLE[n]
-    if basis is None:
-        basis = tuple(1 << i for i in range(n))
-    basis = tuple(basis)
-    if basis[0] != 1:
-        raise ValueError("first basis element must be 1")
+    basis = tuple(1 << i for i in range(n))
     return FieldContext(n, poly, basis, dual_basis(n, poly, basis),
                         _first_coord_mask(n, basis))
 
 
-# -- Pauli <-> field-pair encoding ---------------------------------------------
-
-
-def pauli_to_field(ctx: FieldContext, p: PauliOperator) -> Tuple[int, int]:
-    a = c = 0
-    for i in range(ctx.n):
-        if (p.x_mask >> i) & 1:
-            a ^= ctx.basis[i]
-        if (p.z_mask >> i) & 1:
-            c ^= ctx.dual[i]
-    return a, c
+# -- field-pair -> Pauli decoding ------------------------------------------------
 
 
 def field_to_pauli(ctx: FieldContext, a: int, c: int) -> PauliOperator:
@@ -135,14 +122,6 @@ def field_to_pauli(ctx: FieldContext, a: int, c: int) -> PauliOperator:
     return PauliOperator(ctx.n, x, z, 0)
 
 
-def vectorial_power(ctx: FieldContext, p: PauliOperator, k: int) -> PauliOperator:
-    """Raise a (phase-0) Pauli to a field-element power: (a, c) -> (k*a, k*c)."""
-    if p.phase != 0:
-        raise ValueError("vectorial powers are defined on phase-0 operators")
-    a, c = pauli_to_field(ctx, p)
-    return field_to_pauli(ctx, field_mul(ctx, k, a), field_mul(ctx, k, c))
-
-
 # -- twirl subgroups -------------------------------------------------------------
 
 
@@ -152,14 +131,13 @@ def t_subgroup() -> List[CliffordTableau]:
     return [CliffordTableau.identity(1), t, clifford_compose(t, t)]
 
 
-def q_subgroup(ctx_or_n) -> List[CliffordTableau]:
+def q_subgroup(n: int) -> List[CliffordTableau]:
     """The 2^n(4^n-1) sign-free coset representatives whose images satisfy
     [C](X_1) = X^a Z^c, [C](Z_1) = X^d Z^e with c*d + a*e = 1, extended to the
     other qubits by vectorial powers."""
-    ctx = field_context(ctx_or_n) if isinstance(ctx_or_n, int) else ctx_or_n
-    n = ctx.n
     if n > 4:
         raise ValueError("subgroup enumeration limited to n <= 4")
+    ctx = field_context(n)
     out = []
     for ac in range(1, 1 << (2 * n)):
         a, c = ac & ((1 << n) - 1), ac >> n

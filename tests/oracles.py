@@ -42,10 +42,20 @@ uniform sampler solving every step's linear system afresh and drawing its
 bits 32 at a time in a loop, the Pauli eigenvalue summed anew on every call,
 and the compose that maps each image through `_image_sign`.
 
-The group walks at the end are what the one walk over the sampler's draws
+The group walks are what the one walk over the sampler's draws
 (`clifford._walk`) replaced: `enumerate_group`'s own Gray-code recursion over
 the sampler's choice sets, and the draw index built by replaying the sampler
 on every packed draw key.
+
+The helpers at the end were library functions and methods that only tests
+reached; they live here as plain functions with their bodies unchanged:
+the GSSF check `check_gssf` and the canonical form `canonical_row_span` of a
+stabilizer state, `kraus` of a dense channel and `random_tp_channel`,
+`pauli_error` (a one-Pauli channel), `model_predict` (a decay model's
+curve), `ellipse_contains` of a bootstrap report, `builtin_gates` and
+`generates_clifford_group`, the field encoding `pauli_to_field` and
+`vectorial_power`, and the sampler's per-step choice-set sizes
+`sample_choice_counts` (built from `clifford._draw_widths`).
 """
 
 import heapq
@@ -62,21 +72,30 @@ from cliffrb.clifford import (
     clifford_inverse,
     embed_tableau,
 )
+from cliffrb.decomp import CoverageError, cayley_search
+from cliffrb.dense import DenseSuperoperator, _basis_stack
 from cliffrb.errors import DEFAULT_QUBIT_CAP, ResourceLimitError
-from cliffrb.gates import get_gate
+from cliffrb.gates import _REGISTRY, get_gate
 from cliffrb.pauli import (
+    PauliChannel,
     PauliDimensionError,
     PauliOperator,
+    _flip,
+    _pack,
+    _pauli_product,
+    _symplectic,
     pauli_commutes,
     pauli_multiply,
 )
 from cliffrb.protocol import RBDataset
 from cliffrb.stabilizer import (
+    InvalidStateError,
     StabilizerState,
     apply_clifford,
     stabilizer_decomposition,
     zero_state,
 )
+from cliffrb.subgroups import field_mul, field_to_pauli
 
 PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -172,10 +191,6 @@ def clifford_apply(c, p):
     if acc.phase % 2:
         raise ValueError("invalid tableau: image has imaginary phase")
     return acc
-
-
-def _pack(p):
-    return p.x_mask | (p.z_mask << p.n_qubits)
 
 
 def clifford_compose(c, d):
@@ -590,13 +605,13 @@ def undetected_probability(p_prime, r, measured=None):
     """bounds.undetected_probability as a loop over the support, one Pauli
     label at a time."""
     n = p_prime.n_qubits
-    m = packed._pack(PauliOperator(n, 0, 1, 0) if measured is None
-                     else measured)
-    v = packed._pack(r)
+    m = _pack(PauliOperator(n, 0, 1, 0) if measured is None
+              else measured)
+    v = _pack(r)
     _, _, images = _quotient_group(n)
     q = 0.0
     for i in p_prime.support():
-        if not packed._symplectic(images[i][v], m, n):
+        if not _symplectic(images[i][v], m, n):
             q += float(p_prime.probs[i])
     return q
 
@@ -849,7 +864,7 @@ def sample_uniform_loop(n, rng):
     xi = []
     zi = []
     for _ in range(n):
-        constraints = [(packed._flip(v, n), 0)
+        constraints = [(_flip(v, n), 0)
                        for pair in zip(xi, zi) for v in pair]
         _, basis = packed._solve_affine(constraints, 2 * n)
         while True:
@@ -857,7 +872,7 @@ def sample_uniform_loop(n, rng):
             if vx:
                 break
         part, basis_z = packed._solve_affine(
-            constraints + [(packed._flip(vx, n), 1)], 2 * n)
+            constraints + [(_flip(vx, n), 1)], 2 * n)
         vz = part ^ packed._xor_combo(basis_z,
                                       rand_bits_loop(rng, len(basis_z)))
         xi.append(vx)
@@ -905,14 +920,14 @@ def enumerate_group_recursive(n, quotient=False):
             for s in sign_patterns:
                 out.append(CliffordTableau(n, vecs, s))
             return
-        constraints = [(packed._flip(v, n), 0)
+        constraints = [(_flip(v, n), 0)
                        for pair in zip(xi, zi) for v in pair]
         _, basis = packed._solve_affine(constraints, 2 * n)
         vx = 0
         for i in range(1, 1 << len(basis)):
             vx ^= basis[(i & -i).bit_length() - 1]  # Gray-code walk
             part, basis_z = packed._solve_affine(
-                constraints + [(packed._flip(vx, n), 1)], 2 * n)
+                constraints + [(_flip(vx, n), 1)], 2 * n)
             vz = part
             xi.append(vx)
             zi.append(vz)
@@ -946,3 +961,138 @@ def replay_draws(n):
         out.append(CliffordTableau(
             n, packed._sample_images(n, lambda nbits: next(draws))))
     return out
+
+
+# ---------------------------------------------------------------------------
+# test helpers moved out of the library
+
+
+def check_gssf(state):
+    """Raise unless the three GSSF conditions hold."""
+    n = len(state.vecs)
+    for c in range(n):
+        if state.diag(c) == "I":
+            raise InvalidStateError(f"column {c}: identity diagonal")
+        for r in range(n):
+            if r == c:
+                continue
+            e = state.entry(r, c)
+            if e != "I":
+                if e != state.neighbor[c] or e == state.diag(c):
+                    raise InvalidStateError(
+                        f"column {c}: off-diagonal entry {e} at row {r}")
+            if (e == "I") != (state.entry(c, r) == "I"):
+                raise InvalidStateError(
+                    f"identity pattern not symmetric at ({r},{c})")
+
+
+def canonical_row_span(state):
+    """Canonical form of the signed stabilizer group (RREF over GF(2) of
+    packed rows, carrying signs along); equal iff the states are equal."""
+    n = state.n_qubits
+    pivots = []  # (vec, sign, column)
+    for r, v in enumerate(state.vecs):
+        s = state.sign(r)
+        for pv, ps, col in pivots:
+            if (v >> col) & 1:
+                v, s = _pauli_product(v, s, pv, ps, n)
+        if v == 0:
+            raise InvalidStateError("dependent rows")
+        col = v.bit_length() - 1
+        pivots = [(*_pauli_product(pv, ps, v, s, n), pcol)
+                  if (pv >> col) & 1 else (pv, ps, pcol)
+                  for pv, ps, pcol in pivots] + [(v, s, col)]
+    return tuple(sorted((v, 2 * s) for v, s, _ in pivots))
+
+
+def kraus(s, tol=1e-12):
+    """Kraus operators of a dense channel, from the eigenvectors of chi."""
+    vals, vecs = np.linalg.eigh((s.chi + s.chi.conj().T) / 2)
+    if np.any(vals < -1e-9):
+        raise ValueError("process matrix is not completely positive")
+    keep = vals > tol
+    weighted = (vecs[:, keep] * np.sqrt(vals[keep])).T
+    return list(np.tensordot(weighted, _basis_stack(s.n_qubits), 1))
+
+
+def random_tp_channel(n_qubits, rng):
+    """Random trace-preserving channel with four Kraus operators, from a
+    Haar-ish random isometry."""
+    d = 2 ** n_qubits
+    g = rng.normal(size=(4 * d, d)) + 1j * rng.normal(size=(4 * d, d))
+    q, _ = np.linalg.qr(g)
+    kraus = [q[i * d:(i + 1) * d, :] for i in range(4)]
+    return DenseSuperoperator.from_kraus(n_qubits, kraus)
+
+
+def pauli_error(op, p):
+    """Apply `op` with probability p, identity otherwise."""
+    rep = op.representative()
+    ident = PauliOperator.identity(op.n_qubits)
+    if rep.is_identity():
+        return PauliChannel(op.n_qubits, {ident: 1.0})
+    return PauliChannel(op.n_qubits, {ident: 1.0 - p, rep: p})
+
+
+def model_predict(model, lengths, params, alpha):
+    m = analysis.MODELS[model]
+    return np.asarray(
+        m.func(np.asarray(lengths, dtype=float), np.asarray(params, float),
+               alpha), dtype=float)
+
+
+def ellipse_contains(rep, point):
+    """True iff point lies in the bootstrap report's 95 % confidence
+    ellipse, measured with the covariance of its samples."""
+    cov = np.cov(rep.samples[:, :2].T)
+    delta = np.asarray(point, float) - rep.ellipse_center
+    try:
+        dist2 = float(delta @ np.linalg.solve(cov, delta))
+    except np.linalg.LinAlgError:
+        return bool(np.allclose(delta, 0, atol=1e-12))
+    return dist2 <= analysis._ELLIPSE_QUANTILE
+
+
+def builtin_gates():
+    """Registry of named standard gates (a copy)."""
+    return dict(_REGISTRY)
+
+
+def generates_clifford_group(gs, n, quotient=False):
+    """True iff the closure of the gate set under composition is all of C_n
+    (or its Pauli quotient)."""
+    if n > 2:
+        raise ValueError("generation check enumerates the group; n <= 2 only")
+    try:
+        cayley_search(gs, n, quotient, primary_gates=())
+    except CoverageError:
+        return False
+    return True
+
+
+def pauli_to_field(ctx, p):
+    """Field pair (a, c) of a Pauli: its X part over the basis, its Z part
+    over the dual basis."""
+    a = c = 0
+    for i in range(ctx.n):
+        if (p.x_mask >> i) & 1:
+            a ^= ctx.basis[i]
+        if (p.z_mask >> i) & 1:
+            c ^= ctx.dual[i]
+    return a, c
+
+
+def vectorial_power(ctx, p, k):
+    """Raise a (phase-0) Pauli to a field-element power: (a, c) -> (k*a, k*c)."""
+    if p.phase != 0:
+        raise ValueError("vectorial powers are defined on phase-0 operators")
+    a, c = pauli_to_field(ctx, p)
+    return field_to_pauli(ctx, field_mul(ctx, k, a), field_mul(ctx, k, c))
+
+
+def sample_choice_counts(n):
+    """Per-step (X-image, Z-image) choice-set sizes of the uniform sampler,
+    its nonzero X draws and all its Z draws, each with either sign; their
+    product is exactly group_order(n)."""
+    return [(2 * ((1 << wx) - 1), 1 << (wz + 1))
+            for wx, wz in packed._draw_widths(n)]

@@ -18,7 +18,6 @@ from cliffrb.analysis import (
     embed_depolarizing,
     fit,
     interleaved_gate_error,
-    model_predict,
 )
 from cliffrb.bounds import (
     GroupDistribution,
@@ -33,7 +32,6 @@ from cliffrb.clifford import (
     CliffordTableau,
     enumerate_group,
     group_order,
-    sample_choice_counts,
     sample_uniform,
 )
 from cliffrb.decomp import block_decompose, cayley_search
@@ -41,7 +39,6 @@ from cliffrb.dense import (
     DenseSuperoperator,
     depolarization_strength,
     group_twirl,
-    random_tp_channel,
 )
 from cliffrb.errors import ErrorModel, expected_sequence_fidelity
 from cliffrb.gates import GateSet, get_gate, sequence_tableau
@@ -53,6 +50,8 @@ from cliffrb.protocol import (
 )
 from cliffrb.stabilizer import apply_clifford, measure_z, zero_state
 from cliffrb.subgroups import q_subgroup, t_subgroup
+
+from oracles import model_predict, random_tp_channel, sample_choice_counts
 
 ONE_QUBIT_GATES = ("H", "S", "Sdg", "X90", "X90m")
 

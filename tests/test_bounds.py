@@ -7,6 +7,7 @@ from cliffrb.bounds import (
     EnumerationUnavailableError,
     GroupDistribution,
     InfeasibleBoundError,
+    _tv_csv,
     convolve,
     convolve_steps,
     default_measurement,
@@ -14,7 +15,6 @@ from cliffrb.bounds import (
     step_comparison_bound,
     total_variation,
     tv_series,
-    tv_series_csv,
     undetected_probability,
 )
 from cliffrb.clifford import clifford_compose, embed_tableau, enumerate_group
@@ -133,7 +133,7 @@ class TestTotalVariation:
         assert np.std(tail) < 0.01
 
     def test_csv_export(self):
-        text = tv_series_csv(knill_like(), 3)
+        text = _tv_csv(tv_series(knill_like(), 3))
         assert text.startswith("steps,total_variation\n1,")
         assert len(text.strip().splitlines()) == 4
 

@@ -293,7 +293,7 @@ class TestBadInput:
     def test_simulate_depolarizing_too_many_qubits(self, tmp_path,
                                                    monkeypatch):
         # the limit is checked before any of the 4^n Paulis is built
-        def refuse(n_qubits, include_identity=True):
+        def refuse(n_qubits):
             raise AssertionError(f"enumerated the 4^{n_qubits} Paulis")
 
         monkeypatch.setattr(cliffrb.pauli, "enumerate_paulis", refuse)

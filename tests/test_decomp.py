@@ -102,13 +102,6 @@ class TestBlockDecompose:
             seq = block_decompose(c)
             assert sequence_tableau(seq) == c
 
-    def test_coset_exact_without_sign_fix(self):
-        rng = np.random.default_rng(40)
-        for _ in range(20):
-            c = sample_uniform(3, rng)
-            seq = block_decompose(c, fix_signs=False)
-            assert sequence_tableau(seq).strip_signs() == c.strip_signs()
-
     def test_block_order(self):
         # emitted blocks (reading the inverted output backwards) are
         # 1q, CZ, CX, 1q, CZ, 1q -- so the output must match the reversed
@@ -135,7 +128,7 @@ class TestBlockDecompose:
         rng = np.random.default_rng(43)
         for _ in range(30):
             c = sample_uniform(2, rng)
-            seq = block_decompose(c, fix_signs=False)
+            seq = block_decompose(c)
             cx_alg = sum(1 for name, _ in seq.gates if name == "CX")
             cz_alg = sum(1 for name, _ in seq.gates if name == "CZ")
             _, (cx_opt, _) = table.lookup(c)

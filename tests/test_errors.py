@@ -22,6 +22,7 @@ from oracles import (
     SignListDistribution,
     dense_pauli,
     embed_unitary,
+    pauli_error,
     propagate_channel,
     sign_list_fidelity,
 )
@@ -86,7 +87,7 @@ class TestSequenceFidelity:
 
     def test_certain_x_flip(self):
         seq = FakeSequence(1, identity_steps(1, 1), z_measurements(1))
-        flip = PauliChannel.pauli_error(PauliOperator.from_string("X"), 1.0)
+        flip = pauli_error(PauliOperator.from_string("X"), 1.0)
         assert expected_sequence_fidelity(seq, ErrorModel(flip)) == pytest.approx(0.0)
 
     def test_depolarizing_before_measurement(self):
@@ -153,9 +154,9 @@ class TestSequenceFidelity:
         bell = FakeSequence(2, (("prep", _bell_tableau()),),
                             (PauliOperator.from_string("XX"),
                              PauliOperator.from_string("ZZ")))
-        zz = PauliChannel.pauli_error(PauliOperator.from_string("ZZ"), 1.0)
+        zz = pauli_error(PauliOperator.from_string("ZZ"), 1.0)
         assert expected_sequence_fidelity(bell, ErrorModel(zz)) == pytest.approx(1.0)
-        zi = PauliChannel.pauli_error(PauliOperator.from_string("ZI"), 1.0)
+        zi = pauli_error(PauliOperator.from_string("ZI"), 1.0)
         assert expected_sequence_fidelity(bell, ErrorModel(zi)) == pytest.approx(0.0)
 
     def test_nondeterministic_measurement_rejected(self):

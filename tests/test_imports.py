@@ -1,7 +1,8 @@
 """Every name a `cliffrb` module, or the shared test oracle module
-`tests/oracles.py`, imports is used in that module, and every module-level
+`tests/oracles.py`, imports is used in that module, every module-level
 private name (`_x`) a `cliffrb` module defines is referenced somewhere in
-`cliffrb`.
+`cliffrb`, and every module-level public name serves the library, the CLI
+or the benchmark rather than only the tests.
 
 No linter is part of the toolchain, so this is a small stdlib `ast` check.
 Package `__init__.py` files are skipped: their imports are re-exports.
@@ -14,6 +15,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "cliffrb"
+PERFBENCH = TESTS.parent / "perfbench"
 SOURCES = sorted(SRC.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 MODULES.append(TESTS / "oracles.py")
@@ -78,3 +80,59 @@ def test_no_unreferenced_private_names():
     unused = sorted((name, d) for name, t in trees.items()
                     for d in private_definitions(t) if d not in used)
     assert unused == []
+
+
+def public_definitions(tree):
+    """Module-level public names bound by def or class."""
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def exported_names(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def click_commands(tree):
+    """Functions decorated with `@click.group()` or `@<group>.command(...)`."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and any(
+                isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+                and d.func.attr in ("command", "group")
+                for d in node.decorator_list):
+            out.add(node.name)
+    return out
+
+
+def dotted_string_parts(tree):
+    """Each part of every dotted string constant (metric names such as
+    `stabilizer.deterministic_z_outcome.calls`)."""
+    return {part for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "." in node.value
+            for part in node.value.split(".")}
+
+
+def test_no_test_only_public_names():
+    """A public def or class serves something when code in `src/` outside
+    its own definition references it, when `__init__.__all__` exports it,
+    when it is a click command, or when `perfbench/` names it (also as a
+    part of a dotted metric string); test helpers live in tests/."""
+    trees = {p.name: ast.parse(p.read_text()) for p in SOURCES}
+    init = trees.pop("__init__.py")
+    served = exported_names(init) | click_commands(trees["cli.py"])
+    for p in sorted(PERFBENCH.rglob("*.py")):
+        tree = ast.parse(p.read_text())
+        served |= references(tree) | dotted_string_parts(tree)
+    for tree in trees.values():
+        for node in tree.body:
+            served |= references(node) - {getattr(node, "name", None)}
+    unserved = sorted((name, d) for name, t in trees.items()
+                      for d in public_definitions(t) - served)
+    assert unserved == []

@@ -18,7 +18,7 @@ from cliffrb.clifford import (
     clifford_inverse,
     sample_uniform,
 )
-from cliffrb.gates import builtin_gates, sequence_tableau
+from cliffrb.gates import sequence_tableau
 from cliffrb.pauli import PauliDimensionError, PauliOperator
 
 SIZES = (1, 2, 3, 6, 16)
@@ -32,7 +32,8 @@ def random_pauli(n, rng, phase):
 
 
 def random_sequence(n, length, rng):
-    gates = [(name, g.arity) for name, g in sorted(builtin_gates().items())
+    gates = [(name, g.arity)
+             for name, g in sorted(oracles.builtin_gates().items())
              if g.arity <= n]
     out = []
     for _ in range(length):
@@ -116,10 +117,10 @@ def test_choi_matrix_matches_oracle(n):
     same()
 
 
-@pytest.mark.parametrize("name", sorted(builtin_gates()))
+@pytest.mark.parametrize("name", sorted(oracles.builtin_gates()))
 def test_sliced_form_matches_label_table(name):
     # one row per label: column j holds label bit j of that single row
-    gate = builtin_gates()[name]
+    gate = oracles.builtin_gates()[name]
     images, flips = gate.local
     width = 2 * gate.arity
     for label in range(4 ** gate.arity):

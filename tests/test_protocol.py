@@ -16,7 +16,6 @@ from cliffrb.protocol import (
     gen_exact_sequence,
     gen_interleaved_sequence,
     knill_1q_distribution,
-    max_useful_length,
     run_experiment,
     sequence_seed,
 )
@@ -231,22 +230,3 @@ class TestExperiment:
     def test_sequence_seed_stable(self):
         assert sequence_seed(5, "exact", 8, 2) == sequence_seed(5, "exact", 8, 2)
         assert sequence_seed(5, "exact", 8, 2) != sequence_seed(5, "exact", 8, 3)
-
-
-class TestMaxUsefulLength:
-    def test_monotone_in_error(self):
-        bounds = [max_useful_length(e, 1, 100, 100)
-                  for e in (0.005, 0.01, 0.02, 0.05, 0.1)]
-        assert bounds == sorted(bounds, reverse=True)
-
-    def test_more_data_never_hurts(self):
-        a = max_useful_length(0.02, 1, 100, 100)
-        b = max_useful_length(0.02, 1, 200, 100)
-        assert b >= a
-
-    def test_near_maximal_error(self):
-        assert max_useful_length(0.49, 1, 100, 100) <= 3
-
-    def test_domain_check(self):
-        with pytest.raises(ValueError):
-            max_useful_length(0.6, 1, 100, 100)

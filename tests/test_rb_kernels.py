@@ -26,7 +26,6 @@ from cliffrb.clifford import (
     embed_tableau,
     pauli_tableau,
     quotient_group,
-    sample_choice_counts,
     sample_uniform,
 )
 from cliffrb.errors import ErrorModel, expected_sequence_fidelity
@@ -58,10 +57,10 @@ def test_rand_bits_matches_loop():
 
 def _channels(n):
     rng = np.random.default_rng(70 + n)
-    ops = list(enumerate_paulis(n, include_identity=False))
+    ops = [p for p in enumerate_paulis(n) if not p.is_identity()]
     picks = [ops[int(i)] for i in rng.choice(len(ops), size=2, replace=False)]
     out = [PauliChannel.depolarizing(n, p) for p in (0.0, 0.013, 0.4)]
-    out += [PauliChannel.pauli_error(op, 0.07) for op in picks]
+    out += [oracles.pauli_error(op, 0.07) for op in picks]
     out += [ch.scaled(f) for ch in out[1:] for f in (0.5, 1.37)]
     return out
 
@@ -145,7 +144,7 @@ def test_sampler_draw_widths_are_fixed(n):
     is 0, then its Z image from 2(n-k)-1 bits, whatever came before; so the
     table path can read a step's draws at fixed widths."""
     widths = [(2 * (n - k), 2 * (n - k) - 1) for k in range(n)]
-    for (cx, cz), (wx, wz) in zip(sample_choice_counts(n), widths):
+    for (cx, cz), (wx, wz) in zip(oracles.sample_choice_counts(n), widths):
         assert cx == 2 * (2 ** wx - 1) and cz == 2 * 2 ** wz
     for seed in range(200):
         rng = np.random.default_rng(seed)

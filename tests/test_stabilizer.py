@@ -19,7 +19,8 @@ from cliffrb.stabilizer import (
     zero_state,
 )
 
-from oracles import embed_unitary, project_z, z_outcome_probability
+from oracles import (canonical_row_span, check_gssf, embed_unitary, project_z,
+                     z_outcome_probability)
 
 
 class CountingRng:
@@ -82,10 +83,10 @@ class TestReduce:
                 a, b = rng.integers(0, n, size=2)
                 if a != b:
                     rows[a] = pauli_multiply(rows[a], rows[b])
-            before = reduce_gssf(list(rows)).canonical_row_span()
+            before = canonical_row_span(reduce_gssf(list(rows)))
             state = reduce_gssf(rows)
-            state.check_gssf()
-            assert state.canonical_row_span() == before
+            check_gssf(state)
+            assert canonical_row_span(state) == before
 
     def test_noncommuting_rows_rejected(self):
         with pytest.raises(InvalidStateError):
@@ -197,7 +198,7 @@ class TestMeasureZ:
         first_calls = rng.calls
         o0_again, _ = measure_z(s, 0, rng)
         assert o0_again == o0 and rng.calls == first_calls
-        s.check_gssf()
+        check_gssf(s)
 
 
 class TestMeasurePauli:
@@ -258,7 +259,7 @@ class TestAgainstDenseSimulation:
                     else:
                         assert p == pytest.approx(0.5, abs=1e-9)
                     vec = project_z(vec, j, out)
-                    state.check_gssf()
+                    check_gssf(state)
                 else:
                     if n >= 2 and rng.random() < 0.4:
                         name = self.GATE_POOL_2Q[int(rng.integers(0, 4))]
