@@ -177,8 +177,9 @@ class GateSequence:
     gates: Tuple[Tuple[str, Tuple[int, ...]], ...]
 
     def __post_init__(self):
-        # checked inline (embed_tableau has its own check): cayley_search
-        # builds one per group element, where a helper call per tuple costs
+        # checked inline (embed_tableau has its own check): reading a whole
+        # cayley_search table builds one per group element, where a helper
+        # call per tuple costs
         for idxs in set(map(itemgetter(1), self.gates)):  # each tuple once
             if len(set(idxs)) != len(idxs) or idxs and (
                     min(idxs) < 0 or max(idxs) >= self.n_qubits):

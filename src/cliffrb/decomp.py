@@ -5,6 +5,8 @@ Two routes:
 * `cayley_search` -- Dijkstra over the Cayley graph on a bucket queue (ties
   settle in push order) with a lexicographic (two-qubit gates, total gates)
   weight; optimal but only feasible for n <= 2 (n <= 3 for the quotient).
+  The queue carries each node's parent and last move, and the search keeps
+  the tree they form; an element's gate sequence is built when it is read.
 * `block_decompose` -- O(n^2)-gate algorithmic decomposition for any n,
   reducing the Bell-pair (Choi) stabilizer matrix of the operator to the
   identity with blocks of one-qubit gates, CZ gates and CX gates.
@@ -23,9 +25,10 @@ Quadrants are numbered clockwise from the top-left (1 = top-left block,
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -66,12 +69,39 @@ class CoverageError(RuntimeError):
     """Gate set failed to generate the whole group."""
 
 
+class _SearchTree(Mapping):
+    """Read-only key -> (GateSequence, cost) view of a Cayley search tree:
+    `_tree` maps each settled key, in settle order, to its (parent key,
+    move index, cost) record (the root's parent and move are None and -1).
+    A value is built, and its `GateSequence` checked, on each read."""
+
+    def __init__(self, n: int, gates: List[Tuple[str, Tuple[int, ...]]],
+                 tree: Dict[int, Tuple[Optional[int], int, Tuple[int, int]]]):
+        self._n = n
+        self._gates = gates
+        self._tree = tree
+
+    def __getitem__(self, key: int) -> Tuple[GateSequence, Tuple[int, int]]:
+        parent, move, cost = self._tree[key]
+        seq = []
+        while move >= 0:
+            seq.append(self._gates[move])
+            parent, move, _ = self._tree[parent]
+        return GateSequence(self._n, tuple(reversed(seq))), cost
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._tree)
+
+    def __len__(self) -> int:
+        return len(self._tree)
+
+
 @dataclass(frozen=True)
 class DecompositionTable:
     gate_set_name: str
     n_qubits: int
     quotient: bool
-    entries: Dict[int, Tuple[GateSequence, Tuple[int, int]]]
+    entries: Mapping[int, Tuple[GateSequence, Tuple[int, int]]]
 
     def lookup(self, c: CliffordTableau) -> Tuple[GateSequence, Tuple[int, int]]:
         key = (c.strip_signs() if self.quotient else c).encode()
@@ -80,7 +110,7 @@ class DecompositionTable:
     def cost_histogram(self) -> Dict[int, int]:
         """Primary-gate count -> number of group elements."""
         hist: Dict[int, int] = {}
-        for _, (prim, _tot) in self.entries.values():
+        for _, _, (prim, _tot) in self.entries._tree.values():
             hist[prim] = hist.get(prim, 0) + 1
         return hist
 
@@ -94,50 +124,55 @@ def cayley_search(gs: GateSet, n: int, quotient: bool = False,
     tableau.  Composing a gate on the left maps every row through the gate's
     signed Pauli-label table; one `_label_tables` call builds the tables of
     all the embedded gates.  In the quotient the sign bit stays 0.  The queue
-    is a bucket per cost, drained lowest first; ties settle in push order."""
+    is a bucket per cost, drained lowest first; ties settle in push order.
+    A push carries its parent's key and move index, not a sequence; the
+    table's entries build each sequence from those records when read."""
     if n >= (4 if quotient else 3):
         raise ValueError(
             f"group too large to search (n={n}, quotient={quotient})")
     width = 2 * n
-    moves = []
     gate_moves = gs.moves(n)
+    gates = [(name, idxs) for name, idxs, _w in gate_moves]
+    moves = []
     if gate_moves:  # with none, only the identity is reached: CoverageError
         images, flips = _label_tables([
             embed_tableau(get_gate(name).tableau, idxs, n)
-            for name, idxs, _w in gate_moves])
+            for name, idxs in gates])
         # steps[g, row] is the image row; a signed row also carries the flip
         steps = images if quotient else np.concatenate(
             [images | flips << width, images | (flips ^ 1) << width], axis=1)
-        moves = [((name, idxs), step, 1 if name in primary_gates else 0)
-                 for (name, idxs, _w), step in zip(gate_moves, steps.tolist())]
+        moves = [(j, step, 1 if gates[j][0] in primary_gates else 0)
+                 for j, step in enumerate(steps.tolist())]
     vec_mask = (1 << width) - 1
     start = tuple(1 << i for i in range(width))
     # a node is settled when drained at its best cost; every move adds 1 to
     # tot, so no push lands in the bucket being drained or below it
     best: Dict[Tuple[int, ...], Tuple[int, int]] = {start: (0, 0)}
-    entries: Dict[int, Tuple[GateSequence, Tuple[int, int]]] = {}
-    buckets = {(0, 0): [(start, ())]}  # cost -> (node, sequence) in push order
+    tree: Dict[int, Tuple[Optional[int], int, Tuple[int, int]]] = {}
+    # cost -> (node, parent key, move index) in push order
+    buckets = {(0, 0): [(start, None, -1)]}
     while buckets:
         cost = min(buckets)
         costs = ((cost[0], cost[1] + 1), (cost[0] + 1, cost[1] + 1))
-        for rows, seq in buckets.pop(cost):
+        for rows, parent, move in buckets.pop(cost):
             if best[rows] != cost:
                 continue
             key = 0  # CliffordTableau.encode(): the sign mask, then the vecs
             for i, r in enumerate(rows):
                 key |= (r >> width) << i | (r & vec_mask) << (width * (i + 1))
-            entries[key] = (GateSequence(n, seq), cost)
+            tree[key] = (parent, move, cost)
             image = itemgetter(*rows)  # builds each neighbour's rows in C
-            for gate, step, gprim in moves:
+            for j, step, gprim in moves:
                 new, c = image(step), costs[gprim]
                 if c < best.get(new, (1 << 60, 0)):
                     best[new] = c
-                    buckets.setdefault(c, []).append((new, seq + (gate,)))
+                    buckets.setdefault(c, []).append((new, key, j))
     expected = group_order(n, quotient)
-    if len(entries) != expected:
+    if len(tree) != expected:
         raise CoverageError(
-            f"gate set {gs.name!r} reached {len(entries)} of {expected} elements")
-    return DecompositionTable(gs.name, n, quotient, entries)
+            f"gate set {gs.name!r} reached {len(tree)} of {expected} elements")
+    return DecompositionTable(gs.name, n, quotient,
+                              _SearchTree(n, gates, tree))
 
 
 # -- algorithmic block decomposition -------------------------------------------

@@ -24,7 +24,6 @@ from cliffrb.bounds import (
     convolve_steps,
     kappa_bounds,
     step_comparison_bound,
-    total_variation,
     tv_series,
     undetected_probability,
 )

@@ -7,7 +7,6 @@ from cliffrb.clifford import (
     CliffordTableau,
     GateSequence,
     clifford_compose,
-    embed_tableau,
     sample_uniform,
 )
 from cliffrb.decomp import (
@@ -79,6 +78,26 @@ class TestCayleySearch:
         assert len(depth) == 24
         for key, (_, (_, tot)) in table.entries.items():
             assert tot == depth[key]
+
+    def test_sequences_built_only_when_read(self, monkeypatch):
+        # the search, len, key iteration and the histogram read the tree;
+        # only a value read builds (and checks) a GateSequence
+        built = []
+
+        class Counting(GateSequence):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr("cliffrb.decomp.GateSequence", Counting)
+        table = cayley_search(oneq_plus_cx(), 2, quotient=True)
+        assert len(table.entries) == 720
+        assert len(list(table.entries)) == 720
+        assert sum(table.cost_histogram().values()) == 720
+        assert built == []
+        c = sample_uniform(2, np.random.default_rng(45))
+        seq, (_, tot) = table.lookup(c)
+        assert built == [seq] and len(seq) == tot
 
     def test_non_generating_set_raises(self):
         with pytest.raises(CoverageError):

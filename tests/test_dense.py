@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cliffrb.clifford import CliffordTableau, enumerate_group, sample_uniform
+from cliffrb.clifford import CliffordTableau, enumerate_group
 from cliffrb.dense import (
     DenseSuperoperator,
     conjugate_by_tableau,

@@ -16,7 +16,7 @@ from cliffrb.errors import ErrorModel, ResourceLimitError, expected_sequence_fid
 from cliffrb.gates import get_gate
 from cliffrb.pauli import PauliChannel, PauliOperator
 from cliffrb.protocol import gen_exact_sequence, sequence_factory
-from cliffrb.stabilizer import apply_clifford, measure_z, stabilizer_decomposition, zero_state
+from cliffrb.stabilizer import apply_clifford, stabilizer_decomposition, zero_state
 
 from oracles import (
     SignListDistribution,

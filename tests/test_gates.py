@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cliffrb.clifford import CliffordTableau, GateSequence, clifford_apply, clifford_compose, embed_tableau
+from cliffrb.clifford import GateSequence, clifford_apply, clifford_compose
 from cliffrb.gates import (
     INVERSE_NAMES,
     GateSet,

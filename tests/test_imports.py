@@ -1,8 +1,8 @@
-"""Every name a `cliffrb` module, or the shared test oracle module
-`tests/oracles.py`, imports is used in that module, every module-level
-private name (`_x`) a `cliffrb` module defines is referenced somewhere in
-`cliffrb`, and every module-level public name serves the library, the CLI
-or the benchmark rather than only the tests.
+"""Every name a `cliffrb` module, the shared test oracle module
+`tests/oracles.py` or a test module imports is used in that module, every
+module-level private name (`_x`) a `cliffrb` module defines is referenced
+somewhere in `cliffrb`, and every module-level public name serves the
+library, the CLI or the benchmark rather than only the tests.
 
 No linter is part of the toolchain, so this is a small stdlib `ast` check.
 Package `__init__.py` files are skipped: their imports are re-exports.
@@ -19,6 +19,7 @@ PERFBENCH = TESTS.parent / "perfbench"
 SOURCES = sorted(SRC.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 MODULES.append(TESTS / "oracles.py")
+MODULES += sorted(TESTS.glob("test_*.py"))
 
 
 def unused_imports(path):

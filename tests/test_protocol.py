@@ -6,7 +6,7 @@ from cliffrb.clifford import CliffordTableau, clifford_compose, enumerate_group
 from cliffrb.errors import ErrorModel
 from cliffrb.errors import expected_sequence_fidelity
 from cliffrb.gates import get_gate
-from cliffrb.pauli import PauliChannel, PauliOperator
+from cliffrb.pauli import PauliChannel
 from cliffrb.protocol import (
     ExperimentDesign,
     RBDataset,

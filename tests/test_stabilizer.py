@@ -6,7 +6,6 @@ from cliffrb.gates import get_gate
 from cliffrb.pauli import PauliDimensionError, PauliOperator, pauli_multiply
 from cliffrb.stabilizer import (
     InvalidStateError,
-    StabilizerState,
     apply_clifford,
     default_neighbor,
     deterministic_z_outcome,

@@ -5,7 +5,6 @@ from cliffrb.clifford import CliffordTableau, clifford_apply, clifford_compose, 
 from cliffrb.dense import DenseSuperoperator, depolarization_strength, group_twirl
 from cliffrb.pauli import PauliOperator, pauli_commutes
 from cliffrb.subgroups import (
-    FieldContext,
     dual_basis,
     field_context,
     field_inv,

@@ -28,7 +28,8 @@ from cliffrb.clifford import (
 )
 from cliffrb.decomp import cayley_search
 from cliffrb.dense import DenseSuperoperator, conjugate_by_tableau, group_twirl
-from cliffrb.gates import GateSet, get_gate, standard_gate_set
+from cliffrb.gates import (GateSet, get_gate, sequence_tableau,
+                           standard_gate_set)
 from cliffrb.pauli import PauliOperator, pauli_commutes
 from cliffrb.subgroups import q_subgroup, verify_twirl_set
 
@@ -74,6 +75,19 @@ class TestCayleyAgainstObjectDijkstra:
         # the bucket queue settles ties in push order, as the heap's counter
         got, want = searched
         assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("case", ["2q-hs-cx01", "2q-1q+cx-quotient"])
+def test_sequences_compose_to_keys_at_depth(case):
+    """Every sequence rebuilt from the search tree composes to its key (signs
+    stripped in the quotient) and carries its own cost."""
+    gs, n, quotient, primary = CAYLEY_CASES[case]
+    table = cayley_search(gs, n, quotient=quotient, primary_gates=primary)
+    for key, (seq, (prim, tot)) in table.entries.items():
+        tab = sequence_tableau(seq)
+        assert (tab.strip_signs() if quotient else tab).encode() == key
+        assert len(seq) == tot
+        assert sum(name in primary for name, _ in seq) == prim
 
 
 def assert_tables_match(tabs):
