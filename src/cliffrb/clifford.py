@@ -39,18 +39,25 @@ with a few big-int XORs and ANDs, however many rows there are.
 `gates.sequence_tableau` and the block decomposition's Choi matrix both
 use it; `_transpose_bits` turns columns back into rows.
 
-At n <= 2 the Pauli quotient of the group (6 or 720 elements) is held as
-arrays: `quotient_group(n)` builds, on first use, one record of its
-elements, a key index, every element's Pauli-label images, the product
-table and the RB table path's draw index, all from `_walk`, the one walk
-over the uniform sampler's draws.  `bounds` reads it too.
+A whole group is held as arrays, not as tableau objects: `enumerate_group`
+returns a read-only sequence over one (Q, 2n) uint8 array of the sign-free
+images from `_walk`, the one walk over the uniform sampler's draws, and a
+count of sign patterns.  An element is built as a tableau only when it is
+read, and `_label_tables` reads the array itself.  At n <= 2 the Pauli
+quotient of the group (6 or 720 elements) has one record:
+`quotient_group(n)` builds, on first use, its elements (the same kind of
+sequence), a key index, every element's Pauli-label images, the product
+table and the RB table path's draw index, all from `_walk`.  `bounds`
+reads it too.
 """
 
 from __future__ import annotations
 
+import operator
+from collections import abc
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from operator import itemgetter
+from itertools import chain
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -179,8 +186,8 @@ class GateSequence:
     def __post_init__(self):
         # checked inline (embed_tableau has its own check): reading a whole
         # cayley_search table builds one per group element, where a helper
-        # call per tuple costs
-        for idxs in set(map(itemgetter(1), self.gates)):  # each tuple once
+        # call per tuple costs; each index tuple is checked once
+        for idxs in set(map(operator.itemgetter(1), self.gates)):
             if len(set(idxs)) != len(idxs) or idxs and (
                     min(idxs) < 0 or max(idxs) >= self.n_qubits):
                 name = next(g for g, i in self.gates if i == idxs)
@@ -459,16 +466,60 @@ def _walk(n: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
     return rec(0, (), 0, (), ())
 
 
-def enumerate_group(n: int, quotient: bool = False) -> List[CliffordTableau]:
-    """Complete deduplicated list of C_n (or its Pauli quotient).
+class _GroupElements(abc.Sequence):
+    """Read-only sequence of the elements of a Clifford group, held as one
+    (Q, 2n) uint8 array of sign-free images and a count S of sign patterns:
+    element i is images ``vecs[i // S]`` with sign mask ``i % S``.  An
+    element is built as a `CliffordTableau` only when it is read;
+    `_label_tables` reads the arrays."""
+
+    __slots__ = ("n_qubits", "vecs", "n_signs")
+    __hash__ = None
+
+    def __init__(self, n: int, vecs: np.ndarray, n_signs: int):
+        vecs.setflags(write=False)
+        self.n_qubits, self.vecs, self.n_signs = n, vecs, n_signs
+
+    def __len__(self) -> int:
+        return len(self.vecs) * self.n_signs
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = operator.index(i)  # a numpy index would make a numpy sign mask
+        if not -len(self) <= i < len(self):
+            raise IndexError("group element index out of range")
+        row, signs = divmod(i % len(self), self.n_signs)
+        return CliffordTableau(self.n_qubits, tuple(self.vecs[row].tolist()),
+                               signs)
+
+    def __iter__(self) -> Iterator[CliffordTableau]:
+        n, signs = self.n_qubits, range(self.n_signs)
+        for lo in range(0, len(self.vecs), 4096):  # bounded Python lists
+            for vecs in map(tuple, self.vecs[lo:lo + 4096].tolist()):
+                for s in signs:
+                    yield CliffordTableau(n, vecs, s)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, abc.Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
+def enumerate_group(n: int, quotient: bool = False
+                    ) -> Sequence[CliffordTableau]:
+    """Complete deduplicated C_n (or its Pauli quotient), as a read-only
+    sequence of tableaux.
 
     Every sign-free element of `_walk`, in its order, times every sign
-    pattern; far faster than generator closure at the largest size.
+    pattern; far faster than generator closure at the largest size.  The
+    images are held as one array and each element is built when read.
     """
     if (quotient and n > 3) or (not quotient and n > 2):
         raise ValueError(f"group too large to enumerate (n={n}, quotient={quotient})")
-    signs = range(1 if quotient else 1 << (2 * n))
-    out = [CliffordTableau(n, vecs, s) for _, vecs in _walk(n) for s in signs]
+    vecs = np.fromiter(chain.from_iterable(v for _, v in _walk(n)),
+                       dtype=np.uint8).reshape(-1, 2 * n)
+    out = _GroupElements(n, vecs, 1 if quotient else 1 << (2 * n))
     assert len(out) == group_order(n, quotient)
     return out
 
@@ -490,7 +541,7 @@ def _keys(columns, n: int) -> np.ndarray:
 
 
 class QuotientGroup(NamedTuple):
-    elements: Tuple[CliffordTableau, ...]
+    elements: Sequence[CliffordTableau]  # built on read, see _GroupElements
     index: np.ndarray   # key -> element index; len(elements) for no element
     images: np.ndarray  # [i, v]: image label of Pauli label v under element i
     table: np.ndarray   # [i, j]: index of element i applied after element j
@@ -508,11 +559,11 @@ def quotient_group(n: int) -> QuotientGroup:
     """The Pauli quotient of C_n as arrays, built on first use; callers keep
     n <= QUOTIENT_TABLE_MAX_QUBITS."""
     keys, vecs = zip(*_walk(n))
-    elements = tuple(CliffordTableau(n, v) for v in vecs)
+    vecs = np.array(vecs, dtype=np.uint8)
+    elements = _GroupElements(n, vecs, 1)
     draws = [len(elements)] * (1 << sum(map(sum, _draw_widths(n))))
     for i, key in enumerate(keys):
         draws[key] = i
-    vecs = np.array(vecs, dtype=np.uint8)
     images, _ = _label_tables(elements)
     index = np.full(1 << (4 * n * n), len(elements), dtype=np.uint16)
     index[_keys(vecs.T[::-1], n)] = np.arange(len(elements))
@@ -564,15 +615,20 @@ def _label_tables(tabs: Sequence[CliffordTableau]
     the image of that bit, and the X^x Z^z exponent, held mod 4 (uint8 wraps mod 256), adds
     the row's Y count, two for each Z of the product so far met by an X of
     the row, and two for the row's sign bit."""
-    n = tabs[0].n_qubits
-    if any(t.n_qubits != n for t in tabs):
-        raise ValueError("tableaux act on different numbers of qubits")
-    if n > 4:
-        raise ValueError(f"label tables hold 2n <= 8 bits (n={n})")
     # rows[b, g] is the packed image of bit b under tableau g; the arrays
     # are built label-major, so each step reads and writes contiguous rows
-    rows = np.array([t.vecs for t in tabs], dtype=np.uint8).T
-    signs = np.array([t.signs for t in tabs])
+    if isinstance(tabs, _GroupElements):  # its arrays, no tableau built
+        n, count = tabs.n_qubits, tabs.n_signs
+        rows = np.repeat(tabs.vecs, count, axis=0).T
+        signs = np.tile(np.arange(count), len(tabs.vecs))
+    else:
+        n = tabs[0].n_qubits
+        if any(t.n_qubits != n for t in tabs):
+            raise ValueError("tableaux act on different numbers of qubits")
+        rows = np.array([t.vecs for t in tabs], dtype=np.uint8).T
+        signs = np.array([t.signs for t in tabs])
+    if n > 4:
+        raise ValueError(f"label tables hold 2n <= 8 bits (n={n})")
     row_exps = (_POPCOUNT[rows & rows >> n] + 2 * (
         signs >> np.arange(2 * n)[:, None] & 1)).astype(np.uint8)
     images = np.zeros((4 ** n, len(tabs)), dtype=np.uint8)

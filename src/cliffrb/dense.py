@@ -8,12 +8,15 @@ which keeps the depolarization and fidelity formulas short.
 
 The natural representation is one basis change by the cached (d^2, 4^n)
 matrix V whose column m is vec(P_m), and Kraus operators and states meet the
-cached stack of the 4^n basis matrices; the loop forms over the 16^n Pauli
-pairs are kept as oracles in tests/oracles.py.  A Clifford acts on the basis
+cached stack of the 4^n basis matrices, built by broadcasting the four 2x2
+factors over all labels, one product per qubit (`dense_pauli` builds one
+Pauli and is its oracle); the loop forms over the 16^n Pauli pairs are kept
+as oracles in tests/oracles.py.  A Clifford acts on the basis
 as the signed permutation of Pauli labels given by its
 `clifford._label_tables` row.  A twirl is one gather from the rows of its
 whole set, and conjugation by one Clifford is the twirl over that Clifford
-alone.
+alone; the twirl over an `enumerate_group` sequence reads its image array
+and builds no tableau.
 
 Basis ordering: Pauli index m = x_mask | (z_mask << n), so m = 0 is the
 identity; state index bit j is qubit j (qubit 0 = low-order bit).
@@ -21,14 +24,15 @@ identity; state index bit j is qubit j (qubit 0 = low-order bit).
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
 from .clifford import CliffordTableau, _label_tables
-from .pauli import PauliChannel, PauliOperator, _pack, _unpack
+from .pauli import PauliChannel, PauliOperator, _pack
 
 _MATS = {
     "I": np.eye(2, dtype=complex),
@@ -51,8 +55,21 @@ def dense_pauli(p: PauliOperator) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _basis_stack(n: int) -> np.ndarray:
-    """P_m for every basis index m, stacked: shape (4^n, 2^n, 2^n)."""
-    out = np.array([dense_pauli(_unpack(m, n)) for m in range(4 ** n)])
+    """P_m for every basis index m, stacked: shape (4^n, 2^n, 2^n).
+
+    `dense_pauli`'s Kronecker chain run over all labels at once, one
+    broadcast product per qubit: the entries are the same products of 0,
+    ±1 and ±i, and the unit phase comes last as there, so the stack is
+    bitwise equal to `dense_pauli`'s, signed zeros included."""
+    factors = np.array([_MATS[f] for f in "IXZY"])  # by x | z << 1
+    labels = np.arange(4 ** n)
+    out = np.ones((4 ** n, 1, 1), dtype=complex)
+    for j in range(n):
+        mats = factors[labels >> j & 1 | (labels >> (n + j) & 1) << 1]
+        d = 2 * out.shape[1]
+        out = (mats[:, :, None, :, None]
+               * out[:, None, :, None, :]).reshape(4 ** n, d, d)
+    out *= (1j) ** 0  # sets the zeros' signs as dense_pauli's phase does
     out.setflags(write=False)
     return out
 
@@ -193,7 +210,7 @@ def conjugate_by_tableau(s: DenseSuperoperator, tab: CliffordTableau) -> DenseSu
 
 
 def group_twirl(s: DenseSuperoperator,
-                group: Union[str, Sequence[CliffordTableau]]) -> DenseSuperoperator:
+                group: Union[str, Iterable[CliffordTableau]]) -> DenseSuperoperator:
     """Average of C+ . s . C over a set of Cliffords, or over all Paulis when
     group == "pauli".  The Pauli twirl keeps the diagonal of chi: the signs
     t_j of conjugation by the Paulis are orthogonal characters, so the
@@ -207,10 +224,11 @@ def group_twirl(s: DenseSuperoperator,
         if group != "pauli":
             raise ValueError(f"unknown twirl group {group!r}")
         return DenseSuperoperator(s.n_qubits, np.diag(np.diag(s.chi)))
-    group = list(group)
+    if not isinstance(group, abc.Sequence):
+        group = list(group)
     if not group:
         raise ValueError("empty twirl set")
-    images, flips = _label_tables(group)
+    images, flips = _label_tables(group)  # builds no tableau of a group
     d2 = len(s.chi)
     if images.shape[1] != d2:
         raise ValueError(f"tableaux act on {group[0].n_qubits} qubits, "

@@ -13,8 +13,10 @@ from cliffrb.clifford import (
     embed_tableau,
     enumerate_group,
     group_order,
+    quotient_group,
     sample_uniform,
 )
+from cliffrb.dense import group_twirl
 from cliffrb.gates import find_mapping, get_gate, sequence_tableau
 from cliffrb.pauli import (
     PauliOperator,
@@ -152,6 +154,55 @@ class TestEnumerate:
                     counts[k, index[(q.x_mask, q.z_mask)]] += 1
             expected = len(group) // len(paulis)
             assert np.all(counts == expected)
+
+
+
+class TestGroupElements:
+    def test_elements_built_only_when_read(self, monkeypatch):
+        # enumeration, len, the whole-group twirl and the quotient record
+        # read the image array; only an element read builds a tableau
+        built = []
+
+        class Counting(CliffordTableau):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        ch = oracles.random_tp_channel(2, np.random.default_rng(46))
+        monkeypatch.setattr("cliffrb.clifford.CliffordTableau", Counting)
+        group = enumerate_group(2)
+        assert len(group) == 11520
+        group_twirl(ch, group)
+        assert len(quotient_group.__wrapped__(2).elements) == 720
+        assert built == []
+        tab = group[5]
+        assert built == [tab]
+        assert (tab.vecs, tab.signs) == (tuple(group.vecs[0].tolist()), 5)
+
+    @pytest.mark.parametrize("quotient", [False, True])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_sequence_protocol(self, n, quotient):
+        group = enumerate_group(n, quotient=quotient)
+        want = oracles.enumerate_group_recursive(n, quotient=quotient)
+        assert group == want and want == group
+        assert not (group != want or want != group)
+        rng = np.random.default_rng(47)
+        for i in rng.integers(0, len(want), size=20):  # numpy indices
+            assert group[i].encode() == want[int(i)].encode()
+            assert type(group[i].signs) is int
+        assert [group[i] for i in (-1, -len(want))] == [want[-1], want[0]]
+        for part in (slice(3, 50, 7), slice(None, None, -5), slice(-4, None)):
+            assert group[part] == want[part]
+        for i in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                group[i]
+        with pytest.raises(TypeError):
+            group[1.0]
+        assert group != want[:-1] and group != want[::-1]
+        with pytest.raises(TypeError):
+            hash(group)
+        if quotient:
+            assert quotient_group(n).elements == group
 
 
 class TestSampleUniform:

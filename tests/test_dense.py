@@ -5,6 +5,7 @@ from scipy.linalg import expm
 from cliffrb.clifford import CliffordTableau, enumerate_group
 from cliffrb.dense import (
     DenseSuperoperator,
+    _basis_stack,
     conjugate_by_tableau,
     dense_pauli,
     depolarization_strength,
@@ -13,7 +14,7 @@ from cliffrb.dense import (
     superoperator_trace,
 )
 from cliffrb.gates import get_gate
-from cliffrb.pauli import PauliChannel, PauliOperator
+from cliffrb.pauli import PauliChannel, PauliOperator, _unpack
 
 from oracles import (chi_from_tableau, dense_pauli_from_string, kraus,
                      random_tp_channel)
@@ -36,6 +37,12 @@ class TestRepresentation:
         for text in ("X", "Y", "ZZ", "-iXY", "XYZ"):
             assert np.allclose(dense_pauli(PauliOperator.from_string(text)),
                                dense_pauli_from_string(text))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_basis_stack_is_dense_pauli(self, n):
+        want = np.array([dense_pauli(_unpack(m, n)) for m in range(4 ** n)])
+        assert np.array_equal(_basis_stack(n), want)
+        assert _basis_stack(n).tobytes() == want.tobytes()  # signed zeros
 
     def test_apply_matches_kraus_action(self):
         rng = np.random.default_rng(0)
