@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 import numpy as np
 
@@ -71,22 +70,30 @@ class CoverageError(RuntimeError):
 
 class _SearchTree(Mapping):
     """Read-only key -> (GateSequence, cost) view of a Cayley search tree:
-    `_tree` maps each settled key, in settle order, to its (parent key,
-    move index, cost) record (the root's parent and move are None and -1).
-    A value is built, and its `GateSequence` checked, on each read."""
+    `_tree` maps each settled key, in settle order, to one int record
+    ``((parent key << move_bits | move index + 1) << cost_bits | primary)
+    << cost_bits | total`` (the root's parent and move field are 0), so
+    the tree holds no container per element.  A value is built, and its
+    `GateSequence` checked, on each read."""
 
     def __init__(self, n: int, gates: List[Tuple[str, Tuple[int, ...]]],
-                 tree: Dict[int, Tuple[Optional[int], int, Tuple[int, int]]]):
+                 tree: Dict[int, int], move_bits: int, cost_bits: int):
         self._n = n
         self._gates = gates
         self._tree = tree
+        self._move_bits = move_bits
+        self._cost_bits = cost_bits
 
     def __getitem__(self, key: int) -> Tuple[GateSequence, Tuple[int, int]]:
-        parent, move, cost = self._tree[key]
+        rec = self._tree[key]
+        w = self._cost_bits
+        cost = (rec >> w & (1 << w) - 1, rec & (1 << w) - 1)
+        move_mask = (1 << self._move_bits) - 1
         seq = []
-        while move >= 0:
-            seq.append(self._gates[move])
-            parent, move, _ = self._tree[parent]
+        link = rec >> 2 * w
+        while link & move_mask:
+            seq.append(self._gates[(link & move_mask) - 1])
+            link = self._tree[link >> self._move_bits] >> 2 * w
         return GateSequence(self._n, tuple(reversed(seq))), cost
 
     def __iter__(self) -> Iterator[int]:
@@ -109,8 +116,10 @@ class DecompositionTable:
 
     def cost_histogram(self) -> Dict[int, int]:
         """Primary-gate count -> number of group elements."""
+        w = self.entries._cost_bits
         hist: Dict[int, int] = {}
-        for _, _, (prim, _tot) in self.entries._tree.values():
+        for rec in self.entries._tree.values():
+            prim = rec >> w & (1 << w) - 1
             hist[prim] = hist.get(prim, 0) + 1
         return hist
 
@@ -120,13 +129,15 @@ def cayley_search(gs: GateSet, n: int, quotient: bool = False,
     """Dijkstra over the Cayley graph; first settlement is optimal under the
     lexicographic (primary-gate count, total gates) weight.
 
-    A node is the tuple of the 2n signed rows ``vec | sign << 2n`` of a
+    A node is the bytes of the 2n signed rows ``vec | sign << 2n`` of a
     tableau.  Composing a gate on the left maps every row through the gate's
-    signed Pauli-label table; one `_label_tables` call builds the tables of
-    all the embedded gates.  In the quotient the sign bit stays 0.  The queue
-    is a bucket per cost, drained lowest first; ties settle in push order.
-    A push carries its parent's key and move index, not a sequence; the
-    table's entries build each sequence from those records when read."""
+    signed Pauli-label table (one `bytes.translate`); one `_label_tables`
+    call builds the tables of all the embedded gates.  In the quotient the
+    sign bit stays 0.  The queue is a bucket per cost, drained lowest
+    first; ties settle in push order.
+    A push carries its parent's key and move index, not a sequence; each
+    settled element keeps one packed int record of them and its cost, and
+    the table's entries build each sequence from those records when read."""
     if n >= (4 if quotient else 3):
         raise ValueError(
             f"group too large to search (n={n}, quotient={quotient})")
@@ -141,38 +152,46 @@ def cayley_search(gs: GateSet, n: int, quotient: bool = False,
         # steps[g, row] is the image row; a signed row also carries the flip
         steps = images if quotient else np.concatenate(
             [images | flips << width, images | (flips ^ 1) << width], axis=1)
-        moves = [(j, step, 1 if gates[j][0] in primary_gates else 0)
-                 for j, step in enumerate(steps.tolist())]
+        # a row has at most 2n + 1 <= 7 bits, so a node is a bytes object
+        # (untracked by gc) and a step is its 256-byte translate table
+        steps = np.pad(steps, ((0, 0), (0, 256 - steps.shape[1])))
+        moves = [(j + 1, step.tobytes(),
+                  1 if gates[j][0] in primary_gates else 0)
+                 for j, step in enumerate(steps)]
+    expected = group_order(n, quotient)
+    # a cost is below the group order; a move field is its index + 1
+    move_bits, cost_bits = len(gates).bit_length(), expected.bit_length()
     vec_mask = (1 << width) - 1
-    start = tuple(1 << i for i in range(width))
+    start = bytes(1 << i for i in range(width))
     # a node is settled when drained at its best cost; every move adds 1 to
     # tot, so no push lands in the bucket being drained or below it
-    best: Dict[Tuple[int, ...], Tuple[int, int]] = {start: (0, 0)}
-    tree: Dict[int, Tuple[Optional[int], int, Tuple[int, int]]] = {}
-    # cost -> (node, parent key, move index) in push order
-    buckets = {(0, 0): [(start, None, -1)]}
+    best: Dict[bytes, Tuple[int, int]] = {start: (0, 0)}
+    tree: Dict[int, int] = {}  # _SearchTree's records
+    # cost -> (node, parent key, move field) in push order
+    buckets = {(0, 0): [(start, 0, 0)]}
     while buckets:
         cost = min(buckets)
         costs = ((cost[0], cost[1] + 1), (cost[0] + 1, cost[1] + 1))
+        packed_cost = cost[0] << cost_bits | cost[1]
         for rows, parent, move in buckets.pop(cost):
             if best[rows] != cost:
                 continue
             key = 0  # CliffordTableau.encode(): the sign mask, then the vecs
             for i, r in enumerate(rows):
                 key |= (r >> width) << i | (r & vec_mask) << (width * (i + 1))
-            tree[key] = (parent, move, cost)
-            image = itemgetter(*rows)  # builds each neighbour's rows in C
+            tree[key] = ((parent << move_bits | move) << 2 * cost_bits
+                         | packed_cost)
             for j, step, gprim in moves:
-                new, c = image(step), costs[gprim]
+                new, c = rows.translate(step), costs[gprim]
                 if c < best.get(new, (1 << 60, 0)):
                     best[new] = c
                     buckets.setdefault(c, []).append((new, key, j))
-    expected = group_order(n, quotient)
     if len(tree) != expected:
         raise CoverageError(
             f"gate set {gs.name!r} reached {len(tree)} of {expected} elements")
     return DecompositionTable(gs.name, n, quotient,
-                              _SearchTree(n, gates, tree))
+                              _SearchTree(n, gates, tree, move_bits,
+                                          cost_bits))
 
 
 # -- algorithmic block decomposition -------------------------------------------

@@ -1,4 +1,6 @@
 import json
+import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import cliffrb.pauli
-from cliffrb.cli import main
+from cliffrb.cli import _dumps, main
 from cliffrb.clifford import CliffordTableau
 from cliffrb.gates import sequence_tableau
 from cliffrb.clifford import GateSequence
@@ -195,6 +197,98 @@ class TestPipeline:
         rep = json.loads(res.stdout)["bootstrap"]
         assert rep["n_resamples"] == 50
         assert len(rep["standard_errors"]) == 2
+
+
+def _indent2(obj):
+    return json.dumps(obj, indent=2)
+
+
+# string pieces that stress the string scan: quotes, backslash runs before
+# quotes, structural characters, control characters and non-ASCII text
+_PIECES = ['"', "\\", '\\"', '\\\\"', '\\\\\\"', "[", "]", "{", "}",
+           ",", ":", ": ", " ", "a", "\n", "\t", "\x00", "\x1f", "\x7f",
+           "\u00e9", "\u65e5\u672c", "\U0001f600", "\ud800"]
+
+
+def _fuzz_doc(rng, depth=0):
+    if depth == 0:
+        kind = rng.randrange(5, 9)  # a list, tuple or dict at the top
+    else:
+        kind = rng.randrange(9 if depth < 4 else 5)  # scalars from depth 4
+    if kind == 0:
+        return "".join(rng.choice(_PIECES) for _ in range(rng.randrange(6)))
+    if kind == 1:
+        return rng.choice([True, False, None, math.nan, math.inf, -math.inf,
+                           -0.0, 1e300, 0.1, -7])
+    if kind in (2, 3, 4):
+        return rng.randrange(-10 ** 9, 10 ** 9)
+    if kind in (5, 6):
+        return [_fuzz_doc(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 7:
+        return tuple(_fuzz_doc(rng, depth + 1)
+                     for _ in range(rng.randrange(3)))
+    return {_fuzz_doc(rng, 4) if rng.random() < 0.2 else
+            "".join(rng.choice(_PIECES) for _ in range(rng.randrange(4))):
+            _fuzz_doc(rng, depth + 1) for _ in range(rng.randrange(4))}
+
+
+class TestReportText:
+    """`cli._dumps` (the C encoder's compact text, re-indented) is
+    `json.dumps(obj, indent=2)` byte for byte, and every report the CLI
+    writes has that layout."""
+
+    def test_golden_reports(self):
+        paths = sorted((Path(__file__).parent / "golden").glob("*.json"))
+        assert paths
+        for path in paths:
+            obj = json.loads(path.read_text())
+            assert _dumps(obj) == _indent2(obj), path.name
+
+    def test_fuzzed_documents(self):
+        rng = random.Random(20240)
+        for _ in range(2500):
+            doc = _fuzz_doc(rng)
+            assert _dumps(doc) == _indent2(doc), doc
+
+    @pytest.mark.parametrize("obj", [
+        math.nan, math.inf, -math.inf, -0.0, 1e300, 5, "a,[b]", True, False,
+        None, [], {}, [[]], [{}], {"a": []}, {"": {}}, [[[[]]], {}],
+        (1, (2, ()), [3]), {"k": (True, None, math.nan)},
+        {1: "int key", 2.5: "float key", True: "bool key", None: "none key"},
+        ['\\', '\\"', '"\\', "]", "{,}"]])
+    def test_special_values(self, obj):
+        assert _dumps(obj) == _indent2(obj)
+
+    def test_same_errors(self):
+        circular = [1]
+        circular.append(circular)
+        for bad, error in ((object(), TypeError), ({"x": {1, 2}}, TypeError),
+                           (circular, ValueError)):
+            with pytest.raises(error) as ours:
+                _dumps(bad)
+            with pytest.raises(error) as stdlib:
+                _indent2(bad)
+            assert type(ours.value) is type(stdlib.value)
+
+    def test_written_files_are_indent_2(self, runner, tmp_path):
+        data = tmp_path / "d.csv"
+        outputs = {"decompose": tmp_path / "decompose.json",
+                   "simulate": tmp_path / "d.csv.manifest.json",
+                   "fit": tmp_path / "fit.json",
+                   "bootstrap": tmp_path / "bootstrap.json"}
+        run_ok(runner, ["decompose", "--random", "--n", "8", "--target", "cz",
+                        "--seed", "3", "-o", str(outputs["decompose"])])
+        run_ok(runner, ["simulate", "--n", "1", "--lengths", "1,4,9",
+                        "--n-seq", "5", "--shots", "50", "--depolarizing",
+                        "0.05", "--seed", "21", "-o", str(data)])
+        run_ok(runner, ["fit", "--data", str(data), "--n", "1",
+                        "-o", str(outputs["fit"])])
+        run_ok(runner, ["bootstrap", "--data", str(data), "--n", "1",
+                        "--resamples", "20", "--seed", "9",
+                        "-o", str(outputs["bootstrap"])])
+        for name, path in outputs.items():
+            text = path.read_text()
+            assert text == _indent2(json.loads(text)) + "\n", name
 
 
 class TestManifestParameters:
