@@ -39,6 +39,14 @@ with a few big-int XORs and ANDs, however many rows there are.
 `gates.sequence_tableau` and the block decomposition's Choi matrix both
 use it; `_transpose_bits` turns columns back into rows.
 
+The uniform sampler (Koenig & Smolin, arXiv:1406.2170) picks each image
+from the solutions of a GF(2) system of the earlier images.  It carries the
+system's fully reduced rows from step to step: `_reduce` adds one row,
+`_pick` reads solution number d off the rows, and `_walk` passes the rows
+down its recursion, so neither eliminates a system afresh.
+`_solve_affine`, the fold of `_reduce` that also returns a null basis,
+serves the stabilizer and subgroup code.
+
 A whole group is held as arrays, not as tableau objects: `enumerate_group`
 returns a read-only sequence over one (Q, 2n) uint8 array of the sign-free
 images from `_walk`, the one walk over the uniform sampler's draws, and a
@@ -319,38 +327,57 @@ def group_order(n: int, quotient: bool = False) -> int:
 # GF(2) linear solving for sampling / enumeration
 
 
+def _reduce(pivots: List[Tuple[int, int, int]], w: int, b: int
+            ) -> List[Tuple[int, int, int]]:
+    """The fully reduced pivot rows (col, w, b) of a system, in order, with
+    parity(w & v) = b added, as a new list (the same one when the row adds
+    nothing): w is reduced by the rows, then clears its top bit from them."""
+    for col, pw, pb in pivots:
+        if (w >> col) & 1:
+            w ^= pw
+            b ^= pb
+    if w == 0:
+        if b:
+            raise ValueError("inconsistent linear system")
+        return pivots
+    col = w.bit_length() - 1
+    return [(c, pw ^ w, pb ^ b) if (pw >> col) & 1 else (c, pw, pb)
+            for c, pw, pb in pivots] + [(col, w, b)]
+
+
+def _pick(pivots: Sequence[Tuple[int, int, int]], index: int) -> int:
+    """Solution number `index` of the reduced system: the particular
+    solution XOR the null-basis vectors (one per free column, ascending)
+    that index's bits name, built without the basis.  index's bits go to
+    the free columns in ascending order, by opening a zero bit at each
+    pivot column from the lowest up (pivot columns are mostly high, so
+    this stops early), and each pivot bit is then b ^ parity(w & v)."""
+    taken = 0
+    for c, _, _ in pivots:
+        taken |= 1 << c
+    v = index
+    while taken:
+        low = taken & -taken
+        if low > v:
+            break
+        v = (v & (low - 1)) | (v & -low) << 1
+        taken ^= low
+    out = v
+    for c, w, b in pivots:
+        if b ^ (w & v).bit_count() & 1:
+            out |= 1 << c
+    return out
+
+
 def _solve_affine(constraints: Sequence[Tuple[int, int]], nbits: int
                   ) -> Tuple[int, List[int]]:
     """Solve parity(w & v) = b for all (w, b); return (particular, null basis)."""
-    pivots: List[Tuple[int, int, int]] = []  # (col, w, b)
+    pivots: List[Tuple[int, int, int]] = []
     for w, b in constraints:
-        for col, pw, pb in pivots:
-            if (w >> col) & 1:
-                w ^= pw
-                b ^= pb
-        if w == 0:
-            if b:
-                raise ValueError("inconsistent linear system")
-            continue
-        col = w.bit_length() - 1
-        pivots = [(c, pw ^ (w if (pw >> col) & 1 else 0),
-                   pb ^ (b if (pw >> col) & 1 else 0)) for c, pw, pb in pivots]
-        pivots.append((col, w, b))
-    pivot_cols = {c for c, _, _ in pivots}
-    particular = 0
-    for c, _, b in pivots:
-        if b:
-            particular |= 1 << c
-    basis = []
-    for f in range(nbits):
-        if f in pivot_cols:
-            continue
-        v = 1 << f
-        for c, w, _ in pivots:
-            if (w >> f) & 1:
-                v |= 1 << c
-        basis.append(v)
-    return particular, basis
+        pivots = _reduce(pivots, w, b)
+    particular = _pick(pivots, 0)
+    return particular, [_pick(pivots, 1 << i) ^ particular
+                        for i in range(nbits - len(pivots))]
 
 
 def _rand_bits(rng, nbits: int) -> int:
@@ -367,26 +394,6 @@ def _rand_bits(rng, nbits: int) -> int:
     return out
 
 
-def _xor_combo(basis: Sequence[int], index: int) -> int:
-    v = 0
-    for b in basis:
-        if index & 1:
-            v ^= b
-        index >>= 1
-    return v
-
-
-# Bounded, so sampling at large n, where no system repeats, holds little:
-# all 4 systems met at n = 1 and all 496 at n = 2 (about 0.3 kB each) stay.
-@lru_cache(maxsize=512)
-def _choice_space(constraints: Tuple[Tuple[int, int], ...], nbits: int
-                  ) -> Tuple[int, Tuple[int, ...]]:
-    """`_solve_affine` of one sampler step, memoised: at small n the
-    sampler meets the same few constraint systems over and over."""
-    particular, basis = _solve_affine(constraints, nbits)
-    return particular, tuple(basis)
-
-
 def _draw_widths(n: int) -> List[Tuple[int, int]]:
     """Bit widths of the sampler's (X, Z) image draws, step by step: step k
     meets 2k independent constraints, whatever was drawn before, so only the
@@ -394,41 +401,27 @@ def _draw_widths(n: int) -> List[Tuple[int, int]]:
     return [(2 * k, 2 * k - 1) for k in range(n, 0, -1)]
 
 
-def _step_x(constraints: Tuple[Tuple[int, int], ...], n: int, dx: int
-            ) -> Tuple[int, Tuple[int, Tuple[int, ...]]]:
-    """X half of one sampler step: C(X_k) named by the nonzero draw dx, and
-    the choice space of C(Z_k), which must also anticommute with it."""
-    vx = _xor_combo(_choice_space(constraints, 2 * n)[1], dx)
-    return vx, _choice_space(constraints + ((_flip(vx, n), 1),), 2 * n)
-
-
-def _step_z(constraints: Tuple[Tuple[int, int], ...], n: int, vx: int,
-            space: Tuple[int, Tuple[int, ...]], dz: int
-            ) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
-    """Z half: C(Z_k) named by the draw dz in `_step_x`'s space, and the
-    constraints extended by both images."""
-    part, basis = space
-    vz = part ^ _xor_combo(basis, dz)
-    return vz, constraints + ((_flip(vx, n), 0), (_flip(vz, n), 0))
-
-
 def _sample_images(n: int, draw) -> Tuple[int, ...]:
     """The 2n packed images of `sample_uniform`, with every random index
-    taken from ``draw(nbits)``, a uniform nbits-bit integer."""
-    constraints, xi, zi = (), [], []
+    taken from ``draw(nbits)``, a uniform nbits-bit integer.  The reduced
+    constraint rows carry from step to step: each image adds one or two."""
+    pivots, xi, zi = [], [], []
     for wx, wz in _draw_widths(n):
         dx = draw(wx)
         while not dx:
             dx = draw(wx)
-        vx, space = _step_x(constraints, n, dx)
-        vz, constraints = _step_z(constraints, n, vx, space, draw(wz))
+        vx = _pick(pivots, dx)
+        fx = _flip(vx, n)
+        vz = _pick(_reduce(pivots, fx, 1), draw(wz))
         xi.append(vx)
         zi.append(vz)
+        if wz > 1:  # the last step leaves no constraints to carry
+            pivots = _reduce(_reduce(pivots, fx, 0), _flip(vz, n), 0)
     return tuple(xi + zi)
 
 
 def sample_uniform(n: int, rng) -> CliffordTableau:
-    """Exactly uniform Clifford tableau, O(n³).
+    """Exactly uniform Clifford tableau from O(n²) operations on 2n-bit rows.
 
     Step k picks C(X_k) uniformly from the 2(4^{n−k}−1) signed Paulis
     commuting with all earlier images (k counted from 0), then C(Z_k)
@@ -446,24 +439,30 @@ def _walk(n: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
     valid sampler draws (Koenig & Smolin, arXiv:1406.2170) packed into a key,
     first draw highest, and its 2n images.  X draws run over their nonzero
     values, Z draws over all, each in Gray order; steps share their prefix,
-    and each X draw solves its Z choice space once."""
+    and pass their reduced constraint rows down, so each X draw reduces its
+    Z choice space once and each Z draw adds one row."""
     widths = _draw_widths(n)
 
-    def rec(k, constraints, key, xi, zi):
+    def rec(k, pivots, key, xi, zi):
         wx, wz = widths[k]
         for i in range(1, 1 << wx):
             dx = i ^ i >> 1
-            vx, space = _step_x(constraints, n, dx)
+            vx = _pick(pivots, dx)
+            fx = _flip(vx, n)
+            space = _reduce(pivots, fx, 1)
+            if k + 1 < n:
+                ext = _reduce(pivots, fx, 0)
             for j in range(1 << wz):
                 dz = j ^ j >> 1
-                vz, ext = _step_z(constraints, n, vx, space, dz)
+                vz = _pick(space, dz)
                 key_k = (key << wx | dx) << wz | dz
                 if k + 1 < n:
-                    yield from rec(k + 1, ext, key_k, xi + (vx,), zi + (vz,))
+                    yield from rec(k + 1, _reduce(ext, _flip(vz, n), 0),
+                                   key_k, xi + (vx,), zi + (vz,))
                 else:  # the last step yields at once: no generator per leaf
                     yield key_k, xi + (vx,) + zi + (vz,)
 
-    return rec(0, (), 0, (), ())
+    return rec(0, [], 0, (), ())
 
 
 class _GroupElements(abc.Sequence):

@@ -40,12 +40,16 @@ Levenberg-Marquardt fit per replicate, drawing its counts one row at a time.
 The RB step kernels are the forms that the memoised ones replaced: the
 uniform sampler solving every step's linear system afresh and drawing its
 bits 32 at a time in a loop, the Pauli eigenvalue summed anew on every call,
-and the compose that maps each image through `_image_sign`.
+and the compose that maps each image through `_image_sign`.  The afresh
+solve `solve_affine` and its basis combination `xor_combo` are the
+elimination that the sampler's carried reduced rows (`clifford._reduce`,
+`clifford._pick`) replaced; `clifford._solve_affine` is checked against it.
 
 The group walks are what the one walk over the sampler's draws
 (`clifford._walk`) replaced: `enumerate_group`'s own Gray-code recursion over
-the sampler's choice sets, and the draw index built by replaying the sampler
-on every packed draw key.
+the sampler's choice sets, and the draw index built by replaying the
+afresh-solving sampler on every packed draw key.  Neither shares the
+library's elimination.
 
 The helpers at the end were library functions and methods that only tests
 reached; they live here as plain functions with their bodies unchanged:
@@ -858,27 +862,76 @@ def rand_bits_loop(rng, nbits):
     return out
 
 
-def sample_uniform_loop(n, rng):
-    """clifford.sample_uniform with `_solve_affine` called at every step on
-    constraints rebuilt from the images chosen so far."""
+def solve_affine(constraints, nbits):
+    """Solve parity(w & v) = b for all (w, b); return (particular, null
+    basis), eliminating every constraint afresh."""
+    pivots = []  # (col, w, b)
+    for w, b in constraints:
+        for col, pw, pb in pivots:
+            if (w >> col) & 1:
+                w ^= pw
+                b ^= pb
+        if w == 0:
+            if b:
+                raise ValueError("inconsistent linear system")
+            continue
+        col = w.bit_length() - 1
+        pivots = [(c, pw ^ (w if (pw >> col) & 1 else 0),
+                   pb ^ (b if (pw >> col) & 1 else 0)) for c, pw, pb in pivots]
+        pivots.append((col, w, b))
+    pivot_cols = {c for c, _, _ in pivots}
+    particular = 0
+    for c, _, b in pivots:
+        if b:
+            particular |= 1 << c
+    basis = []
+    for f in range(nbits):
+        if f in pivot_cols:
+            continue
+        v = 1 << f
+        for c, w, _ in pivots:
+            if (w >> f) & 1:
+                v |= 1 << c
+        basis.append(v)
+    return particular, basis
+
+
+def xor_combo(basis, index):
+    """XOR of the basis vectors named by the bits of index, lowest first."""
+    v = 0
+    for b in basis:
+        if index & 1:
+            v ^= b
+        index >>= 1
+    return v
+
+
+def sample_images_loop(n, draw):
+    """clifford._sample_images with `solve_affine` called at every step on
+    constraints rebuilt from the images chosen so far, every random index
+    taken from ``draw(nbits)``."""
     xi = []
     zi = []
     for _ in range(n):
         constraints = [(_flip(v, n), 0)
                        for pair in zip(xi, zi) for v in pair]
-        _, basis = packed._solve_affine(constraints, 2 * n)
+        _, basis = solve_affine(constraints, 2 * n)
         while True:
-            vx = packed._xor_combo(basis, rand_bits_loop(rng, len(basis)))
+            vx = xor_combo(basis, draw(len(basis)))
             if vx:
                 break
-        part, basis_z = packed._solve_affine(
-            constraints + [(_flip(vx, n), 1)], 2 * n)
-        vz = part ^ packed._xor_combo(basis_z,
-                                      rand_bits_loop(rng, len(basis_z)))
+        part, basis_z = solve_affine(constraints + [(_flip(vx, n), 1)], 2 * n)
+        vz = part ^ xor_combo(basis_z, draw(len(basis_z)))
         xi.append(vx)
         zi.append(vz)
-    signs = rand_bits_loop(rng, 2 * n)
-    return CliffordTableau(n, tuple(xi + zi), signs)
+    return tuple(xi + zi)
+
+
+def sample_uniform_loop(n, rng):
+    """clifford.sample_uniform from `sample_images_loop`, drawing its bits
+    32 at a time in a loop."""
+    vecs = sample_images_loop(n, lambda nbits: rand_bits_loop(rng, nbits))
+    return CliffordTableau(n, vecs, rand_bits_loop(rng, 2 * n))
 
 
 def channel_eigenvalue(ch, v):
@@ -922,11 +975,11 @@ def enumerate_group_recursive(n, quotient=False):
             return
         constraints = [(_flip(v, n), 0)
                        for pair in zip(xi, zi) for v in pair]
-        _, basis = packed._solve_affine(constraints, 2 * n)
+        _, basis = solve_affine(constraints, 2 * n)
         vx = 0
         for i in range(1, 1 << len(basis)):
             vx ^= basis[(i & -i).bit_length() - 1]  # Gray-code walk
-            part, basis_z = packed._solve_affine(
+            part, basis_z = solve_affine(
                 constraints + [(_flip(vx, n), 1)], 2 * n)
             vz = part
             xi.append(vx)
@@ -946,7 +999,7 @@ def enumerate_group_recursive(n, quotient=False):
 def replay_draws(n):
     """The sign-free tableau named by every packed draw key (first draw
     highest, X then Z width for each step), found by running
-    `_sample_images` on the key's draws; None where an X draw is 0."""
+    `sample_images_loop` on the key's draws; None where an X draw is 0."""
     widths = [w for k in range(n, 0, -1) for w in (2 * k, 2 * k - 1)]
     out = []
     for key in range(1 << sum(widths)):
@@ -959,7 +1012,7 @@ def replay_draws(n):
             continue
         draws = iter(values)
         out.append(CliffordTableau(
-            n, packed._sample_images(n, lambda nbits: next(draws))))
+            n, sample_images_loop(n, lambda nbits: next(draws))))
     return out
 
 

@@ -1,5 +1,5 @@
 """Cross-checks of the memoised RB step kernels against the forms they
-replaced, kept in `oracles`: the sampler's cached choice spaces and one-call
+replaced, kept in `oracles`: the sampler's carried elimination and one-call
 `_rand_bits`, the per-channel Pauli-eigenvalue memo and the one-layer
 compose; and of the n <= 2 table path of `run_experiment` against the
 general path, with the two facts it rests on: numpy's word-block draw
@@ -16,11 +16,13 @@ import pytest
 
 import cliffrb
 import oracles
+from cliffrb import clifford
 from cliffrb.clifford import (
-    _choice_space,
     _draw_widths,
     _rand_bits,
     _sample_images,
+    _solve_affine,
+    _walk,
     clifford_compose,
     clifford_inverse,
     embed_tableau,
@@ -46,6 +48,51 @@ def test_sampler_matches_loop(n):
         for _ in range(2):  # the second draw meets a warm memo
             assert sample_uniform(n, memo) == oracles.sample_uniform_loop(n, loop)
         assert memo.bit_generator.state == loop.bit_generator.state
+
+
+@pytest.mark.parametrize("n, seeds", [(33, 10), (64, 3)])
+def test_wide_sampler_matches_loop(n, seeds):
+    """Past 32 qubits the packed images pass 64 bits and every X draw takes
+    several 32-bit chunks."""
+    for seed in range(seeds):
+        fast, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert sample_uniform(n, fast) == oracles.sample_uniform_loop(n, loop)
+        assert fast.bit_generator.state == loop.bit_generator.state
+
+
+def _random_system(rng, nbits):
+    """Random rows on nbits bits, with rows that are XORs of earlier ones:
+    consistent, or, now and then, with the right-hand side flipped."""
+    rows = []
+    for _ in range(int(rng.integers(0, nbits + 4))):
+        if rows and rng.random() < 0.4:
+            picks = rng.choice(len(rows), size=int(rng.integers(1, len(rows) + 1)))
+            w = b = 0
+            for i in picks:
+                w ^= rows[i][0]
+                b ^= rows[i][1]
+            rows.append((w, b ^ int(rng.random() < 0.1)))
+        else:
+            rows.append((oracles.rand_bits_loop(rng, nbits),
+                         int(rng.integers(0, 2))))
+    return rows
+
+
+@pytest.mark.parametrize("nbits", range(1, 71))
+def test_solve_affine_matches_oracle(nbits):
+    rng = np.random.default_rng(nbits)
+    inconsistent = 0
+    for _ in range(20):
+        rows = _random_system(rng, nbits)
+        try:
+            want = oracles.solve_affine(rows, nbits)
+        except ValueError as err:
+            inconsistent += 1
+            with pytest.raises(ValueError, match=str(err)):
+                _solve_affine(rows, nbits)
+        else:
+            assert _solve_affine(rows, nbits) == want
+    assert inconsistent < 20
 
 
 def test_rand_bits_matches_loop():
@@ -200,14 +247,18 @@ def test_draw_index_matches_sampler_replay(n):
             assert group.elements[group.draws[key]] == tab
 
 
-def test_choice_space_holds_two_qubit_systems():
-    """The memo keeps all 496 constraint systems of the n = 2 sampler, so
-    the general path solves each at most once."""
-    _choice_space.cache_clear()
+def test_sampler_and_walk_solve_nothing_afresh(monkeypatch):
+    """The sampler and the group walk carry their reduced rows from step to
+    step and never call the from-scratch solve."""
+    def fail(*args):
+        raise AssertionError("_solve_affine called")
+
+    monkeypatch.setattr(clifford, "_solve_affine", fail)
     rng = np.random.default_rng(11)
-    for _ in range(50):
-        gen_exact_sequence(2, 20, rng)
-    assert _choice_space.cache_info().misses <= 496
+    for n in (1, 2, 16):
+        sample_uniform(n, rng)
+    gen_exact_sequence(2, 20, rng)
+    assert len(list(_walk(2))) == 720
 
 
 class _BlockCounter:
@@ -241,17 +292,15 @@ def test_no_table_built_at_import():
     none of them does not pay for them."""
     code = ("import cliffrb.cli\n"
             "from cliffrb.clifford import quotient_group\n"
-            "from cliffrb.clifford import _choice_space\n"
             "from cliffrb.dense import _basis_stack, _vec_basis\n"
             "print(quotient_group.cache_info().currsize,"
-            " _choice_space.cache_info().currsize,"
             " _basis_stack.cache_info().currsize,"
             " _vec_basis.cache_info().currsize)")
     src = str(Path(cliffrb.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.split() == ["0", "0", "0", "0"]
+    assert out.split() == ["0", "0", "0"]
 
 
 def _models(n):
