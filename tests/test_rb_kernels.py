@@ -80,6 +80,8 @@ def _random_system(rng, nbits):
 
 @pytest.mark.parametrize("nbits", range(1, 71))
 def test_solve_affine_matches_oracle(nbits):
+    """The fold of `_reduce` gives the from-scratch elimination's particular
+    solution and null basis, and rejects the same inconsistent systems."""
     rng = np.random.default_rng(nbits)
     inconsistent = 0
     for _ in range(20):
