@@ -61,7 +61,7 @@ class GroupDistribution:
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (len(_group(self.n_qubits).elements),):
             raise ValueError("probability vector has wrong length")
-        if np.any(p < -1e-12) or abs(p.sum() - 1) > 1e-9:
+        if not np.all(p >= -1e-12) or abs(p.sum() - 1) > 1e-9:
             raise ValueError("not a probability distribution")
         object.__setattr__(self, "probs", p)
 

@@ -548,9 +548,7 @@ class QuotientGroup(NamedTuple):
 
     def index_of(self, tab: CliffordTableau) -> int:
         """Index of the element tab is a signed form of."""
-        shift = 2 * tab.n_qubits
-        return int(self.index[sum(v << (shift * i)
-                                  for i, v in enumerate(tab.vecs))])
+        return int(self.index[tab.encode() >> 2 * tab.n_qubits])
 
 
 @lru_cache(maxsize=4)
@@ -598,10 +596,6 @@ def embed_tableau(t: CliffordTableau, positions: Sequence[int], n: int) -> Cliff
     return CliffordTableau(n, tuple(vecs), signs)
 
 
-# popcount of every uint8: the label tables' exponents count at most n bits
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-
 def _label_tables(tabs: Sequence[CliffordTableau]
                   ) -> Tuple[np.ndarray, np.ndarray]:
     """Signed Pauli-label tables of every tableau in tabs, as two uint8
@@ -628,7 +622,7 @@ def _label_tables(tabs: Sequence[CliffordTableau]
         signs = np.array([t.signs for t in tabs])
     if n > 4:
         raise ValueError(f"label tables hold 2n <= 8 bits (n={n})")
-    row_exps = (_POPCOUNT[rows & rows >> n] + 2 * (
+    row_exps = (np.bitwise_count(rows & rows >> n) + 2 * (
         signs >> np.arange(2 * n)[:, None] & 1)).astype(np.uint8)
     images = np.zeros((4 ** n, len(tabs)), dtype=np.uint8)
     exps = np.zeros_like(images)
@@ -637,12 +631,12 @@ def _label_tables(tabs: Sequence[CliffordTableau]
         bit = v.bit_length() - 1
         acc, row = images[v ^ 1 << bit], rows[bit]
         exps[v] = (exps[v ^ 1 << bit] + row_exps[bit]
-                   + 2 * _POPCOUNT[acc >> n & row])
+                   + 2 * np.bitwise_count(acc >> n & row))
         images[v] = acc ^ row
         # the phase-0 factor-form Pauli v starts at e = popcount(y(v)); the
         # factor-form phase of the image drops its popcount(y)
         flips[v] = (exps[v] + (v & v >> n).bit_count()
-                    - _POPCOUNT[images[v] & images[v] >> n])
+                    - np.bitwise_count(images[v] & images[v] >> n))
     if np.any(flips & 1):
         raise ValueError("invalid tableau: image has imaginary phase")
     return np.ascontiguousarray(images.T), np.ascontiguousarray(

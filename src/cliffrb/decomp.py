@@ -5,8 +5,8 @@ Two routes:
 * `cayley_search` -- Dijkstra over the Cayley graph on a bucket queue (ties
   settle in push order) with a lexicographic (two-qubit gates, total gates)
   weight; optimal but only feasible for n <= 2 (n <= 3 for the quotient).
-  The queue carries each node's parent and last move, and the search keeps
-  the tree they form; an element's gate sequence is built when it is read.
+  One dict maps each node to its best push (parent, last move, cost) and
+  ends as the tree; an element's gate sequence is built when it is read.
 * `block_decompose` -- O(n^2)-gate algorithmic decomposition for any n,
   reducing the Bell-pair (Choi) stabilizer matrix of the operator to the
   identity with blocks of one-qubit gates, CZ gates and CX gates.
@@ -25,6 +25,7 @@ Quadrants are numbered clockwise from the top-left (1 = top-left block,
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Set, Tuple
@@ -69,23 +70,31 @@ class CoverageError(RuntimeError):
 
 
 class _SearchTree(Mapping):
-    """Read-only key -> (GateSequence, cost) view of a Cayley search tree:
-    `_tree` maps each settled key, in settle order, to one int record
-    ``((parent key << move_bits | move index + 1) << cost_bits | primary)
-    << cost_bits | total`` (the root's parent and move field are 0), so
-    the tree holds no container per element.  A value is built, and its
-    `GateSequence` checked, on each read."""
+    """Read-only key -> (GateSequence, cost) view of the search's one dict:
+    node -> ``((parent << move_bits | move index + 1) << cost_bits
+    | primary) << cost_bits | total``, in settle order, where a node is the
+    bytes of its 2n rows and its parent is the parent's ``int.from_bytes``
+    (the root's parent and move field are 0).  Keys are
+    `CliffordTableau.encode()` ints, converted at this boundary; a value is
+    built, and its `GateSequence` checked, on each read."""
 
     def __init__(self, n: int, gates: List[Tuple[str, Tuple[int, ...]]],
-                 tree: Dict[int, int], move_bits: int, cost_bits: int):
+                 nodes: Dict[bytes, int], move_bits: int, cost_bits: int):
         self._n = n
         self._gates = gates
-        self._tree = tree
+        self._nodes = nodes
         self._move_bits = move_bits
         self._cost_bits = cost_bits
 
+    def _node(self, key: int) -> bytes:
+        w = 2 * self._n  # the sign mask, then the 2n images of w bits
+        if not isinstance(key, int) or key >> w * (w + 1):
+            raise KeyError(key)
+        return bytes(key >> w * (i + 1) & (1 << w) - 1 | (key >> i & 1) << w
+                     for i in range(w))
+
     def __getitem__(self, key: int) -> Tuple[GateSequence, Tuple[int, int]]:
-        rec = self._tree[key]
+        rec = self._nodes[self._node(key)]
         w = self._cost_bits
         cost = (rec >> w & (1 << w) - 1, rec & (1 << w) - 1)
         move_mask = (1 << self._move_bits) - 1
@@ -93,14 +102,23 @@ class _SearchTree(Mapping):
         link = rec >> 2 * w
         while link & move_mask:
             seq.append(self._gates[(link & move_mask) - 1])
-            link = self._tree[link >> self._move_bits] >> 2 * w
+            parent = (link >> self._move_bits).to_bytes(2 * self._n, "little")
+            link = self._nodes[parent] >> 2 * w
         return GateSequence(self._n, tuple(reversed(seq))), cost
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._tree)
+        w = 2 * self._n
+        for rows in self._nodes:
+            yield sum((r >> w) << i | (r & (1 << w) - 1) << w * (i + 1)
+                      for i, r in enumerate(rows))
 
     def __len__(self) -> int:
-        return len(self._tree)
+        return len(self._nodes)
+
+    def primaries(self) -> Iterator[int]:
+        """Each element's primary-gate count, in settle order."""
+        w = self._cost_bits
+        return (rec >> w & (1 << w) - 1 for rec in self._nodes.values())
 
 
 @dataclass(frozen=True)
@@ -116,12 +134,7 @@ class DecompositionTable:
 
     def cost_histogram(self) -> Dict[int, int]:
         """Primary-gate count -> number of group elements."""
-        w = self.entries._cost_bits
-        hist: Dict[int, int] = {}
-        for rec in self.entries._tree.values():
-            prim = rec >> w & (1 << w) - 1
-            hist[prim] = hist.get(prim, 0) + 1
-        return hist
+        return dict(Counter(self.entries.primaries()))
 
 
 def cayley_search(gs: GateSet, n: int, quotient: bool = False,
@@ -133,11 +146,9 @@ def cayley_search(gs: GateSet, n: int, quotient: bool = False,
     tableau.  Composing a gate on the left maps every row through the gate's
     signed Pauli-label table (one `bytes.translate`); one `_label_tables`
     call builds the tables of all the embedded gates.  In the quotient the
-    sign bit stays 0.  The queue is a bucket per cost, drained lowest
-    first; ties settle in push order.
-    A push carries its parent's key and move index, not a sequence; each
-    settled element keeps one packed int record of them and its cost, and
-    the table's entries build each sequence from those records when read."""
+    sign bit stays 0.  One dict maps each reached node to the packed record
+    of its best push (`_SearchTree`'s); the queue is a bucket of nodes per
+    packed cost, drained lowest first, so ties settle in push order."""
     if n >= (4 if quotient else 3):
         raise ValueError(
             f"group too large to search (n={n}, quotient={quotient})")
@@ -161,36 +172,31 @@ def cayley_search(gs: GateSet, n: int, quotient: bool = False,
     expected = group_order(n, quotient)
     # a cost is below the group order; a move field is its index + 1
     move_bits, cost_bits = len(gates).bit_length(), expected.bit_length()
-    vec_mask = (1 << width) - 1
+    cost_mask = (1 << 2 * cost_bits) - 1
     start = bytes(1 << i for i in range(width))
-    # a node is settled when drained at its best cost; every move adds 1 to
-    # tot, so no push lands in the bucket being drained or below it
-    best: Dict[bytes, Tuple[int, int]] = {start: (0, 0)}
-    tree: Dict[int, int] = {}  # _SearchTree's records
-    # cost -> (node, parent key, move field) in push order
-    buckets = {(0, 0): [(start, 0, 0)]}
+    nodes = {start: 0}
+    buckets = {0: [start]}
+    # a node is settled when drained at its record's cost, and re-inserted
+    # so the dict ends in settle order; every move adds 1 to the total, so
+    # no push lands in the bucket being drained or below it
     while buckets:
         cost = min(buckets)
-        costs = ((cost[0], cost[1] + 1), (cost[0] + 1, cost[1] + 1))
-        packed_cost = cost[0] << cost_bits | cost[1]
-        for rows, parent, move in buckets.pop(cost):
-            if best[rows] != cost:
+        costs = (cost + 1, cost + (1 << cost_bits) + 1)
+        for rows in buckets.pop(cost):
+            if nodes[rows] & cost_mask != cost:
                 continue
-            key = 0  # CliffordTableau.encode(): the sign mask, then the vecs
-            for i, r in enumerate(rows):
-                key |= (r >> width) << i | (r & vec_mask) << (width * (i + 1))
-            tree[key] = ((parent << move_bits | move) << 2 * cost_bits
-                         | packed_cost)
+            nodes[rows] = nodes.pop(rows)
+            link = int.from_bytes(rows, "little") << move_bits
             for j, step, gprim in moves:
                 new, c = rows.translate(step), costs[gprim]
-                if c < best.get(new, (1 << 60, 0)):
-                    best[new] = c
-                    buckets.setdefault(c, []).append((new, key, j))
-    if len(tree) != expected:
+                if c < nodes.get(new, cost_mask) & cost_mask:
+                    nodes[new] = (link | j) << 2 * cost_bits | c
+                    buckets.setdefault(c, []).append(new)
+    if len(nodes) != expected:
         raise CoverageError(
-            f"gate set {gs.name!r} reached {len(tree)} of {expected} elements")
+            f"gate set {gs.name!r} reached {len(nodes)} of {expected} elements")
     return DecompositionTable(gs.name, n, quotient,
-                              _SearchTree(n, gates, tree, move_bits,
+                              _SearchTree(n, gates, nodes, move_bits,
                                           cost_bits))
 
 

@@ -104,7 +104,7 @@ class StepDistribution:
 
     def __post_init__(self):
         probs = [p for _, p in self.elements]
-        if abs(sum(probs) - 1.0) > 1e-12 or any(p < 0 for p in probs):
+        if abs(sum(probs) - 1.0) > 1e-12 or any(not p >= 0 for p in probs):
             raise ValueError("probabilities must be a distribution")
         codes = [tab.encode() for tab, _ in self.elements]
         if len(set(codes)) != len(codes):

@@ -53,6 +53,17 @@ class TestGroupDistribution:
         with pytest.raises(ValueError):
             GroupDistribution(1, np.zeros(5))
 
+    def test_non_finite_probabilities_rejected(self):
+        # NaN compares false both ways: it used to pass and fail in convolve
+        nan = np.full(6, np.nan)
+        half_nan = np.array([1.0, np.nan, 0, 0, 0, 0])
+        ident = get_gate("I").tableau
+        for probs in (nan, half_nan, np.array([np.inf, -np.inf, 0, 0, 1, 0])):
+            with pytest.raises(ValueError, match="not a probability"):
+                GroupDistribution(1, probs)
+        with pytest.raises(ValueError, match="not a probability"):
+            GroupDistribution.from_weights(1, [(ident, np.nan)])
+
     @pytest.mark.parametrize("n, tab, width", [
         (2, get_gate("H").tableau, 1),
         (1, get_gate("CX").tableau, 2),

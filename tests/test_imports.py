@@ -137,3 +137,28 @@ def test_no_test_only_public_names():
     unserved = sorted((name, d) for name, t in trees.items()
                       for d in public_definitions(t) - served)
     assert unserved == []
+
+
+def foreign_private_reads(tree):
+    """(line, `owner._x`) for each private attribute (not a dunder) read
+    through a name other than `self`, `cls` or an imported module."""
+    modules = {alias.asname or alias.name.split(".")[0]
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Import)  # or `from . import module`
+               or isinstance(node, ast.ImportFrom) and node.module is None
+               for alias in node.names}
+    owners = modules | {"self", "cls"}
+    return sorted((node.lineno, f"{ast.unparse(node.value)}.{node.attr}")
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr.startswith("_")
+                  and not node.attr.startswith("__")
+                  and not (isinstance(node.value, ast.Name)
+                           and node.value.id in owners))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_private_reads_through_other_objects(path):
+    """A class's private state is read only by its own methods: another
+    object's `_x` goes through that object's public methods."""
+    assert foreign_private_reads(ast.parse(path.read_text())) == []

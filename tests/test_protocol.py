@@ -161,6 +161,15 @@ class TestApproximateSequences:
         with pytest.raises(ValueError):
             StepDistribution(((ident, 0.5), (ident, 0.5)))
 
+    def test_step_distribution_rejects_nan(self):
+        # NaN compares false both ways: it used to fail at the first sample
+        ident = CliffordTableau.identity(1)
+        x = get_gate("X").tableau
+        for elements in (((ident, float("nan")),),
+                         ((ident, 1.0), (x, float("nan")))):
+            with pytest.raises(ValueError, match="must be a distribution"):
+                StepDistribution(elements)
+
 
 def _distinct_tableaux(n, count, rng):
     from cliffrb.clifford import sample_uniform

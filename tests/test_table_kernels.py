@@ -90,6 +90,33 @@ def test_sequences_compose_to_keys_at_depth(case):
         assert sum(name in primary for name, _ in seq) == prim
 
 
+@pytest.mark.parametrize("case", ["1q-standard", "2q-hs-cx01",
+                                  "1q-xy-quotient", "2q-1q+cx-quotient"])
+def test_keys_do_not_alias(case):
+    """Only an element's own `encode()` int is a key: no negative, too wide,
+    signed (in the quotient), other-n or non-int key finds an entry."""
+    gs, n, quotient, primary = CAYLEY_CASES[case]
+    entries = cayley_search(gs, n, quotient=quotient,
+                            primary_gates=primary).entries
+    bits = 4 * n * n + 2 * n
+    rng = np.random.default_rng(7)
+    keys = list(entries)
+    bad = [-1, -(1 << bits), 1 << bits, "1", None, 1.5, (keys[0],),
+           bytes(1 << i for i in range(2 * n))]
+    for key in keys[::37]:
+        bad += [key - (1 << bits), key | 1 << bits, key << bits]
+        if quotient:
+            bad += [key | s for s in range(1, 1 << 2 * n)]
+    for other in {1, 2, 3} - {n}:
+        bad += [sample_uniform(other, rng).encode() for _ in range(20)]
+        bad.append(CliffordTableau.identity(other).encode())
+    for key in bad:
+        assert key not in entries
+        with pytest.raises(KeyError):
+            entries[key]
+    assert all(key in entries for key in keys[::37])
+
+
 def assert_tables_match(tabs):
     images, flips = _label_tables(tabs)
     want = np.array([oracles.local_table(tab) for tab in tabs])
