@@ -43,7 +43,12 @@ The uniform sampler (Koenig & Smolin, arXiv:1406.2170) picks each image
 from the solutions of a GF(2) system of the earlier images.  It carries the
 system's fully reduced rows from step to step: `_reduce` adds one row,
 `_pick` reads solution number d off the rows, and `_walk` passes the rows
-down its recursion, so neither eliminates a system afresh.
+down its recursion, so neither eliminates a system afresh.  `_rank` inverts
+the walk: a step's draws are its images' bits at the free columns of the
+span of the earlier images' flips, so one table per step, indexed by that
+span and the step's two images, gives the draw digit and the next span
+(`_rank_tables`, built on first use), and an element's position in `_walk`
+order is n gathers.  The Cayley search indexes its nodes by it.
 `_solve_affine`, the fold of `_reduce` that also returns a null basis,
 serves the stabilizer and subgroup code.
 
@@ -463,6 +468,53 @@ def _walk(n: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
                     yield key_k, xi + (vx,) + zi + (vz,)
 
     return rec(0, [], 0, (), ())
+
+
+@lru_cache(maxsize=4)
+def _rank_tables(n: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Per `_walk` step, two int32 tables indexed by (span id, X image,
+    Z image): the digit ``(Gray⁻¹(dx) − 1)·2^wz + Gray⁻¹(dz)`` of the draws
+    `_pick` reads the images off (−1 for no valid pair) and the next span id.
+    A span, of the earlier images' flips, is keyed by its sorted fully
+    reduced rows; each step's last id is a dead span, all of whose digits
+    are −1."""
+    size, spans, tables = 1 << 2 * n, [[]], []
+    for k, (wx, wz) in enumerate(_draw_widths(n)):
+        cells, digits, nexts, ids = [], [], [], {}
+        for s, pivots in enumerate(spans):
+            for i in range(1, 1 << wx):
+                vx = _pick(pivots, i ^ i >> 1)
+                fx = _flip(vx, n)
+                space, ext = _reduce(pivots, fx, 1), _reduce(pivots, fx, 0)
+                for j in range(1 << wz):
+                    vz = _pick(space, j ^ j >> 1)
+                    cells.append((s * size + vx) * size + vz)
+                    digits.append((i - 1) << wz | j)
+                    if k + 1 < n:
+                        span = tuple(sorted(_reduce(ext, _flip(vz, n), 0)))
+                        nexts.append(ids.setdefault(span, len(ids)))
+        digit = np.full((len(spans) + 1, size, size), -1, np.int32)
+        digit.flat[cells] = digits
+        nxt = np.full_like(digit, len(ids))  # the next step's dead span
+        nxt.flat[cells[:len(nexts)]] = nexts  # none after the last step
+        tables.append((digit, nxt))
+        spans = list(map(list, ids))
+    return tables
+
+
+def _rank(vecs: Sequence) -> np.ndarray:
+    """Position in `_walk` order of the elements whose 2n sign-free images
+    are vecs[0], ..., vecs[2n - 1] (ints, or uint8 arrays of one shape), or
+    -1 where they are no element: one gather per walk step from
+    `_rank_tables`."""
+    n = len(vecs) // 2
+    span, rank = np.intp(0), 0
+    for k, ((wx, wz), (digit, nxt)) in enumerate(
+            zip(_draw_widths(n), _rank_tables(n))):
+        cell = (span << 2 * n | vecs[k]) << 2 * n | vecs[n + k]
+        d, span = digit.take(cell), nxt.take(cell)
+        rank = rank * ((1 << wx) - 1 << wz) + d
+    return rank | d >> 31  # a failed step leads to the dead span's -1 digits
 
 
 class _GroupElements(abc.Sequence):

@@ -5,8 +5,11 @@ Two routes:
 * `cayley_search` -- Dijkstra over the Cayley graph on a bucket queue (ties
   settle in push order) with a lexicographic (two-qubit gates, total gates)
   weight; optimal but only feasible for n <= 2 (n <= 3 for the quotient).
-  One dict maps each node to its best push (parent, last move, cost) and
-  ends as the tree; an element's gate sequence is built when it is read.
+  It runs on arrays: a node is an integer id, from the element's rank among
+  the uniform sampler's draws (`clifford._rank`) and its sign mask; a
+  bucket's children are ranked at once, and three arrays over the ids
+  (cost, parent, last move) are the tree.  An element's gate sequence is
+  built when it is read.
 * `block_decompose` -- O(n^2)-gate algorithmic decomposition for any n,
   reducing the Bell-pair (Choi) stabilizer matrix of the operator to the
   identity with blocks of one-qubit gates, CZ gates and CX gates.
@@ -25,7 +28,6 @@ Quadrants are numbered clockwise from the top-left (1 = top-left block,
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Set, Tuple
@@ -36,6 +38,7 @@ from .clifford import (
     CliffordTableau,
     GateSequence,
     _label_tables,
+    _rank,
     _sliced_update,
     _transpose_bits,
     embed_tableau,
@@ -70,55 +73,65 @@ class CoverageError(RuntimeError):
 
 
 class _SearchTree(Mapping):
-    """Read-only key -> (GateSequence, cost) view of the search's one dict:
-    node -> ``((parent << move_bits | move index + 1) << cost_bits
-    | primary) << cost_bits | total``, in settle order, where a node is the
-    bytes of its 2n rows and its parent is the parent's ``int.from_bytes``
-    (the root's parent and move field are 0).  Keys are
-    `CliffordTableau.encode()` ints, converted at this boundary; a value is
-    built, and its `GateSequence` checked, on each read."""
+    """Read-only key -> (GateSequence, cost) view of the search's arrays.
+    A node id is ``rank · S + sign mask``, with S = 4ⁿ sign masks (1 in the
+    quotient) and the rank `clifford._rank`'s.  Per id the tree holds the
+    packed cost ``primary << cost_bits | total``, the parent id and the move
+    index + 1 (0 at the root); in settle order it holds the ids and their
+    sign-free rows.  Keys are `CliffordTableau.encode()` ints: iteration
+    encodes the rows at once, and a read ranks its key and builds, and
+    checks, the `GateSequence` along the parent ids."""
 
     def __init__(self, n: int, gates: List[Tuple[str, Tuple[int, ...]]],
-                 nodes: Dict[bytes, int], move_bits: int, cost_bits: int):
-        self._n = n
-        self._gates = gates
-        self._nodes = nodes
-        self._move_bits = move_bits
-        self._cost_bits = cost_bits
+                 tree: Tuple[np.ndarray, np.ndarray, np.ndarray],
+                 settled: Tuple[np.ndarray, np.ndarray], cost_bits: int):
+        self._n, self._gates, self._cost_bits = n, gates, cost_bits
+        self._cost, self._parent, self._move = tree
+        self._order, self._rows = settled
+        self._signs = len(self._cost) // group_order(n, True)
 
-    def _node(self, key: int) -> bytes:
+    def _id(self, key: int) -> int:
         w = 2 * self._n  # the sign mask, then the 2n images of w bits
-        if not isinstance(key, int) or key >> w * (w + 1):
+        if not isinstance(key, int) or key >> w * (w + 1) or (
+                key & (1 << w) - 1) >= self._signs:
             raise KeyError(key)
-        return bytes(key >> w * (i + 1) & (1 << w) - 1 | (key >> i & 1) << w
-                     for i in range(w))
+        rank = _rank([key >> w * (i + 1) & (1 << w) - 1 for i in range(w)])
+        if rank < 0:
+            raise KeyError(key)
+        return int(rank) * self._signs + (key & (1 << w) - 1)
 
     def __getitem__(self, key: int) -> Tuple[GateSequence, Tuple[int, int]]:
-        rec = self._nodes[self._node(key)]
-        w = self._cost_bits
-        cost = (rec >> w & (1 << w) - 1, rec & (1 << w) - 1)
-        move_mask = (1 << self._move_bits) - 1
+        node = self._id(key)
+        cost, w = self._cost.item(node), self._cost_bits
         seq = []
-        link = rec >> 2 * w
-        while link & move_mask:
-            seq.append(self._gates[(link & move_mask) - 1])
-            parent = (link >> self._move_bits).to_bytes(2 * self._n, "little")
-            link = self._nodes[parent] >> 2 * w
-        return GateSequence(self._n, tuple(reversed(seq))), cost
+        while move := self._move.item(node):
+            seq.append(self._gates[move - 1])
+            node = self._parent.item(node)
+        return (GateSequence(self._n, tuple(reversed(seq))),
+                (cost >> w, cost & (1 << w) - 1))
+
+    def __contains__(self, key) -> bool:
+        try:
+            self._id(key)
+        except KeyError:
+            return False
+        return True  # the search reached every element
 
     def __iter__(self) -> Iterator[int]:
         w = 2 * self._n
-        for rows in self._nodes:
-            yield sum((r >> w) << i | (r & (1 << w) - 1) << w * (i + 1)
-                      for i, r in enumerate(rows))
+        for lo in range(0, len(self._order), 4096):  # bounded Python lists
+            keys = self._order[lo:lo + 4096].astype(np.int64) % self._signs
+            for i, col in enumerate(self._rows[lo:lo + 4096].T):
+                keys |= col.astype(np.int64) << w * (i + 1)
+            yield from keys.tolist()
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._order)
 
-    def primaries(self) -> Iterator[int]:
-        """Each element's primary-gate count, in settle order."""
-        w = self._cost_bits
-        return (rec >> w & (1 << w) - 1 for rec in self._nodes.values())
+    def primary_counts(self) -> Dict[int, int]:
+        """Primary-gate count -> number of elements."""
+        counts = np.bincount(self._cost >> self._cost_bits)
+        return {k: int(v) for k, v in enumerate(counts) if v}
 
 
 @dataclass(frozen=True)
@@ -134,7 +147,10 @@ class DecompositionTable:
 
     def cost_histogram(self) -> Dict[int, int]:
         """Primary-gate count -> number of group elements."""
-        return dict(Counter(self.entries.primaries()))
+        return self.entries.primary_counts()
+
+
+_CHUNK = 4096  # parents expanded at once: bounds the (parents, moves) arrays
 
 
 def cayley_search(gs: GateSet, n: int, quotient: bool = False,
@@ -142,62 +158,80 @@ def cayley_search(gs: GateSet, n: int, quotient: bool = False,
     """Dijkstra over the Cayley graph; first settlement is optimal under the
     lexicographic (primary-gate count, total gates) weight.
 
-    A node is the bytes of the 2n signed rows ``vec | sign << 2n`` of a
-    tableau.  Composing a gate on the left maps every row through the gate's
-    signed Pauli-label table (one `bytes.translate`); one `_label_tables`
-    call builds the tables of all the embedded gates.  In the quotient the
-    sign bit stays 0.  One dict maps each reached node to the packed record
-    of its best push (`_SearchTree`'s); the queue is a bucket of nodes per
-    packed cost, drained lowest first, so ties settle in push order."""
+    Nodes are integer ids and the tree is three arrays over them
+    (`_SearchTree`'s).  The queue is a bucket of (ids, sign-free rows)
+    chunks per packed cost, drained lowest first; a drained id is live when
+    its cost is the bucket's.  Composing gate g on the left maps a live
+    node's rows through g's Pauli-label table (one `_label_tables` call
+    builds those of all the embedded gates) and its sign mask through g's
+    flips; the children, taken parent-major, are ranked at once.  A push
+    stands when it is cheaper than its id's cost, the cheaper (non-primary)
+    moves first, and of one id's pushes in one class the first wins, so
+    ties settle in push order."""
     if n >= (4 if quotient else 3):
         raise ValueError(
             f"group too large to search (n={n}, quotient={quotient})")
     width = 2 * n
-    gate_moves = gs.moves(n)
-    gates = [(name, idxs) for name, idxs, _w in gate_moves]
-    moves = []
-    if gate_moves:  # with none, only the identity is reached: CoverageError
-        images, flips = _label_tables([
-            embed_tableau(get_gate(name).tableau, idxs, n)
-            for name, idxs in gates])
-        # steps[g, row] is the image row; a signed row also carries the flip
-        steps = images if quotient else np.concatenate(
-            [images | flips << width, images | (flips ^ 1) << width], axis=1)
-        # a row has at most 2n + 1 <= 7 bits, so a node is a bytes object
-        # (untracked by gc) and a step is its 256-byte translate table
-        steps = np.pad(steps, ((0, 0), (0, 256 - steps.shape[1])))
-        moves = [(j + 1, step.tobytes(),
-                  1 if gates[j][0] in primary_gates else 0)
-                 for j, step in enumerate(steps)]
+    gates = [(name, idxs) for name, idxs, _w in gs.moves(n)]
+    # with no gate only the identity is reached: CoverageError
+    images, flips = _label_tables([
+        embed_tableau(get_gate(name).tableau, idxs, n) for name, idxs in gates
+    ]) if gates else np.zeros((2, 0, 1 << width), np.uint8)
+    table = images if quotient else images | flips << width  # [g, row]
+    classes = [np.flatnonzero([(name in primary_gates) == cls
+                               for name, _ in gates]) for cls in (0, 1)]
+    shifts = np.arange(width, dtype=np.uint8)[:, None]
     expected = group_order(n, quotient)
-    # a cost is below the group order; a move field is its index + 1
-    move_bits, cost_bits = len(gates).bit_length(), expected.bit_length()
-    cost_mask = (1 << 2 * cost_bits) - 1
-    start = bytes(1 << i for i in range(width))
-    nodes = {start: 0}
-    buckets = {0: [start]}
-    # a node is settled when drained at its record's cost, and re-inserted
-    # so the dict ends in settle order; every move adds 1 to the total, so
-    # no push lands in the bucket being drained or below it
+    signs = 1 if quotient else 1 << width
+    # a cost field holds less than the group order, so no cost reaches
+    # `cost`'s initial value
+    cost_bits = expected.bit_length()
+    cost = np.full(expected, 1 << 2 * cost_bits, np.int64)
+    parent = np.zeros(expected, np.int32)
+    move = np.zeros(expected, np.int16)
+    free = np.iinfo(np.intp).max
+    claim = np.full(expected, free)  # an id's first push in a class
+    start = np.array([[1 << i for i in range(width)]], np.uint8)
+    root = _rank(start.T) * signs
+    cost[root] = 0
+    buckets = {0: [(root, start)]}
+    order, settled = [], []
+    # every move adds 1 to the total, so no push lands in the bucket being
+    # drained or below it
     while buckets:
-        cost = min(buckets)
-        costs = (cost + 1, cost + (1 << cost_bits) + 1)
-        for rows in buckets.pop(cost):
-            if nodes[rows] & cost_mask != cost:
-                continue
-            nodes[rows] = nodes.pop(rows)
-            link = int.from_bytes(rows, "little") << move_bits
-            for j, step, gprim in moves:
-                new, c = rows.translate(step), costs[gprim]
-                if c < nodes.get(new, cost_mask) & cost_mask:
-                    nodes[new] = (link | j) << 2 * cost_bits | c
-                    buckets.setdefault(c, []).append(new)
-    if len(nodes) != expected:
+        b = min(buckets)
+        ids, rows = map(np.concatenate, zip(*buckets.pop(b)))
+        live = cost[ids] == b
+        ids, rows = ids[live], rows[live]
+        order.append(ids)
+        settled.append(rows)
+        for lo in range(0, len(ids), _CHUNK):
+            pid = ids[lo:lo + _CHUNK]
+            # kids[g, i, p]: row i of parent p's child by move g
+            kids = np.take(table, rows[lo:lo + _CHUNK].T, axis=1)
+            sign = 0
+            if not quotient:  # each child's sign mask, through the flips
+                sign = pid % signs ^ np.bitwise_or.reduce(
+                    kids >> width << shifts, axis=1)
+                kids &= (1 << width) - 1
+            child = _rank(kids.transpose(1, 0, 2)) * signs + sign
+            for js, c in zip(classes, (b + 1, b + (1 << cost_bits) + 1)):
+                pos = np.flatnonzero((c < cost[child[js]]).T)  # parent-major
+                f, g = np.divmod(pos, len(js))
+                new = child[js[g], f]
+                np.minimum.at(claim, new, pos)
+                won = claim[new] == pos
+                new, f, g = new[won], f[won], js[g[won]]
+                claim[new] = free
+                cost[new], parent[new], move[new] = c, pid[f], g + 1
+                if len(new):
+                    buckets.setdefault(c, []).append((new, kids[g, :, f]))
+    order, settled = np.concatenate(order), np.concatenate(settled)
+    if len(order) != expected:
         raise CoverageError(
-            f"gate set {gs.name!r} reached {len(nodes)} of {expected} elements")
-    return DecompositionTable(gs.name, n, quotient,
-                              _SearchTree(n, gates, nodes, move_bits,
-                                          cost_bits))
+            f"gate set {gs.name!r} reached {len(order)} of {expected} elements")
+    return DecompositionTable(gs.name, n, quotient, _SearchTree(
+        n, gates, (cost, parent, move), (order, settled), cost_bits))
 
 
 # -- algorithmic block decomposition -------------------------------------------

@@ -99,6 +99,19 @@ class TestCayleySearch:
         seq, (_, tot) = table.lookup(c)
         assert built == [seq] and len(seq) == tot
 
+    def test_membership_builds_no_sequence(self, monkeypatch):
+        # `in` ranks the key and reads the tree's arrays only
+        table = cayley_search(oneq_plus_cx(), 2)
+
+        def refuse(*args):
+            raise AssertionError("membership built a GateSequence")
+
+        monkeypatch.setattr("cliffrb.decomp.GateSequence", refuse)
+        keys = list(table.entries)
+        assert len(keys) == 11520
+        assert all(key in table.entries for key in keys)
+        assert not any(key in table.entries for key in (0, 1, (1 << 20) - 1))
+
     def test_non_generating_set_raises(self):
         with pytest.raises(CoverageError):
             cayley_search(GateSet("s", (("S", "each", 1.0),)), 1)

@@ -18,8 +18,10 @@ import cliffrb
 import oracles
 from cliffrb import clifford
 from cliffrb.clifford import (
+    CliffordTableau,
     _draw_widths,
     _rand_bits,
+    _rank,
     _sample_images,
     _solve_affine,
     _walk,
@@ -263,6 +265,76 @@ def test_sampler_and_walk_solve_nothing_afresh(monkeypatch):
     assert len(list(_walk(2))) == 720
 
 
+def _gray_inverse(g):
+    i = g
+    while g := g >> 1:
+        i ^= g
+    return i
+
+
+@pytest.mark.parametrize("n", [1, 2, pytest.param(3, marks=pytest.mark.slow)])
+def test_rank_is_the_walk_position(n):
+    """`_rank` of every sign-free element is its position in `_walk`."""
+    vecs = np.array([v for _, v in _walk(n)], dtype=np.uint8)
+    assert np.array_equal(_rank(vecs.T), np.arange(len(vecs)))
+
+
+def test_rank_reads_the_sampler_draws():
+    """At n = 3 an element's rank is the mixed-radix index of the draws the
+    sampler made for it, with step digit (Gray⁻¹(dx) − 1)·2^wz + Gray⁻¹(dz),
+    first step highest; one int key ranks as its array does."""
+    rng = np.random.default_rng(2027)
+    rows, want = [], []
+    for _ in range(2000):
+        record = []
+
+        def draw(nbits):
+            record.append(_rand_bits(rng, nbits))
+            return record[-1]
+
+        rows.append(_sample_images(3, draw))
+        draws, index = iter(record), 0
+        for wx, wz in _draw_widths(3):
+            dx = next(draws)
+            while not dx:  # the one draw the sampler repeats
+                dx = next(draws)
+            index = (index * (2 ** wx - 1) + _gray_inverse(dx) - 1) * 2 ** wz \
+                + _gray_inverse(next(draws))
+        want.append(index)
+    assert _rank(np.array(rows, dtype=np.uint8).T).tolist() == want
+    assert [int(_rank(vecs)) for vecs in rows[:50]] == want[:50]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rank_sentinel_marks_non_elements(n):
+    """Rows that break the commutation pattern (random ones, and elements
+    with one image repeated or replaced) rank -1; elements do not."""
+    rng = np.random.default_rng(40 + n)
+    elements = [_sample_images(n, lambda nbits: _rand_bits(rng, nbits))
+                for _ in range(300)]
+    rows = elements + [tuple(map(int, rng.integers(0, 4 ** n, 2 * n)))
+                       for _ in range(300)]
+    for vecs in elements:
+        i, j = rng.choice(2 * n, 2, replace=False)
+        rows.append(vecs[:i] + (vecs[j],) + vecs[i + 1:])
+        rows.append(vecs[:i] + (int(rng.integers(4 ** n)),) + vecs[i + 1:])
+    valid = []
+    for vecs in rows:
+        try:
+            CliffordTableau(n, vecs).validate()
+        except ValueError:
+            valid.append(False)
+        else:
+            valid.append(True)
+    ranks = _rank(np.array(rows, dtype=np.uint8).T).tolist()
+    assert all(valid[:300]) and not all(valid[300:])
+    assert [r >= 0 for r in ranks] == valid
+    assert {r for r, ok in zip(ranks, valid) if not ok} == {-1}
+    if n <= 2:
+        walk = [v for _, v in _walk(n)]
+        assert all(walk[r] == vecs for r, vecs in zip(ranks, rows) if r >= 0)
+
+
 class _BlockCounter:
     """A generator that counts its `integers` calls with a size."""
 
@@ -290,19 +362,20 @@ def test_word_block_holds_a_two_qubit_sequence():
 
 def test_no_table_built_at_import():
     """`import cliffrb.cli` builds neither the quotient group nor the draw
-    index, nor the dense engine's basis matrices, so a command that needs
-    none of them does not pay for them."""
+    index, nor the dense engine's basis matrices, nor the rank tables, so a
+    command that needs none of them does not pay for them."""
     code = ("import cliffrb.cli\n"
-            "from cliffrb.clifford import quotient_group\n"
+            "from cliffrb.clifford import _rank_tables, quotient_group\n"
             "from cliffrb.dense import _basis_stack, _vec_basis\n"
             "print(quotient_group.cache_info().currsize,"
             " _basis_stack.cache_info().currsize,"
-            " _vec_basis.cache_info().currsize)")
+            " _vec_basis.cache_info().currsize,"
+            " _rank_tables.cache_info().currsize)")
     src = str(Path(cliffrb.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.split() == ["0", "0", "0"]
+    assert out.split() == ["0", "0", "0", "0"]
 
 
 def _models(n):

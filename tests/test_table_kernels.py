@@ -26,6 +26,7 @@ from cliffrb.clifford import (
     quotient_group,
     sample_uniform,
 )
+from cliffrb import decomp
 from cliffrb.decomp import cayley_search
 from cliffrb.dense import DenseSuperoperator, conjugate_by_tableau, group_twirl
 from cliffrb.gates import (GateSet, get_gate, sequence_tableau,
@@ -94,7 +95,8 @@ def test_sequences_compose_to_keys_at_depth(case):
                                   "1q-xy-quotient", "2q-1q+cx-quotient"])
 def test_keys_do_not_alias(case):
     """Only an element's own `encode()` int is a key: no negative, too wide,
-    signed (in the quotient), other-n or non-int key finds an entry."""
+    signed (in the quotient), other-n or non-int key finds an entry, nor
+    an in-range int that encodes no element (0, repeated images, random)."""
     gs, n, quotient, primary = CAYLEY_CASES[case]
     entries = cayley_search(gs, n, quotient=quotient,
                             primary_gates=primary).entries
@@ -107,6 +109,16 @@ def test_keys_do_not_alias(case):
         bad += [key - (1 << bits), key | 1 << bits, key << bits]
         if quotient:
             bad += [key | s for s in range(1, 1 << 2 * n)]
+        # in range, but image i repeats image 0: no element
+        w = 2 * n
+        first = key >> w & (1 << w) - 1
+        bad += [key & ~((1 << w) - 1 << w * (i + 1)) | first << w * (i + 1)
+                for i in range(1, w)]
+    # in range and no element: 0, and random ints that are no key
+    known = set(keys)
+    bad.append(0)
+    bad += [k for k in map(int, rng.integers(0, 1 << bits, 2000))
+            if k not in known][:200]
     for other in {1, 2, 3} - {n}:
         bad += [sample_uniform(other, rng).encode() for _ in range(20)]
         bad.append(CliffordTableau.identity(other).encode())
@@ -115,6 +127,18 @@ def test_keys_do_not_alias(case):
         with pytest.raises(KeyError):
             entries[key]
     assert all(key in entries for key in keys[::37])
+
+
+@pytest.mark.parametrize("case", ["2q-hs-cx01", "2q-1q+cx-quotient"])
+def test_chunk_boundaries_keep_the_tree(case, monkeypatch):
+    """Expanding 7 parents at a time splits the buckets across chunks, so
+    first pushes and cheaper classes meet across chunk boundaries; the
+    entries and their settle order stay the heap oracle's."""
+    monkeypatch.setattr(decomp, "_CHUNK", 7)
+    gs, n, quotient, primary = CAYLEY_CASES[case]
+    got = cayley_search(gs, n, quotient=quotient, primary_gates=primary)
+    want = oracles.cayley_search_entries(gs, n, quotient, primary)
+    assert list(got.entries.items()) == list(want.items())
 
 
 def assert_tables_match(tabs):
