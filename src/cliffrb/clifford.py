@@ -471,10 +471,11 @@ def _walk(n: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
 
 
 @lru_cache(maxsize=4)
-def _rank_tables(n: int) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Per `_walk` step, two int32 tables indexed by (span id, X image,
-    Z image): the digit ``(Gray⁻¹(dx) − 1)·2^wz + Gray⁻¹(dz)`` of the draws
-    `_pick` reads the images off (−1 for no valid pair) and the next span id.
+def _rank_tables(n: int) -> List[Tuple[int, np.ndarray, np.ndarray]]:
+    """Per `_walk` step, its radix and two int32 tables indexed by (span id,
+    X image, Z image): the digit ``(Gray⁻¹(dx) − 1)·2^wz + Gray⁻¹(dz)`` of
+    the draws `_pick` reads the images off (−1 for no valid pair) and the
+    next span id.
     A span, of the earlier images' flips, is keyed by its sorted fully
     reduced rows; each step's last id is a dead span, all of whose digits
     are −1."""
@@ -497,8 +498,8 @@ def _rank_tables(n: int) -> List[Tuple[np.ndarray, np.ndarray]]:
         digit.flat[cells] = digits
         nxt = np.full_like(digit, len(ids))  # the next step's dead span
         nxt.flat[cells[:len(nexts)]] = nexts  # none after the last step
-        tables.append((digit, nxt))
-        spans = list(map(list, ids))
+        tables.append(((1 << wx) - 1 << wz, digit, nxt))
+        spans = list(ids)
     return tables
 
 
@@ -508,12 +509,11 @@ def _rank(vecs: Sequence) -> np.ndarray:
     -1 where they are no element: one gather per walk step from
     `_rank_tables`."""
     n = len(vecs) // 2
-    span, rank = np.intp(0), 0
-    for k, ((wx, wz), (digit, nxt)) in enumerate(
-            zip(_draw_widths(n), _rank_tables(n))):
+    span, rank = np.intp(0), 0  # an intp span widens uint8 images
+    for k, (radix, digit, nxt) in enumerate(_rank_tables(n)):
         cell = (span << 2 * n | vecs[k]) << 2 * n | vecs[n + k]
         d, span = digit.take(cell), nxt.take(cell)
-        rank = rank * ((1 << wx) - 1 << wz) + d
+        rank = rank * radix + d
     return rank | d >> 31  # a failed step leads to the dead span's -1 digits
 
 
