@@ -71,7 +71,7 @@ from collections import abc
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
-from typing import Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -471,14 +471,15 @@ def _walk(n: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
 
 
 @lru_cache(maxsize=4)
-def _rank_tables(n: int) -> List[Tuple[int, np.ndarray, np.ndarray]]:
+def _rank_tables(n: int) -> List[Tuple[int, np.ndarray, Optional[np.ndarray]]]:
     """Per `_walk` step, its radix and two int32 tables indexed by (span id,
     X image, Z image): the digit ``(Gray⁻¹(dx) − 1)·2^wz + Gray⁻¹(dz)`` of
-    the draws `_pick` reads the images off (−1 for no valid pair) and the
-    next span id.
-    A span, of the earlier images' flips, is keyed by its sorted fully
-    reduced rows; each step's last id is a dead span, all of whose digits
-    are −1."""
+    the draws `_pick` reads the images off (−1 for no valid pair), and the
+    next span id (None at the last step).  A span, of the earlier images'
+    flips, is keyed by its sorted fully reduced rows; each step's last id is
+    a dead span, all of whose digits are −1."""
+    if n > 3:  # at n = 4 each table of step 1 would take 1.4 GB
+        raise ValueError(f"rank tables serve n <= 3 (n={n})")
     size, spans, tables = 1 << 2 * n, [[]], []
     for k, (wx, wz) in enumerate(_draw_widths(n)):
         cells, digits, nexts, ids = [], [], [], {}
@@ -496,8 +497,10 @@ def _rank_tables(n: int) -> List[Tuple[int, np.ndarray, np.ndarray]]:
                         nexts.append(ids.setdefault(span, len(ids)))
         digit = np.full((len(spans) + 1, size, size), -1, np.int32)
         digit.flat[cells] = digits
-        nxt = np.full_like(digit, len(ids))  # the next step's dead span
-        nxt.flat[cells[:len(nexts)]] = nexts  # none after the last step
+        nxt = None
+        if k + 1 < n:
+            nxt = np.full_like(digit, len(ids))  # the next step's dead span
+            nxt.flat[cells] = nexts
         tables.append(((1 << wx) - 1 << wz, digit, nxt))
         spans = list(ids)
     return tables
@@ -512,8 +515,8 @@ def _rank(vecs: Sequence) -> np.ndarray:
     span, rank = np.intp(0), 0  # an intp span widens uint8 images
     for k, (radix, digit, nxt) in enumerate(_rank_tables(n)):
         cell = (span << 2 * n | vecs[k]) << 2 * n | vecs[n + k]
-        d, span = digit.take(cell), nxt.take(cell)
-        rank = rank * radix + d
+        rank = rank * radix + (d := digit.take(cell))
+        span = span if nxt is None else nxt.take(cell)
     return rank | d >> 31  # a failed step leads to the dead span's -1 digits
 
 

@@ -195,7 +195,7 @@ def cayley_search(gs: GateSet, n: int, quotient: bool = False,
     root = _rank(start.T) * signs
     cost[root] = 0
     buckets = {0: [(root, start)]}
-    order, settled = [], []
+    settled = []  # (ids, rows) of each drained bucket's live entries
     # every move adds 1 to the total, so no push lands in the bucket being
     # drained or below it
     while buckets:
@@ -203,8 +203,7 @@ def cayley_search(gs: GateSet, n: int, quotient: bool = False,
         ids, rows = map(np.concatenate, zip(*buckets.pop(b)))
         live = cost[ids] == b
         ids, rows = ids[live], rows[live]
-        order.append(ids)
-        settled.append(rows)
+        settled.append((ids, rows))
         for lo in range(0, len(ids), _CHUNK):
             pid = ids[lo:lo + _CHUNK]
             # kids[g, i, p]: row i of parent p's child by move g
@@ -226,7 +225,7 @@ def cayley_search(gs: GateSet, n: int, quotient: bool = False,
                 cost[new], parent[new], move[new] = c, pid[f], g + 1
                 if len(new):
                     buckets.setdefault(c, []).append((new, kids[g, :, f]))
-    order, settled = np.concatenate(order), np.concatenate(settled)
+    order, settled = map(np.concatenate, zip(*settled))
     if len(order) != expected:
         raise CoverageError(
             f"gate set {gs.name!r} reached {len(order)} of {expected} elements")

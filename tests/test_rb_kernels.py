@@ -335,6 +335,12 @@ def test_rank_sentinel_marks_non_elements(n):
         assert all(walk[r] == vecs for r, vecs in zip(ranks, rows) if r >= 0)
 
 
+def test_rank_tables_refuse_four_qubits():
+    """The tables serve n <= 3; at n = 4 one table would take 1.4 GB."""
+    with pytest.raises(ValueError, match="n <= 3"):
+        clifford._rank_tables(4)
+
+
 class _BlockCounter:
     """A generator that counts its `integers` calls with a size."""
 
