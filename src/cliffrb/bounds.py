@@ -10,8 +10,8 @@ it completely.
 
 Everything here works on the quotient group (Cliffords modulo Pauli factors),
 which is enumerable for n <= 2.  It reads the group as arrays from the one
-cached record per n, `clifford.quotient_group`: Pauli-label images, an index
-of 16-bit image keys and the product table.
+cached record per n, `clifford.quotient_group`: Pauli-label images, the
+product table, and `index_of`, which indexes an element by its rank.
 Sums run in element order, bit for bit as the loops in `tests/oracles.py`.
 """
 

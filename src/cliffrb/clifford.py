@@ -41,26 +41,26 @@ use it; `_transpose_bits` turns columns back into rows.
 
 The uniform sampler (Koenig & Smolin, arXiv:1406.2170) picks each image
 from the solutions of a GF(2) system of the earlier images.  It carries the
-system's fully reduced rows from step to step: `_reduce` adds one row,
-`_pick` reads solution number d off the rows, and `_walk` passes the rows
-down its recursion, so neither eliminates a system afresh.  `_rank` inverts
-the walk: a step's draws are its images' bits at the free columns of the
-span of the earlier images' flips, so one table per step, indexed by that
-span and the step's two images, gives the draw digit and the next span
-(`_rank_tables`, built on first use), and an element's position in `_walk`
-order is n gathers.  The Cayley search indexes its nodes by it.
+system's fully reduced rows from step to step: `_reduce` adds one row and
+`_pick` reads solution number d off the rows, so it never eliminates a
+system afresh.  A sign-free element's rank is the mixed-radix number of its
+one sequence of valid draws.  A step's draws are its images' bits at the
+free columns of the span of the earlier images' flips, so one walk over
+every span's draws (`_rank_tables`, built on first use) gives per step the
+draw digit and next span of each (span, X image, Z image) and each span's
+images in digit order: `_rank` is n gathers, and `_unrank` lists every
+element in rank order.  The rank is the group layer's one element index.
 `_solve_affine`, the fold of `_reduce` that also returns a null basis,
 serves the stabilizer and subgroup code.
 
 A whole group is held as arrays, not as tableau objects: `enumerate_group`
 returns a read-only sequence over one (Q, 2n) uint8 array of the sign-free
-images from `_walk`, the one walk over the uniform sampler's draws, and a
-count of sign patterns.  An element is built as a tableau only when it is
-read, and `_label_tables` reads the array itself.  At n <= 2 the Pauli
-quotient of the group (6 or 720 elements) has one record:
-`quotient_group(n)` builds, on first use, its elements (the same kind of
-sequence), a key index, every element's Pauli-label images, the product
-table and the RB table path's draw index, all from `_walk`.  `bounds`
+images, from `_unrank`, and a count of sign patterns.  An element is built
+as a tableau only when it is read, and `_label_tables` reads the array
+itself.  At n <= 2 the Pauli quotient of the group (6 or 720 elements) has
+one record: `quotient_group(n)` builds, on first use, its elements (the
+same kind of sequence), every element's Pauli-label images, the product
+table and the RB table path's draw index, all in rank order.  `bounds`
 reads it too.
 """
 
@@ -70,7 +70,6 @@ import operator
 from collections import abc
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -439,50 +438,22 @@ def sample_uniform(n: int, rng) -> CliffordTableau:
     return CliffordTableau(n, vecs, _rand_bits(rng, 2 * n))
 
 
-def _walk(n: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
-    """(key, images) of every sign-free element of C_n: its one sequence of
-    valid sampler draws (Koenig & Smolin, arXiv:1406.2170) packed into a key,
-    first draw highest, and its 2n images.  X draws run over their nonzero
-    values, Z draws over all, each in Gray order; steps share their prefix,
-    and pass their reduced constraint rows down, so each X draw reduces its
-    Z choice space once and each Z draw adds one row."""
-    widths = _draw_widths(n)
-
-    def rec(k, pivots, key, xi, zi):
-        wx, wz = widths[k]
-        for i in range(1, 1 << wx):
-            dx = i ^ i >> 1
-            vx = _pick(pivots, dx)
-            fx = _flip(vx, n)
-            space = _reduce(pivots, fx, 1)
-            if k + 1 < n:
-                ext = _reduce(pivots, fx, 0)
-            for j in range(1 << wz):
-                dz = j ^ j >> 1
-                vz = _pick(space, dz)
-                key_k = (key << wx | dx) << wz | dz
-                if k + 1 < n:
-                    yield from rec(k + 1, _reduce(ext, _flip(vz, n), 0),
-                                   key_k, xi + (vx,), zi + (vz,))
-                else:  # the last step yields at once: no generator per leaf
-                    yield key_k, xi + (vx,) + zi + (vz,)
-
-    return rec(0, [], 0, (), ())
-
-
 @lru_cache(maxsize=4)
-def _rank_tables(n: int) -> List[Tuple[int, np.ndarray, Optional[np.ndarray]]]:
-    """Per `_walk` step, its radix and two int32 tables indexed by (span id,
-    X image, Z image): the digit ``(Gray⁻¹(dx) − 1)·2^wz + Gray⁻¹(dz)`` of
-    the draws `_pick` reads the images off (−1 for no valid pair), and the
-    next span id (None at the last step).  A span, of the earlier images'
-    flips, is keyed by its sorted fully reduced rows; each step's last id is
-    a dead span, all of whose digits are −1."""
+def _rank_tables(n: int) -> List[Tuple[int, np.ndarray, Optional[np.ndarray],
+                                       np.ndarray]]:
+    """The one walk over the sampler's draws.  Per step, its radix and three
+    int32 tables; two are indexed by (span id, X image, Z image): the digit
+    ``(Gray⁻¹(dx) − 1)·2^wz + Gray⁻¹(dz)`` of the draws `_pick` reads the
+    images off (−1 for no valid pair), and the next span id (None at the
+    last step).  The third, (spans, radix), is each span's flat indices
+    into those in digit order.  A span, of the earlier images' flips, is
+    keyed by its sorted fully reduced rows; each step's last id is a dead
+    span, all of whose digits are −1."""
     if n > 3:  # at n = 4 each table of step 1 would take 1.4 GB
         raise ValueError(f"rank tables serve n <= 3 (n={n})")
     size, spans, tables = 1 << 2 * n, [[]], []
     for k, (wx, wz) in enumerate(_draw_widths(n)):
-        cells, digits, nexts, ids = [], [], [], {}
+        radix, cells, nexts, ids = (1 << wx) - 1 << wz, [], [], {}
         for s, pivots in enumerate(spans):
             for i in range(1, 1 << wx):
                 vx = _pick(pivots, i ^ i >> 1)
@@ -491,33 +462,50 @@ def _rank_tables(n: int) -> List[Tuple[int, np.ndarray, Optional[np.ndarray]]]:
                 for j in range(1 << wz):
                     vz = _pick(space, j ^ j >> 1)
                     cells.append((s * size + vx) * size + vz)
-                    digits.append((i - 1) << wz | j)
                     if k + 1 < n:
                         span = tuple(sorted(_reduce(ext, _flip(vz, n), 0)))
                         nexts.append(ids.setdefault(span, len(ids)))
+        cells = np.array(cells, np.int32).reshape(len(spans), radix)
         digit = np.full((len(spans) + 1, size, size), -1, np.int32)
-        digit.flat[cells] = digits
+        digit.reshape(-1)[cells] = np.arange(radix)
         nxt = None
         if k + 1 < n:
             nxt = np.full_like(digit, len(ids))  # the next step's dead span
             nxt.flat[cells] = nexts
-        tables.append(((1 << wx) - 1 << wz, digit, nxt))
+        tables.append((radix, digit, nxt, cells))
         spans = list(ids)
     return tables
 
 
 def _rank(vecs: Sequence) -> np.ndarray:
-    """Position in `_walk` order of the elements whose 2n sign-free images
-    are vecs[0], ..., vecs[2n - 1] (ints, or uint8 arrays of one shape), or
-    -1 where they are no element: one gather per walk step from
-    `_rank_tables`."""
+    """Rank of the elements whose 2n sign-free images are vecs[0], ...,
+    vecs[2n - 1] (ints, or uint8 arrays of one shape): the mixed-radix
+    number of their sampler draws, first step highest, or -1 where they
+    are no element.  One gather per sampler step from `_rank_tables`."""
     n = len(vecs) // 2
     span, rank = np.intp(0), 0  # an intp span widens uint8 images
-    for k, (radix, digit, nxt) in enumerate(_rank_tables(n)):
+    for k, (radix, digit, nxt, _) in enumerate(_rank_tables(n)):
         cell = (span << 2 * n | vecs[k]) << 2 * n | vecs[n + k]
         rank = rank * radix + (d := digit.take(cell))
         span = span if nxt is None else nxt.take(cell)
     return rank | d >> 31  # a failed step leads to the dead span's -1 digits
+
+
+def _unrank(n: int) -> np.ndarray:
+    """The (Q, 2n) uint8 sign-free images of the quotient's elements in rank
+    order, a step at a time: each draw prefix's span reads its row of cells,
+    and the step's two images repeat once per element below the prefix."""
+    mask = (1 << 2 * n) - 1
+    out = np.empty((group_order(n, quotient=True), 2 * n), np.uint8)
+    span = np.zeros(1, np.intp)
+    for k, (_, _, nxt, cells) in enumerate(_rank_tables(n)):
+        cell = cells[span].ravel()
+        below = len(out) // len(cell)  # the cast keeps 8 bits, mask 2n
+        out[:, k] = np.repeat((cell >> 2 * n).astype(np.uint8) & mask, below)
+        out[:, n + k] = np.repeat(cell.astype(np.uint8) & mask, below)
+        if nxt is not None:
+            span = nxt.take(cell)
+    return out
 
 
 class _GroupElements(abc.Sequence):
@@ -565,15 +553,13 @@ def enumerate_group(n: int, quotient: bool = False
     """Complete deduplicated C_n (or its Pauli quotient), as a read-only
     sequence of tableaux.
 
-    Every sign-free element of `_walk`, in its order, times every sign
+    Every sign-free element in rank order (`_unrank`), times every sign
     pattern; far faster than generator closure at the largest size.  The
     images are held as one array and each element is built when read.
     """
     if (quotient and n > 3) or (not quotient and n > 2):
         raise ValueError(f"group too large to enumerate (n={n}, quotient={quotient})")
-    vecs = np.fromiter(chain.from_iterable(v for _, v in _walk(n)),
-                       dtype=np.uint8).reshape(-1, 2 * n)
-    out = _GroupElements(n, vecs, 1 if quotient else 1 << (2 * n))
+    out = _GroupElements(n, _unrank(n), 1 if quotient else 1 << (2 * n))
     assert len(out) == group_order(n, quotient)
     return out
 
@@ -581,7 +567,7 @@ def enumerate_group(n: int, quotient: bool = False
 # ---------------------------------------------------------------------------
 # the quotient group as one table record
 
-QUOTIENT_TABLE_MAX_QUBITS = 2  # the key index has 2^(4n²) entries
+QUOTIENT_TABLE_MAX_QUBITS = 2  # the product table has |Q|² entries
 
 
 def _keys(columns, n: int) -> np.ndarray:
@@ -596,32 +582,41 @@ def _keys(columns, n: int) -> np.ndarray:
 
 class QuotientGroup(NamedTuple):
     elements: Sequence[CliffordTableau]  # built on read, see _GroupElements
-    index: np.ndarray   # key -> element index; len(elements) for no element
     images: np.ndarray  # [i, v]: image label of Pauli label v under element i
     table: np.ndarray   # [i, j]: index of element i applied after element j
-    draws: List[int]    # `_walk` key -> element index, or len(elements)
+    draws: List[int]    # draw key -> element index, or len(elements)
 
     def index_of(self, tab: CliffordTableau) -> int:
-        """Index of the element tab is a signed form of."""
-        return int(self.index[tab.encode() >> 2 * tab.n_qubits])
+        """Index, the rank, of the element that tab (on the group's qubits)
+        is a signed form of.  Raises `ValueError` when tab is no element."""
+        n = tab.n_qubits
+        rank = (_rank(tab.vecs) if all(0 <= v < 1 << 2 * n for v in tab.vecs)
+                else -1)  # an image past 2n bits would alias another cell
+        if rank < 0:
+            raise ValueError(f"not a Clifford tableau: {tab.vecs}")
+        return int(rank)
 
 
 @lru_cache(maxsize=4)
 def quotient_group(n: int) -> QuotientGroup:
     """The Pauli quotient of C_n as arrays, built on first use; callers keep
     n <= QUOTIENT_TABLE_MAX_QUBITS."""
-    keys, vecs = zip(*_walk(n))
-    vecs = np.array(vecs, dtype=np.uint8)
-    elements = _GroupElements(n, vecs, 1)
+    elements = _GroupElements(n, vecs := _unrank(n), 1)
+    keys = [0]  # every rank's draw key, in rank order
+    for wx, wz in _draw_widths(n):
+        keys = [key << wx + wz | (i ^ i >> 1) << wz | j ^ j >> 1
+                for key in keys for i in range(1, 1 << wx)
+                for j in range(1 << wz)]
     draws = [len(elements)] * (1 << sum(map(sum, _draw_widths(n))))
     for i, key in enumerate(keys):
         draws[key] = i
     images, _ = _label_tables(elements)
+    # the images of element i o j are element i's images of element j's; a
+    # 16-bit image-key lookup finds the products' ranks faster than `_rank`
     index = np.full(1 << (4 * n * n), len(elements), dtype=np.uint16)
     index[_keys(vecs.T[::-1], n)] = np.arange(len(elements))
-    # the images of element i o j are element i's images of element j's
     table = index[_keys((images[:, col] for col in vecs.T[::-1]), n)]
-    return QuotientGroup(elements, index, images, table, draws)
+    return QuotientGroup(elements, images, table, draws)
 
 
 # ---------------------------------------------------------------------------

@@ -45,11 +45,12 @@ solve `solve_affine` and its basis combination `xor_combo` are the
 elimination that the sampler's carried reduced rows (`clifford._reduce`,
 `clifford._pick`) replaced; `clifford._solve_affine` is checked against it.
 
-The group walks are what the one walk over the sampler's draws
-(`clifford._walk`) replaced: `enumerate_group`'s own Gray-code recursion over
-the sampler's choice sets, and the draw index built by replaying the
-afresh-solving sampler on every packed draw key.  Neither shares the
-library's elimination.
+The group walks are what the rank tables' walk over the sampler's draws
+(`clifford._rank_tables`, read back in order by `clifford._unrank`)
+replaced: `enumerate_group`'s own Gray-code recursion over the sampler's
+choice sets, and the draw index built by replaying the afresh-solving
+sampler on every packed draw key.  Neither shares the library's
+elimination.
 
 The helpers at the end were library functions and methods that only tests
 reached; they live here as plain functions with their bodies unchanged:

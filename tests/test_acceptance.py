@@ -67,7 +67,6 @@ class TestGroupSizes:
         assert len(enumerate_group(2)) == 11520
         assert len(enumerate_group(2, quotient=True)) == 720
 
-    @pytest.mark.slow
     def test_three_qubit_quotient_enumeration(self):
         assert len(enumerate_group(3, quotient=True)) == 1451520
 

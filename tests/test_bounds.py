@@ -17,7 +17,8 @@ from cliffrb.bounds import (
     tv_series,
     undetected_probability,
 )
-from cliffrb.clifford import clifford_compose, embed_tableau, enumerate_group
+from cliffrb.clifford import (CliffordTableau, clifford_compose, embed_tableau,
+                              enumerate_group)
 from cliffrb.gates import get_gate
 from cliffrb.pauli import PauliOperator, pauli_commutes
 
@@ -73,6 +74,13 @@ class TestGroupDistribution:
         with pytest.raises(ValueError,
                            match=f"acts on {width} qubits, .* on {n}$"):
             GroupDistribution.from_weights(n, [(tab, 1.0)])
+
+    @pytest.mark.parametrize("n, vecs", [(2, (1, 1, 1, 1)), (1, (0, 6))])
+    def test_non_element_rejected(self, n, vecs):
+        # an unvalidated tableau is no element; (0, 6) would read the
+        # identity's table cell if images past 2n bits were let through
+        with pytest.raises(ValueError, match="not a Clifford tableau"):
+            GroupDistribution.from_weights(n, [(CliffordTableau(n, vecs), 1)])
 
     def test_enumeration_limit(self):
         with pytest.raises(EnumerationUnavailableError):

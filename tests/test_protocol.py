@@ -236,6 +236,13 @@ class TestExperiment:
         with pytest.raises(ValueError, match="strictly ascending"):
             ExperimentDesign((1, 1, 3), 2, 10, 0)
 
+    def test_interleaved_gate_must_be_an_element(self):
+        design = ExperimentDesign((1, 2), 2, 10, master_seed=5)
+        model = ErrorModel(PauliChannel.identity(2))
+        with pytest.raises(ValueError, match="not a Clifford tableau"):
+            run_experiment(design, "interleaved", model, 2,
+                           gate=CliffordTableau(2, (1, 1, 1, 1)))
+
     def test_sequence_seed_stable(self):
         assert sequence_seed(5, "exact", 8, 2) == sequence_seed(5, "exact", 8, 2)
         assert sequence_seed(5, "exact", 8, 2) != sequence_seed(5, "exact", 8, 3)

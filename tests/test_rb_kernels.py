@@ -24,10 +24,10 @@ from cliffrb.clifford import (
     _rank,
     _sample_images,
     _solve_affine,
-    _walk,
     clifford_compose,
     clifford_inverse,
     embed_tableau,
+    enumerate_group,
     pauli_tableau,
     quotient_group,
     sample_uniform,
@@ -252,8 +252,9 @@ def test_draw_index_matches_sampler_replay(n):
 
 
 def test_sampler_and_walk_solve_nothing_afresh(monkeypatch):
-    """The sampler and the group walk carry their reduced rows from step to
-    step and never call the from-scratch solve."""
+    """The sampler and the rank tables' walk over the draws carry their
+    reduced rows from step to step and never call the from-scratch
+    solve."""
     def fail(*args):
         raise AssertionError("_solve_affine called")
 
@@ -262,7 +263,8 @@ def test_sampler_and_walk_solve_nothing_afresh(monkeypatch):
     for n in (1, 2, 16):
         sample_uniform(n, rng)
     gen_exact_sequence(2, 20, rng)
-    assert len(list(_walk(2))) == 720
+    tables = clifford._rank_tables.__wrapped__(2)  # uncached: built here
+    assert [radix for radix, *_ in tables] == [120, 6]  # 720 elements
 
 
 def _gray_inverse(g):
@@ -272,11 +274,22 @@ def _gray_inverse(g):
     return i
 
 
-@pytest.mark.parametrize("n", [1, 2, pytest.param(3, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_rank_is_the_walk_position(n):
-    """`_rank` of every sign-free element is its position in `_walk`."""
-    vecs = np.array([v for _, v in _walk(n)], dtype=np.uint8)
+    """`_rank` of every sign-free element is its position in
+    `enumerate_group`, whose order `test_order_matches_recursion` pins."""
+    vecs = enumerate_group(n, quotient=True).vecs
     assert np.array_equal(_rank(vecs.T), np.arange(len(vecs)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_index_of_is_the_element_position(n):
+    """`QuotientGroup.index_of` of every element, under any sign mask, is
+    its position in the record."""
+    group, rng = quotient_group(n), np.random.default_rng(60 + n)
+    for i, tab in enumerate(group.elements):
+        signs = int(rng.integers(4 ** n))
+        assert group.index_of(CliffordTableau(n, tab.vecs, signs)) == i
 
 
 def test_rank_reads_the_sampler_draws():
@@ -330,9 +343,8 @@ def test_rank_sentinel_marks_non_elements(n):
     assert all(valid[:300]) and not all(valid[300:])
     assert [r >= 0 for r in ranks] == valid
     assert {r for r, ok in zip(ranks, valid) if not ok} == {-1}
-    if n <= 2:
-        walk = [v for _, v in _walk(n)]
-        assert all(walk[r] == vecs for r, vecs in zip(ranks, rows) if r >= 0)
+    group = enumerate_group(n, quotient=True)
+    assert all(group[r].vecs == vecs for r, vecs in zip(ranks, rows) if r >= 0)
 
 
 def test_rank_tables_refuse_four_qubits():
