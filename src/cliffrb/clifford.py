@@ -559,9 +559,7 @@ def enumerate_group(n: int, quotient: bool = False
     """
     if (quotient and n > 3) or (not quotient and n > 2):
         raise ValueError(f"group too large to enumerate (n={n}, quotient={quotient})")
-    out = _GroupElements(n, _unrank(n), 1 if quotient else 1 << (2 * n))
-    assert len(out) == group_order(n, quotient)
-    return out
+    return _GroupElements(n, _unrank(n), 1 if quotient else 1 << (2 * n))
 
 
 # ---------------------------------------------------------------------------
@@ -587,13 +585,14 @@ class QuotientGroup(NamedTuple):
     draws: List[int]    # draw key -> element index, or len(elements)
 
     def index_of(self, tab: CliffordTableau) -> int:
-        """Index, the rank, of the element that tab (on the group's qubits)
-        is a signed form of.  Raises `ValueError` when tab is no element."""
-        n = tab.n_qubits
-        rank = (_rank(tab.vecs) if all(0 <= v < 1 << 2 * n for v in tab.vecs)
-                else -1)  # an image past 2n bits would alias another cell
-        if rank < 0:
-            raise ValueError(f"not a Clifford tableau: {tab.vecs}")
+        """Index, the rank, of the element that tab is a signed form of.
+        Raises `ValueError` when tab is no element of the group."""
+        n = self.elements.n_qubits
+        # an image past 2n bits would read another element's table cell
+        fits = len(tab.vecs) == 2 * n and all(
+            0 <= v < 1 << 2 * n for v in tab.vecs)
+        if not fits or (rank := _rank(tab.vecs)) < 0:
+            raise ValueError(f"no {n}-qubit Clifford element: {tab.vecs}")
         return int(rank)
 
 

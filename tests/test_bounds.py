@@ -79,7 +79,7 @@ class TestGroupDistribution:
     def test_non_element_rejected(self, n, vecs):
         # an unvalidated tableau is no element; (0, 6) would read the
         # identity's table cell if images past 2n bits were let through
-        with pytest.raises(ValueError, match="not a Clifford tableau"):
+        with pytest.raises(ValueError, match="Clifford element"):
             GroupDistribution.from_weights(n, [(CliffordTableau(n, vecs), 1)])
 
     def test_enumeration_limit(self):

@@ -239,7 +239,7 @@ class TestExperiment:
     def test_interleaved_gate_must_be_an_element(self):
         design = ExperimentDesign((1, 2), 2, 10, master_seed=5)
         model = ErrorModel(PauliChannel.identity(2))
-        with pytest.raises(ValueError, match="not a Clifford tableau"):
+        with pytest.raises(ValueError, match="Clifford element"):
             run_experiment(design, "interleaved", model, 2,
                            gate=CliffordTableau(2, (1, 1, 1, 1)))
 

@@ -285,11 +285,13 @@ def test_rank_is_the_walk_position(n):
 @pytest.mark.parametrize("n", [1, 2])
 def test_index_of_is_the_element_position(n):
     """`QuotientGroup.index_of` of every element, under any sign mask, is
-    its position in the record."""
+    its position in the record; a tableau on other qubits is no element."""
     group, rng = quotient_group(n), np.random.default_rng(60 + n)
     for i, tab in enumerate(group.elements):
         signs = int(rng.integers(4 ** n))
         assert group.index_of(CliffordTableau(n, tab.vecs, signs)) == i
+    with pytest.raises(ValueError, match="Clifford element"):
+        group.index_of(CliffordTableau.identity(3 - n))
 
 
 def test_rank_reads_the_sampler_draws():
