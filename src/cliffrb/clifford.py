@@ -500,7 +500,7 @@ def _unrank(n: int) -> np.ndarray:
     span = np.zeros(1, np.intp)
     for k, (_, _, nxt, cells) in enumerate(_rank_tables(n)):
         cell = cells[span].ravel()
-        below = len(out) // len(cell)  # the cast keeps 8 bits, mask 2n
+        below = len(out) // len(cell)  # uint8 keeps 8 bits; mask takes 2n
         out[:, k] = np.repeat((cell >> 2 * n).astype(np.uint8) & mask, below)
         out[:, n + k] = np.repeat(cell.astype(np.uint8) & mask, below)
         if nxt is not None:
