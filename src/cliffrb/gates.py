@@ -27,7 +27,7 @@ from .clifford import (
     clifford_inverse,
     embed_tableau,
 )
-from .dense import dense_pauli
+from .dense import _paulis
 from .pauli import PauliDimensionError, PauliOperator, pauli_support
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -72,17 +72,25 @@ class GateDefinition:
 
 
 def _check_consistency(g: GateDefinition) -> None:
-    u = g.dense
-    if not np.allclose(u @ u.conj().T, np.eye(2 ** g.arity), atol=1e-12):
+    """Conjugate every generator X_i, Z_i by the dense matrix in one product
+    and compare them with their signed tableau images in one comparison;
+    tableau row b, sign bit b, is the image (-1)^sign P_row of generator
+    label 1 << b."""
+    u, n = g.dense, g.arity
+    if not np.allclose(u @ u.conj().T, np.eye(2 ** n), atol=1e-12):
         raise ValueError(f"gate {g.name}: dense matrix is not unitary")
-    for i in range(g.arity):
-        for p in (PauliOperator.single(g.arity, i, "X"),
-                  PauliOperator.single(g.arity, i, "Z")):
-            want = dense_pauli(clifford_apply(g.tableau, p))
-            got = u @ dense_pauli(p) @ u.conj().T
-            if not np.allclose(got, want, atol=1e-12):
-                raise ValueError(
-                    f"gate {g.name}: tableau and dense action disagree on {p}")
+    rows = [b for i in range(n) for b in (i, n + i)]  # X_i, then Z_i
+    tab = g.tableau
+    paulis = _paulis(n, [1 << b for b in rows] + [tab.vecs[b] for b in rows])
+    got = u @ paulis[:2 * n] @ u.conj().T
+    want = paulis[2 * n:] * np.array(
+        [1 - 2 * (tab.signs >> b & 1) for b in rows])[:, None, None]
+    agree = np.isclose(got, want, atol=1e-12).all(axis=(1, 2))
+    if not agree.all():
+        b = rows[int(np.argmin(agree))]
+        p = PauliOperator.single(n, b % n, "XZ"[b // n])
+        raise ValueError(
+            f"gate {g.name}: tableau and dense action disagree on {p}")
 
 
 def _gate(name: str, image_x: List[str], image_z: List[str], dense) -> GateDefinition:

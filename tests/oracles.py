@@ -124,8 +124,13 @@ def dense_pauli_from_string(text):
     return phase * mat
 
 
-def dense_pauli(op):
-    return dense_pauli_from_string(str(op))
+def dense_pauli(p):
+    """Dense matrix of a Pauli operator by its Kronecker chain (qubit 0 on
+    the low tensor slot); `dense._paulis` broadcasts it over labels."""
+    out = np.eye(1, dtype=complex)
+    for j in range(p.n_qubits):
+        out = np.kron(PAULI_MATS[p.factor(j)], out)
+    return (1j) ** p.phase * out
 
 
 def kron_all(mats):

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_summary.py"
 spec = importlib.util.spec_from_file_location("bench_summary", TOOL)
 bench_summary = importlib.util.module_from_spec(spec)
@@ -78,3 +80,52 @@ def test_traced_records(tmp_path, monkeypatch):
         side: {"workload": "rb_1q", "seed": 7,
                "metrics": {"analysis.fit.self_s": fit_s}}
         for side, fit_s in (("parent", 0.2), ("change", 0.05))}
+
+
+def write_mixed_runs(root, dense_s):
+    """group_small-like runs: each round one job of each of three kinds,
+    plus one traced round that the kind medians skip."""
+    root.mkdir()
+    for seed, dense in zip((1, 2, 3), dense_s):
+        kinds = {"group_cayley": 0.010, "group_dense": dense,
+                 "group_bounds": 0.016}
+        times = [[False, kind, 0.3, t + 0.001 * r, 0.3, t]
+                 for r in range(3) for kind, t in kinds.items()]
+        times.append([True, "group_dense", 0.3, 9.0, 0.3, 9.0])
+        record = {"git_rev": "r", "nproc": 2, "versions": {}, "src_lines": 1}
+        metrics = {"setup_s": 0.3, "job_p50_s": 0.01, "wall_s": 1.0,
+                   "peak_rss_mb": 60.0}
+        (root / f"group_small-seed{seed}-trace0.json").write_text(json.dumps(
+            {"record": record, "metrics": metrics, "failed_frac": 0.0,
+             "job_times": times}))
+
+
+def test_kind_medians(tmp_path, monkeypatch):
+    write_mixed_runs(tmp_path / "parent", (0.014, 0.015, 0.013))
+    write_mixed_runs(tmp_path / "change", (0.005, 0.016, 0.004))
+    monkeypatch.chdir(tmp_path)
+    assert bench_summary.main([
+        "--parent", "parent", "--change", "change", "--topic", "x"]) == 0
+    out = json.loads((tmp_path / "BENCH_x.json").read_text())
+    kinds = out["workloads"]["group_small"]["kind_job_p50_s"]
+    assert sorted(kinds) == ["group_bounds", "group_cayley", "group_dense"]
+    dense = kinds["group_dense"]
+    assert dense["parent"] == pytest.approx(0.015)  # 0.015, 0.016, 0.014
+    assert dense["change"] == pytest.approx(0.006)  # 0.006, 0.017, 0.005
+    assert dense["change_lower"] == 2
+    assert kinds["group_cayley"]["change_lower"] == 0
+
+
+def test_one_kind_has_no_kind_medians(tmp_path, monkeypatch):
+    write_runs(tmp_path / "parent", "aaa", 100, (1.0, 1.2, 1.1))
+    write_runs(tmp_path / "change", "bbb", 90, (0.5, 1.3, 0.4))
+    for side in ("parent", "change"):
+        for path in (tmp_path / side).glob("*-trace0.json"):
+            run = json.loads(path.read_text())
+            run["job_times"] = [[False, "rb_1q", 0.3, 1.0, 0.3, 1.0]] * 3
+            path.write_text(json.dumps(run))
+    monkeypatch.chdir(tmp_path)
+    assert bench_summary.main([
+        "--parent", "parent", "--change", "change", "--topic", "x"]) == 0
+    out = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert "kind_job_p50_s" not in out["workloads"]["rb_1q"]

@@ -7,7 +7,6 @@ from cliffrb.dense import (
     DenseSuperoperator,
     _basis_stack,
     conjugate_by_tableau,
-    dense_pauli,
     depolarization_strength,
     gate_fidelity,
     group_twirl,
@@ -16,8 +15,8 @@ from cliffrb.dense import (
 from cliffrb.gates import get_gate
 from cliffrb.pauli import PauliChannel, PauliOperator, _unpack
 
-from oracles import (chi_from_tableau, dense_pauli_from_string, kraus,
-                     random_tp_channel)
+from oracles import (chi_from_tableau, dense_pauli, dense_pauli_from_string,
+                     kraus, random_tp_channel)
 
 
 def random_density(n, rng):

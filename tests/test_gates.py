@@ -4,6 +4,7 @@ import pytest
 from cliffrb.clifford import GateSequence, clifford_apply, clifford_compose
 from cliffrb.gates import (
     INVERSE_NAMES,
+    GateDefinition,
     GateSet,
     get_gate,
     invert_sequence,
@@ -47,6 +48,20 @@ def test_tableau_matches_dense_conjugation(name):
             p = PauliOperator.single(g.arity, i, kind)
             want = dense_pauli(clifford_apply(g.tableau, p))
             assert np.allclose(u @ dense_pauli(p) @ u.conj().T, want)
+
+
+def test_registry_check_rejects_a_mismatched_pair():
+    h, s = get_gate("H"), get_gate("S")
+    with pytest.raises(ValueError, match=r"gate bad: tableau and dense "
+                                         r"action disagree on \+X$"):
+        GateDefinition("bad", 1, h.tableau, s.dense)
+
+
+def test_registry_check_rejects_a_non_unitary_matrix():
+    h = get_gate("H")
+    with pytest.raises(ValueError, match="gate bad: dense matrix is not "
+                                         "unitary"):
+        GateDefinition("bad", 1, h.tableau, 2 * h.dense)
 
 
 def test_g_gate_identity():

@@ -8,7 +8,7 @@ product table and commutation array against the element-by-element loops."""
 import numpy as np
 import pytest
 
-from cliffrb import decomp
+from cliffrb import decomp, dense
 from cliffrb.bounds import (
     GroupDistribution,
     _group,
@@ -235,6 +235,44 @@ class TestTwirlsAgainstLoops:
         group = enumerate_group(n)
         got = group_twirl(ch, group).chi
         assert np.max(np.abs(got - oracles.twirl_chi(ch.chi, group))) < 1e-12
+
+    def test_signed_gather_over_a_plain_list(self):
+        """A list of signed tableaux takes the one generic gather."""
+        ch = oracles.random_tp_channel(1, np.random.default_rng(26))
+        group = list(enumerate_group(1))
+        got = group_twirl(ch, group).chi
+        assert np.max(np.abs(got - oracles.twirl_chi(ch.chi, group))) < 1e-12
+
+    def test_sign_free_set_is_no_whole_group(self):
+        ch = oracles.random_tp_channel(1, np.random.default_rng(29))
+        group = enumerate_group(1, quotient=True)
+        got = group_twirl(ch, group).chi
+        assert np.max(np.abs(got - oracles.twirl_chi(ch.chi, group))) < 1e-12
+
+    def test_signed_gather_over_sign_patterns_of_shared_rows(self):
+        rng = np.random.default_rng(27)
+        ch = oracles.random_tp_channel(2, rng)
+        vecs = enumerate_group(2, quotient=True).vecs
+        rows = rng.choice(len(vecs), size=6, replace=False)
+        group = [CliffordTableau(2, tuple(vecs[r].tolist()), int(m))
+                 for r in rows for m in rng.choice(16, size=3, replace=False)]
+        got = group_twirl(ch, group).chi
+        assert np.max(np.abs(got - oracles.twirl_chi(ch.chi, group))) < 1e-12
+
+    def test_whole_group_twirl_reads_the_sign_free_rows(self, monkeypatch):
+        ch = oracles.random_tp_channel(2, np.random.default_rng(28))
+        group = enumerate_group(2)
+        want = group_twirl(ch, list(group)).chi
+        read = []
+
+        def label_tables(tabs):
+            read.append(len(tabs))
+            return _label_tables(tabs)
+
+        monkeypatch.setattr(dense, "_label_tables", label_tables)
+        got = group_twirl(ch, group).chi
+        assert read and max(read) <= 720
+        assert np.max(np.abs(got - want)) < 1e-13
 
     def test_pauli_then_q_subgroup_twirl(self):
         ch = oracles.random_tp_channel(2, np.random.default_rng(23))

@@ -10,7 +10,9 @@
 ran in.  Run it in a checkout of the parent commit and in the changed one
 with the same seeds, then point this script at both result directories.  It
 pairs the runs by (workload, seed) and writes, per workload, the medians of
-the four end-to-end metrics on each side and how many pairs moved down.  The
+the four end-to-end metrics on each side and how many pairs moved down.  For
+a workload whose rounds mix job kinds, each kind's job median comes from the
+`job_times` of each run record and is summarized the same way.  The
 git revs and `src/` line counts come from the run records.  A Tier-1 log is
 the output of `pytest --durations=N` (N >= 5); its wall time, counts and
 five slowest tests are copied in.  A `--trace 1` run record
@@ -75,6 +77,18 @@ def traced(record_path):
             "metrics": {k: v for k, v in run["metrics"].items() if v}}
 
 
+def kind_medians(run):
+    """Job kind -> median job_s of its untraced jobs in one run record, when
+    the run's rounds mix kinds; else {}."""
+    times = {}
+    for traced, kind, _setup, job_s, *_ in run.get("job_times", []):
+        if not traced and job_s is not None:
+            times.setdefault(kind, []).append(job_s)
+    if len(times) < 2:
+        return {}
+    return {kind: statistics.median(ts) for kind, ts in times.items()}
+
+
 def summarize(parent_runs, change_runs):
     pairs = sorted(set(parent_runs) & set(change_runs))
     if not pairs:
@@ -96,6 +110,18 @@ def summarize(parent_runs, change_runs):
             "failed_frac_max": max(runs[workload, s]["failed_frac"]
                                    for runs in (parent_runs, change_runs)
                                    for s in seeds)}
+        kinds = {name: [kind_medians(runs[workload, s]) for s in seeds]
+                 for name, runs in (("parent", parent_runs),
+                                    ("change", change_runs))}
+        shared = set.intersection(*(set(k) for ks in kinds.values()
+                                    for k in ks))
+        if shared:
+            out[workload]["kind_job_p50_s"] = {kind: {
+                **{name: statistics.median(k[kind] for k in ks)
+                   for name, ks in kinds.items()},
+                "change_lower": sum(c[kind] < p[kind] for p, c in zip(
+                    kinds["parent"], kinds["change"]))}
+                for kind in sorted(shared)}
     return out
 
 
@@ -130,7 +156,8 @@ def main(argv=None):
                       for name, runs in sides.items()},
         "note": "per workload: medians over the paired seeds of each "
                 "side; change_lower counts the pairs where the change is "
-                "lower",
+                "lower; kind_job_p50_s: each job kind's median job_s per "
+                "run, summarized the same way",
         "workloads": workloads,
     }
     if args.change_rev:
