@@ -15,11 +15,10 @@ over the 16^n Pauli pairs are kept there too).  A Clifford acts on the basis
 as the signed permutation of Pauli labels given by its
 `clifford._label_tables` row.  A twirl is one gather from the rows of its
 whole set, and conjugation by one Clifford is the twirl over that Clifford
-alone.  The twirl over a whole group from `enumerate_group` reads its image
-array and builds no tableau: that group is the Pauli group times its
-sign-free elements, so its twirl is the Pauli twirl followed by one gather
-over the sign-free rows (Dankert, Cleve, Emerson & Livine,
-quant-ph/0606161).
+alone.  C_n is the Pauli group times its sign-free elements, so the twirl
+over an `enumerate_group(n)` sequence is the Pauli twirl followed by one
+gather over its sign-free image array (Dankert, Cleve, Emerson & Livine,
+quant-ph/0606161), and builds no tableau.
 
 Basis ordering: Pauli index m = x_mask | (z_mask << n), so m = 0 is the
 identity; state index bit j is qubit j (qubit 0 = low-order bit).
@@ -222,19 +221,16 @@ def group_twirl(s: DenseSuperoperator,
     its summand is chi'[j, l] = t_j t_l chi[f(j), f(l)].  A Clifford set is
     one gather of these summands from the set's label tables, summed over
     chunks of at most _TWIRL_CHUNK entries.  An `enumerate_group(n)` set
-    holds all 4^n sign masks of each sign-free row, and their average of
-    t_j t_l is again 1 if j == l and 0 otherwise, so its twirl is the
-    Pauli twirl's gather over the sign-free rows alone (720 at n = 2
-    where the set has 11,520 elements)."""
+    holds every sign mask m of each sign-free row, and m flips t_j by
+    (-1)^popcount(m & j), so the masks' average of t_j t_l is the Pauli
+    twirl's: the gather runs over the sign-free rows alone (720 of the
+    11,520 elements at n = 2) on the Pauli-twirled chi."""
     if isinstance(group, str):
         if group != "pauli":
             raise ValueError(f"unknown twirl group {group!r}")
         return DenseSuperoperator(s.n_qubits, np.diag(np.diag(s.chi)))
     if (isinstance(group, _GroupElements)
             and group.n_signs == 4 ** group.n_qubits):
-        # every sign mask m of each row: m flips label j's image by
-        # (-1)^popcount(m & j), so the masks' average of t_j t_l is the Pauli
-        # twirl's, and the twirl is the Pauli twirl's over the sign-free rows
         s = DenseSuperoperator(s.n_qubits, np.diag(np.diag(s.chi)))
         group = _GroupElements(group.n_qubits, group.vecs, 1)
     if not isinstance(group, abc.Sequence):

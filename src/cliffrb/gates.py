@@ -72,10 +72,9 @@ class GateDefinition:
 
 
 def _check_consistency(g: GateDefinition) -> None:
-    """Conjugate every generator X_i, Z_i by the dense matrix in one product
-    and compare them with their signed tableau images in one comparison;
-    tableau row b, sign bit b, is the image (-1)^sign P_row of generator
-    label 1 << b."""
+    """The dense matrix is unitary, and it conjugates every generator at
+    once (label 1 << b, tableau row b) to that row's Pauli, signed by sign
+    bit b."""
     u, n = g.dense, g.arity
     if not np.allclose(u @ u.conj().T, np.eye(2 ** n), atol=1e-12):
         raise ValueError(f"gate {g.name}: dense matrix is not unitary")
@@ -84,7 +83,7 @@ def _check_consistency(g: GateDefinition) -> None:
     paulis = _paulis(n, [1 << b for b in rows] + [tab.vecs[b] for b in rows])
     got = u @ paulis[:2 * n] @ u.conj().T
     want = paulis[2 * n:] * np.array(
-        [1 - 2 * (tab.signs >> b & 1) for b in rows])[:, None, None]
+        [(-1) ** (tab.signs >> b & 1) for b in rows])[:, None, None]
     agree = np.isclose(got, want, atol=1e-12).all(axis=(1, 2))
     if not agree.all():
         b = rows[int(np.argmin(agree))]
