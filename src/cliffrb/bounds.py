@@ -11,8 +11,10 @@ it completely.
 Everything here works on the quotient group (Cliffords modulo Pauli factors),
 which is enumerable for n <= 2.  It reads the group as arrays from the one
 cached record per n, `clifford.quotient_group`: Pauli-label images, the
-product table, and `index_of`, which indexes an element by its rank.
-Sums run in element order, bit for bit as the loops in `tests/oracles.py`.
+product table's rows, which the record fills on first use, so a
+distribution of small support pays only for its own rows, and `index_of`,
+which indexes an element by its rank.  Sums run in element order, bit for
+bit as the loops in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -95,9 +97,12 @@ def convolve(a: GroupDistribution, b: GroupDistribution) -> GroupDistribution:
     """Distribution of the composition (a-element applied after b-element)."""
     if a.n_qubits != b.n_qubits:
         raise ValueError("size mismatch")
-    sa, sb = a.support(), b.support()
-    products = _group(a.n_qubits).table[np.ix_(sa, sb)]
-    weights = np.outer(a.probs[sa], b.probs[sb])
+    # whole rows of a's support, with b's weight 0.0 off its support: each
+    # bin adds its terms in (i, j) order, and a +0.0 term leaves a
+    # nonnegative sum bit for bit as it was
+    sa = a.support()
+    products = _group(a.n_qubits).rows(sa)
+    weights = np.outer(a.probs[sa], np.where(b.probs > 0, b.probs, 0.0))
     out = np.bincount(products.ravel(), weights.ravel(),
                       minlength=a.probs.size)
     return GroupDistribution(a.n_qubits, out)
@@ -191,22 +196,26 @@ def default_measurement(n: int) -> PauliOperator:
     return PauliOperator(n, 0, 1, 0)
 
 
-def _undetected(p_prime: GroupDistribution,
-                measured: Optional[PauliOperator]) -> np.ndarray:
-    """undetected_probability of every Pauli label, in element order."""
-    n = p_prime.n_qubits
+def _hidden(n: int, measured: Optional[PauliOperator]) -> np.ndarray:
+    """[i, v]: whether element i's image of Pauli label v commutes with the
+    measured operator."""
     m = _pack(default_measurement(n) if measured is None else measured)
     commutes = np.array([not _symplectic(u, m, n) for u in range(4 ** n)])
+    return commutes[_group(n).images]
+
+
+def _undetected(p_prime: GroupDistribution, hidden: np.ndarray) -> np.ndarray:
+    """undetected_probability of every Pauli label, in element order."""
     s = p_prime.support()
-    hidden = commutes[_group(n).images[s]]
-    return np.cumsum(hidden * p_prime.probs[s, None], axis=0)[-1]
+    return np.cumsum(hidden[s] * p_prime.probs[s, None], axis=0)[-1]
 
 
 def undetected_probability(p_prime: GroupDistribution, r: PauliOperator,
                            measured: Optional[PauliOperator] = None) -> float:
     """Probability that Pauli error r, pushed through an aggregate Clifford
     drawn from p_prime, commutes with the measured operator (goes unseen)."""
-    return float(_undetected(p_prime, measured)[_pack(r)])
+    hidden = _hidden(p_prime.n_qubits, measured)
+    return float(_undetected(p_prime, hidden)[_pack(r)])
 
 
 @dataclass(frozen=True)
@@ -250,7 +259,8 @@ def kappa_bounds(p_prime_k: Sequence[GroupDistribution], error: float,
         raise ValueError("error must be nonnegative")
     l = len(p_prime_k)
     # q of every non-identity Pauli label, one row per step
-    qs = np.array([_undetected(dist, measured)[1:] for dist in p_prime_k])
+    hidden = _hidden(n, measured)
+    qs = np.array([_undetected(dist, hidden)[1:] for dist in p_prime_k])
     q_max, q_min = qs.max(axis=1).tolist(), qs.min(axis=1).tolist()
     r_max = [_unpack(int(v) + 1, n) for v in qs.argmax(axis=1)]
     r_min = [_unpack(int(v) + 1, n) for v in qs.argmin(axis=1)]

@@ -59,9 +59,11 @@ images, from `_unrank`, and a count of sign patterns.  An element is built
 as a tableau only when it is read, and `_label_tables` reads the array
 itself.  At n <= 2 the Pauli quotient of the group (6 or 720 elements) has
 one record: `quotient_group(n)` builds, on first use, its elements (the
-same kind of sequence), every element's Pauli-label images, the product
-table and the RB table path's draw index, all in rank order.  `bounds`
-reads it too.
+same kind of sequence), every element's Pauli-label images, an image-key
+index and the RB table path's draw index, all in rank order.  Its product
+table is filled a row at a time, when `QuotientGroup.rows` is first asked
+for that row: the RB table path asks for every row, `bounds` only for the
+rows of the distributions it convolves.
 """
 
 from __future__ import annotations
@@ -565,7 +567,9 @@ def enumerate_group(n: int, quotient: bool = False
 # ---------------------------------------------------------------------------
 # the quotient group as one table record
 
-QUOTIENT_TABLE_MAX_QUBITS = 2  # the product table has |Q|² entries
+# the product table has |Q|² entries (518,400 at n = 2), each row filled
+# on first use
+QUOTIENT_TABLE_MAX_QUBITS = 2
 
 
 def _keys(columns, n: int) -> np.ndarray:
@@ -581,8 +585,26 @@ def _keys(columns, n: int) -> np.ndarray:
 class QuotientGroup(NamedTuple):
     elements: Sequence[CliffordTableau]  # built on read, see _GroupElements
     images: np.ndarray  # [i, v]: image label of Pauli label v under element i
-    table: np.ndarray   # [i, j]: index of element i applied after element j
+    index: np.ndarray   # 16-bit image key (`_keys`) -> element index
+    # [i, j]: index of element i applied after element j, or len(elements)
+    # throughout a row not yet filled; read it through `rows`
+    table: np.ndarray
     draws: List[int]    # draw key -> element index, or len(elements)
+
+    def rows(self, idx) -> np.ndarray:
+        """Rows idx (an index array or a slice) of the product table,
+        filling each row on its first ask: the images of element i o j are
+        element i's images of element j's, and a 16-bit image-key lookup
+        finds the products' ranks faster than `_rank`."""
+        table = self.table
+        new = np.arange(len(table))[idx]
+        new = new[table[new, 0] == len(table)]
+        if len(new):
+            images = self.images[new]
+            table[new] = self.index[_keys(
+                (images[:, col] for col in self.elements.vecs.T[::-1]),
+                self.elements.n_qubits)]
+        return table[idx]
 
     def index_of(self, tab: CliffordTableau) -> int:
         """Index, the rank, of the element that tab is a signed form of.
@@ -598,8 +620,9 @@ class QuotientGroup(NamedTuple):
 
 @lru_cache(maxsize=4)
 def quotient_group(n: int) -> QuotientGroup:
-    """The Pauli quotient of C_n as arrays, built on first use; callers keep
-    n <= QUOTIENT_TABLE_MAX_QUBITS."""
+    """The Pauli quotient of C_n as arrays, built on first use but for the
+    product table's rows, which `QuotientGroup.rows` fills as they are
+    asked for; callers keep n <= QUOTIENT_TABLE_MAX_QUBITS."""
     elements = _GroupElements(n, vecs := _unrank(n), 1)
     keys = [0]  # every rank's draw key, in rank order
     for wx, wz in _draw_widths(n):
@@ -610,12 +633,10 @@ def quotient_group(n: int) -> QuotientGroup:
     for i, key in enumerate(keys):
         draws[key] = i
     images, _ = _label_tables(elements)
-    # the images of element i o j are element i's images of element j's; a
-    # 16-bit image-key lookup finds the products' ranks faster than `_rank`
     index = np.full(1 << (4 * n * n), len(elements), dtype=np.uint16)
     index[_keys(vecs.T[::-1], n)] = np.arange(len(elements))
-    table = index[_keys((images[:, col] for col in vecs.T[::-1]), n)]
-    return QuotientGroup(elements, images, table, draws)
+    table = np.full((len(elements),) * 2, len(elements), dtype=np.uint16)
+    return QuotientGroup(elements, images, index, table, draws)
 
 
 # ---------------------------------------------------------------------------

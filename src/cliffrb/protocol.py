@@ -305,8 +305,10 @@ def sequence_factory(protocol: str, n: int,
 # quotient group, and a sequence's fidelity depends on nothing else.  The
 # sampler's image draws have fixed widths (`clifford._draw_widths`), so a
 # step's valid draws pack into one key, which `group.draws` maps to its
-# element.  The running product is a product-table lookup, and the measured
-# operators carried back to each stage are Pauli-label images.  The path
+# element.  The running product is a product-table lookup: the path asks the
+# record for every row of the table once, which fills the rows not yet
+# filled, and then reads the table in place.  The measured operators
+# carried back to each stage are Pauli-label images.  The path
 # makes the same draws, λ lookups and float products in the same order as
 # the general path, so its fidelities and generator states are bit for bit
 # the general path's.
@@ -331,7 +333,7 @@ def _table_simulator(protocol: str, n: int, model: ErrorModel,
         return None
     group = quotient_group(n)
     rows = group.images.tolist()
-    product = group.table.item
+    product = group.rows(slice(None)).item
     draw_index = group.draws
     # (X width, X shift, Z width, Z shift) of each step's draws: a k-bit
     # draw is its word shifted right by 32 - k

@@ -16,7 +16,7 @@ import numpy as np
 
 from .clifford import CliffordTableau, _label_tables, _solve_affine, clifford_compose
 from .gates import get_gate
-from .pauli import PauliOperator
+from .pauli import PauliOperator, _pack
 
 # fixed irreducible polynomials over GF(2), bit k = coefficient of x^k
 _IRREDUCIBLE = {
@@ -131,13 +131,31 @@ def t_subgroup() -> List[CliffordTableau]:
     return [CliffordTableau.identity(1), t, clifford_compose(t, t)]
 
 
+def _scaled_images(ctx: FieldContext, s: int) -> List[int]:
+    """[a | c << n]: the packed `field_to_pauli(a * s, c * s)`.  The map is
+    GF(2)-linear in (a, c), so each value's image is its low bit's image
+    XOR the image of the rest."""
+    n, mask = ctx.n, (1 << ctx.n) - 1
+    units = [_pack(field_to_pauli(ctx, field_mul(ctx, u & mask, s),
+                                  field_mul(ctx, u >> n, s)))
+             for u in (1 << t for t in range(2 * n))]
+    out = [0] * (1 << 2 * n)
+    for v in range(1, len(out)):
+        low = v & -v
+        out[v] = out[v ^ low] ^ units[low.bit_length() - 1]
+    return out
+
+
 def q_subgroup(n: int) -> List[CliffordTableau]:
     """The 2^n(4^n-1) sign-free coset representatives whose images satisfy
     [C](X_1) = X^a Z^c, [C](Z_1) = X^d Z^e with c*d + a*e = 1, extended to the
-    other qubits by vectorial powers."""
+    other qubits by vectorial powers: [C](X_i) decodes (a b_i, c b_i) and
+    [C](Z_i) decodes (d dual_i, e dual_i)."""
     if n > 4:
         raise ValueError("subgroup enumeration limited to n <= 4")
     ctx = field_context(n)
+    xs = [_scaled_images(ctx, b) for b in ctx.basis]
+    zs = [_scaled_images(ctx, b) for b in ctx.dual]
     out = []
     for ac in range(1, 1 << (2 * n)):
         a, c = ac & ((1 << n) - 1), ac >> n
@@ -149,14 +167,10 @@ def q_subgroup(n: int) -> List[CliffordTableau]:
         else:
             c_inv = field_inv(ctx, c)
             solutions = [(c_inv, e) for e in range(1 << n)]
-        for d, e in solutions:
-            xs = [field_to_pauli(ctx, field_mul(ctx, a, ctx.basis[i]),
-                                 field_mul(ctx, c, ctx.basis[i]))
-                  for i in range(n)]
-            zs = [field_to_pauli(ctx, field_mul(ctx, d, ctx.dual[i]),
-                                 field_mul(ctx, e, ctx.dual[i]))
-                  for i in range(n)]
-            out.append(CliffordTableau.from_images(xs, zs))
+        head = tuple(images[ac] for images in xs)
+        out.extend(CliffordTableau(n, head + tuple(images[d | e << n]
+                                                  for images in zs))
+                   for d, e in solutions)
     return out
 
 

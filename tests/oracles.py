@@ -26,8 +26,14 @@ dense superoperator engine are the paths that the signed Pauli-label tables
 
 The quotient-group loops are the element-by-element `bounds` convolution
 and undetected-error probability that the product table and the image array
-replaced, and the image array built by GF(2) linearity, which the batched
-signed-label tables (`clifford._label_tables`) replaced.
+replaced, the product table composed pair by pair, against which the
+record's row fill (`QuotientGroup.rows`) is checked, and the image array
+built by GF(2) linearity, which the batched signed-label tables
+(`clifford._label_tables`) replaced.
+
+`q_subgroup` is the subgroup builder that decoded every image of every
+element with field arithmetic; `subgroups.q_subgroup` reads them off
+per-unit-vector images by GF(2) linearity.
 
 The separable start `initial_guess` is the one-q-at-a-time search that the
 stacked `analysis._initial_guess` replaced: one `np.linalg.lstsq` call per
@@ -100,7 +106,12 @@ from cliffrb.stabilizer import (
     stabilizer_decomposition,
     zero_state,
 )
-from cliffrb.subgroups import field_mul, field_to_pauli
+from cliffrb.subgroups import (
+    field_context,
+    field_inv,
+    field_mul,
+    field_to_pauli,
+)
 
 PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -595,6 +606,28 @@ def quotient_images_by_linearity(n):
         low = v & -v
         images[:, v] = images[:, v ^ low] ^ vecs[:, low.bit_length() - 1]
     return images
+
+
+def product_table(n):
+    """quotient_group(n)'s product table as nested lists: [i][j] is the
+    index of element i applied after element j, composed from element i's
+    images of element j's images."""
+    elements, _, images = _quotient_group(n)
+    vecs = [tab.vecs for tab in elements]
+    index = {v: i for i, v in enumerate(vecs)}
+    return [[index[tuple(row[v] for v in vj)] for vj in vecs]
+            for row in images]
+
+
+def eager_product_table(n):
+    """The product table as `clifford.quotient_group` built it up front,
+    before its rows were filled on first use: the 16-bit image keys of all
+    |Q|² products, looked up at once."""
+    vecs = packed._unrank(n)
+    images, _ = packed._label_tables(packed.enumerate_group(n, quotient=True))
+    index = np.full(1 << (4 * n * n), len(vecs), dtype=np.uint16)
+    index[packed._keys(vecs.T[::-1], n)] = np.arange(len(vecs))
+    return index[packed._keys((images[:, col] for col in vecs.T[::-1]), n)]
 
 
 def group_convolve(a, b):
@@ -1155,3 +1188,31 @@ def sample_choice_counts(n):
     product is exactly group_order(n)."""
     return [(2 * ((1 << wx) - 1), 1 << (wz + 1))
             for wx, wz in packed._draw_widths(n)]
+
+
+def q_subgroup(n):
+    """subgroups.q_subgroup with every image decoded by field arithmetic,
+    two `field_to_pauli` calls per qubit and element."""
+    if n > 4:
+        raise ValueError("subgroup enumeration limited to n <= 4")
+    ctx = field_context(n)
+    out = []
+    for ac in range(1, 1 << (2 * n)):
+        a, c = ac & ((1 << n) - 1), ac >> n
+        # all (d, e) with c*d + a*e = 1
+        if a != 0:
+            a_inv = field_inv(ctx, a)
+            solutions = [(d, field_mul(ctx, 1 ^ field_mul(ctx, c, d), a_inv))
+                         for d in range(1 << n)]
+        else:
+            c_inv = field_inv(ctx, c)
+            solutions = [(c_inv, e) for e in range(1 << n)]
+        for d, e in solutions:
+            xs = [field_to_pauli(ctx, field_mul(ctx, a, ctx.basis[i]),
+                                 field_mul(ctx, c, ctx.basis[i]))
+                  for i in range(n)]
+            zs = [field_to_pauli(ctx, field_mul(ctx, d, ctx.dual[i]),
+                                 field_mul(ctx, e, ctx.dual[i]))
+                  for i in range(n)]
+            out.append(CliffordTableau.from_images(xs, zs))
+    return out

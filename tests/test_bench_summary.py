@@ -4,6 +4,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_summary.py"
@@ -53,6 +54,14 @@ def test_summary(tmp_path, monkeypatch):
     assert rb["change"]["job_p50_s"] == 0.5
     assert rb["change_lower"]["job_p50_s"] == 2
     assert rb["change_lower"]["setup_s"] == 0
+    assert rb["quartiles"]["job_p50_s"]["parent"] == pytest.approx(
+        {"q1": 1.05, "q3": 1.15, "iqr": 0.1})
+    assert rb["quartiles"]["job_p50_s"]["change"] == pytest.approx(
+        {"q1": 0.45, "q3": 0.9, "iqr": 0.45})
+    assert rb["beyond_parent_iqr"]["job_p50_s"]  # 0.6 apart, IQR 0.1
+    assert rb["quartiles"]["setup_s"]["parent"] == {
+        "q1": 0.3, "q3": 0.3, "iqr": 0.0}
+    assert not rb["beyond_parent_iqr"]["setup_s"]  # equal medians
     t1 = out["tier1"]["change"]
     assert t1["wall_s"] == 20.75
     assert t1["counts"] == {"passed": 40, "deselected": 2}
@@ -113,7 +122,20 @@ def test_kind_medians(tmp_path, monkeypatch):
     assert dense["parent"] == pytest.approx(0.015)  # 0.015, 0.016, 0.014
     assert dense["change"] == pytest.approx(0.006)  # 0.006, 0.017, 0.005
     assert dense["change_lower"] == 2
+    assert dense["quartiles"]["parent"] == pytest.approx(
+        {"q1": 0.0145, "q3": 0.0155, "iqr": 0.001})
+    assert dense["beyond_parent_iqr"]  # 0.009 apart
     assert kinds["group_cayley"]["change_lower"] == 0
+    assert kinds["group_cayley"]["quartiles"]["change"]["iqr"] == 0.0
+    assert not kinds["group_cayley"]["beyond_parent_iqr"]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 10])
+def test_quartiles_are_numpy_percentiles(size):
+    values = np.random.default_rng(size).random(size).tolist()
+    q1, q3 = np.percentile(values, [25, 75])
+    got = bench_summary.quartiles(values)
+    assert got == pytest.approx({"q1": q1, "q3": q3, "iqr": q3 - q1})
 
 
 def test_one_kind_has_no_kind_medians(tmp_path, monkeypatch):

@@ -383,19 +383,22 @@ def test_word_block_holds_a_two_qubit_sequence():
 def test_no_table_built_at_import():
     """`import cliffrb.cli` builds neither the quotient group nor the draw
     index, nor the dense engine's basis matrices, nor the rank tables, so a
-    command that needs none of them does not pay for them."""
+    command that needs none of them does not pay for them; building the
+    quotient group then fills no row of its product table."""
     code = ("import cliffrb.cli\n"
             "from cliffrb.clifford import _rank_tables, quotient_group\n"
             "from cliffrb.dense import _basis_stack, _vec_basis\n"
             "print(quotient_group.cache_info().currsize,"
             " _basis_stack.cache_info().currsize,"
             " _vec_basis.cache_info().currsize,"
-            " _rank_tables.cache_info().currsize)")
+            " _rank_tables.cache_info().currsize)\n"
+            "table = quotient_group(2).table\n"
+            "print((table[:, 0] != len(table)).sum())")
     src = str(Path(cliffrb.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.split() == ["0", "0", "0", "0"]
+    assert out.split() == ["0", "0", "0", "0", "0"]
 
 
 def _models(n):

@@ -16,6 +16,7 @@ from cliffrb.subgroups import (
     verify_twirl_set,
 )
 
+import oracles
 from oracles import pauli_to_field, random_tp_channel, vectorial_power
 
 
@@ -150,6 +151,13 @@ class TestQSubgroup:
     def test_sizes(self):
         assert len(q_subgroup(1)) == 6
         assert len(q_subgroup(2)) == 60
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_linear_images_match_field_decoding(self, n):
+        """The images read off the unit vectors' images by linearity give
+        the same tableaux, in the same order, as decoding every image by
+        field arithmetic."""
+        assert q_subgroup(n) == oracles.q_subgroup(n)
 
     def test_n1_equals_full_quotient(self):
         got = {tab.encode() for tab in q_subgroup(1)}

@@ -16,6 +16,7 @@ from cliffrb.bounds import (
     default_measurement,
     kappa_bounds,
     step_aggregates,
+    tv_series,
     undetected_probability,
 )
 from cliffrb.clifford import (
@@ -369,9 +370,73 @@ class TestBoundsAgainstLoops:
             assert np.array_equal(got, oracles.group_convolve(a, b))
             assert_bounds_match_loops([a, b])
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_convolve_support_shapes(self, n):
+        """convolve, bit for bit as the loops over both supports: one side
+        of full support with a one-element other side, random supports, and
+        entries in [-1e-12, 0), which a support leaves out."""
+        rng = np.random.default_rng(64 + n)
+        count = len(enumerate_group(n, quotient=True))
+        full = dirichlet(n, rng)
+        delta = GroupDistribution(n, np.eye(count)[rng.integers(count)])
+        cases = [(full, delta), (delta, full), (delta, delta)]
+        for _ in range(4):
+            a, b = (dirichlet(n, rng, int(rng.integers(1, min(count - 1, 60))))
+                    for _ in range(2))
+            cases.append((a, b))
+            # tiny negatives off b's support (and off a's), -0.0 among them
+            off = [np.flatnonzero(d.probs == 0) for d in (a, b)]
+            pa, pb = a.probs.copy(), b.probs.copy()
+            for p, o in zip((pa, pb), off):
+                p[o[:len(o) // 2]] = -1e-12 * rng.random(len(o) // 2)
+                p[o[-1]] = -0.0
+                p[o[-2]] = -1e-12
+            cases += [(a, GroupDistribution(n, pb)),
+                      (GroupDistribution(n, pa), GroupDistribution(n, pb))]
+        for a, b in cases:
+            got = convolve(a, b).probs
+            assert got.tobytes() == oracles.group_convolve(a, b).tobytes()
+
     def test_embedded_gate_support(self):
         d = embedded_gate_steps(np.random.default_rng(62))
         aggregates = step_aggregates(d, 6)
         for prev, acc in zip(aggregates, aggregates[1:]):
             assert np.array_equal(acc.probs, oracles.group_convolve(d, prev))
         assert_bounds_match_loops(aggregates)
+
+
+class TestProductRows:
+    """`QuotientGroup.rows` fills the product table a row at a time, on
+    first ask; in any order of asking, the rows are those of the table built
+    up front and of the table composed pair by pair."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rows_in_any_order(self, n):
+        want = oracles.eager_product_table(n)
+        assert want.tolist() == oracles.product_table(n)
+        count = len(want)
+        rng = np.random.default_rng(70 + n)
+        for _ in range(2):
+            group = quotient_group.__wrapped__(n)  # uncached: nothing filled
+            assert np.all(group.table == count)
+            part = rng.choice(count, count // 3, replace=False)
+            assert np.array_equal(group.rows(part), want[part])
+            filled = np.flatnonzero(group.table[:, 0] != count)
+            assert filled.tolist() == sorted(part.tolist())
+            # the rest, in another order and in pieces that overlap the part
+            for piece in np.array_split(rng.permutation(count), 5):
+                assert np.array_equal(group.rows(piece), want[piece])
+            assert np.array_equal(group.rows(slice(None)), want)
+            assert group.table.flags.c_contiguous
+
+    def test_bounds_fill_only_the_support_rows(self):
+        """A distribution of eight elements makes from_weights, tv_series
+        and kappa_bounds fill only its eight rows."""
+        quotient_group.cache_clear()
+        d = embedded_gate_steps(np.random.default_rng(63))
+        tv_series(d, 6)
+        kappa_bounds(step_aggregates(d, 6), 0.05)
+        table = quotient_group(2).table
+        assert len(d.support()) == 8
+        filled = np.flatnonzero(table[:, 0] != len(table))
+        assert filled.tolist() == d.support().tolist()

@@ -10,12 +10,14 @@
 ran in.  Run it in a checkout of the parent commit and in the changed one
 with the same seeds, then point this script at both result directories.  It
 pairs the runs by (workload, seed) and writes, per workload, the medians of
-the four end-to-end metrics on each side and how many pairs moved down.  For
-a workload whose rounds mix job kinds, each kind's job median comes from the
-`job_times` of each run record and is summarized the same way.  The
-git revs and `src/` line counts come from the run records.  A Tier-1 log is
-the output of `pytest --durations=N` (N >= 5); its wall time, counts and
-five slowest tests are copied in.  A `--trace 1` run record
+the four end-to-end metrics on each side, each side's quartiles and IQR
+(interpolated between order statistics, as numpy's default percentiles),
+whether the medians differ by more than the parent's IQR, and how many pairs
+moved down.  For a workload whose rounds mix job kinds, each kind's job
+median comes from the `job_times` of each run record and is summarized the
+same way.  The git revs and `src/` line counts come from the run records.
+A Tier-1 log is the output of `pytest --durations=N` (N >= 5); its wall
+time, counts and five slowest tests are copied in.  A `--trace 1` run record
 (`<workload>-seed<N>-trace1.json`) gives its workload, seed and nonzero
 per-layer metrics.  Standard library only.
 """
@@ -89,6 +91,27 @@ def kind_medians(run):
     return {kind: statistics.median(ts) for kind, ts in times.items()}
 
 
+def quartiles(values):
+    """First and third quartile of values and their distance, the IQR."""
+    values = list(values)
+    if len(values) == 1:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def compare(parent, change):
+    """Medians, quartiles and pairs moved down of paired per-run values."""
+    sides = {"parent": parent, "change": change}
+    out = {name: statistics.median(vs) for name, vs in sides.items()}
+    spread = {name: quartiles(vs) for name, vs in sides.items()}
+    return {**out, "quartiles": spread,
+            "beyond_parent_iqr": abs(out["change"] - out["parent"])
+            > spread["parent"]["iqr"],
+            "change_lower": sum(c < p for p, c in zip(parent, change))}
+
+
 def summarize(parent_runs, change_runs):
     pairs = sorted(set(parent_runs) & set(change_runs))
     if not pairs:
@@ -99,14 +122,13 @@ def summarize(parent_runs, change_runs):
         sides = {name: [runs[workload, s]["metrics"] for s in seeds]
                  for name, runs in (("parent", parent_runs),
                                     ("change", change_runs))}
+        per_metric = {m: compare([r[m] for r in sides["parent"]],
+                                 [r[m] for r in sides["change"]])
+                      for m in METRICS}
         out[workload] = {
             "seeds": seeds,
-            **{name: {m: statistics.median(r[m] for r in rs)
-                      for m in METRICS} for name, rs in sides.items()},
-            "change_lower": {
-                m: sum(c[m] < p[m] for p, c in zip(sides["parent"],
-                                                   sides["change"]))
-                for m in METRICS},
+            **{key: {m: per_metric[m][key] for m in METRICS}
+               for key in per_metric[METRICS[0]]},
             "failed_frac_max": max(runs[workload, s]["failed_frac"]
                                    for runs in (parent_runs, change_runs)
                                    for s in seeds)}
@@ -116,11 +138,9 @@ def summarize(parent_runs, change_runs):
         shared = set.intersection(*(set(k) for ks in kinds.values()
                                     for k in ks))
         if shared:
-            out[workload]["kind_job_p50_s"] = {kind: {
-                **{name: statistics.median(k[kind] for k in ks)
-                   for name, ks in kinds.items()},
-                "change_lower": sum(c[kind] < p[kind] for p, c in zip(
-                    kinds["parent"], kinds["change"]))}
+            out[workload]["kind_job_p50_s"] = {
+                kind: compare([k[kind] for k in kinds["parent"]],
+                              [k[kind] for k in kinds["change"]])
                 for kind in sorted(shared)}
     return out
 
@@ -155,9 +175,11 @@ def main(argv=None):
         "src_lines": {name: one_value(runs, "src_lines")
                       for name, runs in sides.items()},
         "note": "per workload: medians over the paired seeds of each "
-                "side; change_lower counts the pairs where the change is "
-                "lower; kind_job_p50_s: each job kind's median job_s per "
-                "run, summarized the same way",
+                "side; quartiles: each side's q1, q3 and IQR; "
+                "beyond_parent_iqr: the medians differ by more than the "
+                "parent's IQR; change_lower counts the pairs where the "
+                "change is lower; kind_job_p50_s: each job kind's median "
+                "job_s per run, summarized the same way",
         "workloads": workloads,
     }
     if args.change_rev:
