@@ -586,8 +586,10 @@ class QuotientGroup(NamedTuple):
     elements: Sequence[CliffordTableau]  # built on read, see _GroupElements
     images: np.ndarray  # [i, v]: image label of Pauli label v under element i
     index: np.ndarray   # 16-bit image key (`_keys`) -> element index
-    # [i, j]: index of element i applied after element j, or len(elements)
-    # throughout a row not yet filled; read it through `rows`
+    # [i, j]: index of element i applied after element j; read it through
+    # `rows`.  A row not yet filled is all 0 (and, from np.zeros, takes no
+    # memory until filled); a filled row is a permutation of the indices,
+    # so its first two cells are not both 0
     table: np.ndarray
     draws: List[int]    # draw key -> element index, or len(elements)
 
@@ -598,7 +600,7 @@ class QuotientGroup(NamedTuple):
         finds the products' ranks faster than `_rank`."""
         table = self.table
         new = np.arange(len(table))[idx]
-        new = new[table[new, 0] == len(table)]
+        new = new[~table[new, :2].any(axis=1)]
         if len(new):
             images = self.images[new]
             table[new] = self.index[_keys(
@@ -635,7 +637,7 @@ def quotient_group(n: int) -> QuotientGroup:
     images, _ = _label_tables(elements)
     index = np.full(1 << (4 * n * n), len(elements), dtype=np.uint16)
     index[_keys(vecs.T[::-1], n)] = np.arange(len(elements))
-    table = np.full((len(elements),) * 2, len(elements), dtype=np.uint16)
+    table = np.zeros((len(elements),) * 2, dtype=np.uint16)
     return QuotientGroup(elements, images, index, table, draws)
 
 
