@@ -220,15 +220,25 @@ def _linear_solve(model: DecayModel, lengths, f, alpha,
     return coef[:, :, 0], _sumsq(resid)
 
 
+_GOLDEN_STEPS = 80  # golden-section steps per basin at most
+_GOLDEN_NODES = 16  # brackets priced per solve at most, basins x (2^k - 1)
+
+
 def _initial_guess(model: DecayModel, lengths: np.ndarray, f: np.ndarray,
                    alpha: float) -> np.ndarray:
     """Separable start: scan the decay base q, solving the (linear) remaining
     parameters exactly at each candidate, then refine q by golden section.
 
     Each stage is one stacked LAPACK call (`_linear_solve`), whose rows are
-    independent like `_lm`'s: the scan, each golden-section step of all local
-    minima at once, the candidates' costs and the final coefficients.  The
-    steps stop early once no bracket moves, as every later step would repeat.
+    independent like `_lm`'s: the scan, the golden section, the candidates'
+    costs and the final coefficients.  Each golden-section solve prices the
+    next k steps of every local minimum still moving: the 2(2^k - 1) points
+    c and d those steps can reach, with basins x (2^k - 1) <= _GOLDEN_NODES
+    (k = 4 for one basin, 3 for two, 2 for three to five and 1 from six
+    on).  The steps are then taken in Python floats, the same `<=` choices
+    on the same values as one step at a time.  A basin stops after
+    _GOLDEN_STEPS steps, or once a step moves none of its bracket, as every
+    later step would repeat.
     """
     lo, hi = 1e-6, 1 - 1e-9
     grid = np.linspace(lo, hi, 400)
@@ -244,18 +254,44 @@ def _initial_guess(model: DecayModel, lengths: np.ndarray, f: np.ndarray,
     # the scan can expose several local minima; polish each candidate basin
     local = np.flatnonzero(np.r_[True, costs[1:] <= costs[:-1]]
                            & np.r_[costs[:-1] <= costs[1:], True])
-    a = grid[np.maximum(local - 1, 0)]
-    b = grid[np.minimum(local + 1, len(grid) - 1)]
-    phi = (np.sqrt(5) - 1) / 2
-    for _ in range(80):
-        c, d = b - phi * (b - a), a + phi * (b - a)
-        cost = _linear_solve(model, lengths, f, alpha, np.r_[c, d])[1]
-        left = cost[:len(c)] <= cost[len(c):]
-        a_next, b_next = np.where(left, a, c), np.where(left, d, b)
-        if np.array_equal(a_next, a) and np.array_equal(b_next, b):
-            break
-        a, b = a_next, b_next
-    cands = (a + b) / 2
+    brackets = list(zip(grid[np.maximum(local - 1, 0)].tolist(),
+                        grid[np.minimum(local + 1, len(grid) - 1)].tolist()))
+    phi = float((np.sqrt(5) - 1) / 2)
+    moving, left_over = list(range(len(brackets))), _GOLDEN_STEPS
+    while moving and left_over:
+        # the points c and d that the next k steps of each moving basin can
+        # reach, one tree a basin in heap order: node j's children are
+        # 2j + 1, (a, d), and 2j + 2, (c, b)
+        k = min(max((_GOLDEN_NODES // len(moving) + 1).bit_length() - 1, 1),
+                left_over)
+        size = (1 << k) - 1
+        cs, ds = [], []
+        for i in moving:
+            nodes = [brackets[i]]
+            for a, b in nodes:
+                w = phi * (b - a)
+                cs.append(b - w)
+                ds.append(a + w)
+                if len(nodes) < size:
+                    nodes += [(a, a + w), (b - w, b)]
+        cost = _linear_solve(model, lengths, f, alpha, cs + ds)[1].tolist()
+        cost_c, cost_d = cost[:len(cs)], cost[len(cs):]
+        still = []
+        for base, i in zip(range(0, len(cs), size), moving):
+            a, b = brackets[i]
+            node = 0
+            for _ in range(k):
+                last, j = (a, b), base + node
+                if cost_c[j] <= cost_d[j]:
+                    b, node = ds[j], 2 * node + 1
+                else:
+                    a, node = cs[j], 2 * node + 2
+            brackets[i] = (a, b)
+            # a step that moves no bracket repeats at every later step
+            if (a, b) != last:
+                still.append(i)
+        moving, left_over = still, left_over - k
+    cands = np.array([(a + b) / 2 for a, b in brackets])
     q, best = None, np.inf
     for cand, cost in zip(cands, _linear_solve(model, lengths, f, alpha,
                                                cands)[1]):

@@ -12,6 +12,7 @@ import json
 import secrets
 import sys
 from contextlib import contextmanager
+from functools import cache
 from importlib import metadata
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -47,7 +48,10 @@ from .protocol import (
 SCHEMA_VERSION = 1
 
 
+@cache
 def _versions() -> Dict[str, str]:
+    """Library versions for manifests, looked up once a process: the
+    package lookup scans every `sys.path` entry."""
     try:
         pkg = metadata.version("artifact")
     except metadata.PackageNotFoundError:

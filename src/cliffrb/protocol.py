@@ -312,6 +312,16 @@ def sequence_factory(protocol: str, n: int,
 # makes the same draws, λ lookups and float products in the same order as
 # the general path, so its fidelities and generator states are bit for bit
 # the general path's.
+#
+# The draws come from raw words.  A k-bit `integers(0, 1 << k)` draw is the
+# top k bits of the next uint32 word (numpy's power-of-two draws never
+# reject, and no draw here has width 0), and PCG64 serves uint32 words as
+# the low then the high half of each 64-bit output, keeping the unread high
+# half in its `has_uint32`/`uinteger` buffer.  So a sequence reads its words
+# from `bit_generator.random_raw` blocks, after the buffered half-word when
+# there is one, then rewinds the bit generator with `advance` to the 64-bit
+# outputs it used and writes the buffer as the scalar draws leave it.  The
+# path expects PCG64 generators, as `run_experiment` makes them.
 
 
 _Simulator = Callable[[int, np.random.Generator], float]
@@ -356,43 +366,44 @@ def _table_simulator(protocol: str, n: int, model: ErrorModel,
     identity = group.index_of(CliffordTableau.identity(n))
 
     def simulate(l: int, rng: np.random.Generator) -> float:
-        # each k-bit draw is the top k bits of the next word of a uint32
-        # block (numpy's power-of-two draws never reject, and no draw here
-        # has width 0); blocks of 2n + 2 words a step are drawn ahead as
-        # needed, then rewound to the words used
         bits = rng.bit_generator
         state = bits.state
-        block = (2 * n + 2) * (l + 1)
-        words = rng.integers(0, 1 << 32, size=block, dtype=np.uint32).tolist()
+        words = [state["uinteger"]] if state["has_uint32"] else []
+        buffered = len(words)
+        block = (n + 1) * (l + 1)  # 64-bit outputs: 2n + 2 words a step
+
+        def ahead(need: int) -> None:  # holds `need` unread words
+            while len(words) - used < need:
+                words.extend(bits.random_raw(block).view(np.uint32).tolist())
+
         used = 0
-
-        def draw(nbits: int) -> int:  # leaves a step's 2n image words ahead
-            nonlocal used
-            used += 1
-            if len(words) - used < 2 * n:
-                words.extend(rng.integers(0, 1 << 32, size=block,
-                                          dtype=np.uint32).tolist())
-            return words[used - 1] >> (32 - nbits)
-
+        ahead(2 * n + 1)
         stages = []  # (λ list, images under the running product) per step
         total = identity
         for _ in range(l):
             key = 0
             for wx, sx, wz, sz in reads:
                 while not words[used] >> sx:  # a zero X draw is drawn again
-                    draw(wx)
+                    used += 1
+                    ahead(2 * n + 1)
                 x = words[used] >> sx
                 key = (key << wx | x) << wz | words[used + 1] >> sz
                 used += 2
-            draw(2 * n)  # the step's signs leave its element unchanged
+            used += 1  # the step's signs leave its element unchanged
+            ahead(2 * n + 1)
             total = product(draw_index[key], total)
             stages.append((lam_clifford, rows[total]))
             if protocol == "interleaved":
                 total = product(gate_index, total)
                 stages.append((lam_gate, rows[total]))
-        _random_pauli(n, draw)  # the inversion's Pauli: its draws only
+        used += 2  # the inversion's Pauli: its two draws only
+        # rewind to the 64-bit outputs used; a used low half leaves its high
+        # half buffered
+        odd = (used - buffered) & 1
+        bits.advance((used - buffered + 1) // 2 - (len(words) - buffered) // 2)
+        state = bits.state
+        state["has_uint32"], state["uinteger"] = odd, words[used - 1 + odd]
         bits.state = state
-        rng.integers(0, 1 << 32, size=used, dtype=np.uint32)
         # each subset's product in the general path's stage order: SPAM,
         # inversion, steps last to first; the measured Z_j carried back to
         # step t's channel are their images under the product of steps 1..t

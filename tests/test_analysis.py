@@ -411,6 +411,8 @@ def start_data(kind, alpha):
         f = np.ones(len(lengths))
     elif kind == "uniform":
         f = rng.uniform(0, 1, len(lengths))
+    elif kind == "two-basin":  # two local minima in every model's scan
+        f = np.random.default_rng(55).uniform(0, 1, len(lengths))
     else:  # fast decay at long lengths, where q ** l underflows
         lengths = np.array([1, 2, 5, 20, 100, 500], dtype=float)
         f = (1 - alpha) + alpha * 0.9 * 0.2 ** lengths
@@ -420,16 +422,48 @@ def start_data(kind, alpha):
 class TestSeparableStart:
     """The stacked separable start against the one-q-at-a-time search in
     tests/oracles.py, and each stacked least-squares row against
-    np.linalg.lstsq on that row alone."""
+    np.linalg.lstsq on that row alone.  The kinds cover every depth k of
+    the golden-section trees the basin rule picks: one basin (k = 4) in
+    `realistic`, two (k = 3) in `two-basin`, three to five (k = 2) in
+    `uniform` and hundreds (k = 1) in the `flat` scans of `magesan` and
+    `three-param`."""
 
     @pytest.mark.parametrize("kind", ["realistic", "saturated", "flat",
-                                      "uniform", "underflow"])
+                                      "uniform", "underflow", "two-basin"])
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_initial_guess(self, model, kind):
         lengths, f = start_data(kind, 0.75)
         got = analysis._initial_guess(MODELS[model], lengths, f, 0.75)
         want = oracles.initial_guess(MODELS[model], lengths, f, 0.75)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_two_basin_scan(self, model, monkeypatch):
+        """The `two-basin` data's 401-point scan has two local minima, and
+        the golden section prices both basins' three-step trees at once:
+        2 basins x 7 brackets x 2 points."""
+        lengths, f = start_data("two-basin", 0.75)
+        grid = np.linspace(1e-6, 1 - 1e-9, 400)
+        y = f - (0.5 if model == "main-app" else 0.25)
+        slope, _ = np.polyfit(lengths[y > 1e-12], np.log(y[y > 1e-12]), 1)
+        grid = np.sort(np.append(grid, np.clip(np.exp(slope), 1e-6,
+                                               1 - 1e-9)))
+        costs = [oracles.linear_solve(MODELS[model], lengths, f, 0.75, q)[1]
+                 for q in grid]
+        local = [k for k in range(len(grid))
+                 if (k == 0 or costs[k] <= costs[k - 1])
+                 and (k == len(grid) - 1 or costs[k] <= costs[k + 1])]
+        assert len(local) == 2
+        sizes = []
+        solve = analysis._linear_solve
+
+        def record(model, lengths, f, alpha, qs):
+            sizes.append(len(qs))
+            return solve(model, lengths, f, alpha, qs)
+
+        monkeypatch.setattr(analysis, "_linear_solve", record)
+        analysis._initial_guess(MODELS[model], lengths, f, 0.75)
+        assert sizes[1] == 28
 
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_linear_solve_slices(self, model):

@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import cliffrb.pauli
+from cliffrb import cli
 from cliffrb.cli import _dumps, main
 from cliffrb.clifford import CliffordTableau
 from cliffrb.gates import sequence_tableau
@@ -326,6 +327,27 @@ class TestManifestParameters:
         assert list(man["parameters"].items()) == want
         csv_man = json.loads((tmp_path / "tv.csv.manifest.json").read_text())
         assert csv_man == man
+
+    def test_versions_looked_up_once(self, runner, monkeypatch):
+        """The package version lookup scans every `sys.path` entry, so a
+        process makes it once, however many commands it runs."""
+        calls = []
+
+        def version(name):
+            calls.append(name)
+            return "1.2.3"
+
+        monkeypatch.setattr(cli.metadata, "version", version)
+        cli._versions.cache_clear()
+        try:
+            mans = [json.loads(run_ok(runner, [
+                "decompose", "--seed", str(s), "--n", "2", "--random"]
+                ).stdout)["manifest"] for s in (5, 6)]
+        finally:
+            cli._versions.cache_clear()
+        assert calls == ["artifact"]
+        assert mans[0]["versions"] == mans[1]["versions"]
+        assert mans[0]["versions"]["artifact"] == "1.2.3"
 
 
 class TestBoundsCommands:

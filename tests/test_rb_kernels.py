@@ -355,11 +355,31 @@ def test_rank_tables_refuse_four_qubits():
         clifford._rank_tables(4)
 
 
+class _RawCounter:
+    """A bit generator that counts its `random_raw` blocks."""
+
+    def __init__(self, bits):
+        self.bits, self.blocks = bits, 0
+
+    def random_raw(self, size=None):
+        self.blocks += 1
+        return self.bits.random_raw(size)
+
+    def advance(self, delta):
+        self.bits.advance(delta)
+        return self
+
+    state = property(lambda self: self.bits.state,
+                     lambda self, value: setattr(self.bits, "state", value))
+
+
 class _BlockCounter:
-    """A generator that counts its `integers` calls with a size."""
+    """A generator that counts its `integers` calls with a size, and whose
+    bit generator counts its raw word blocks."""
 
     def __init__(self, rng):
-        self.rng, self.bit_generator, self.sized = rng, rng.bit_generator, 0
+        self.rng, self.bit_generator = rng, _RawCounter(rng.bit_generator)
+        self.sized = 0
 
     def integers(self, *args, size=None, **kwargs):
         self.sized += size is not None
@@ -367,8 +387,8 @@ class _BlockCounter:
 
 
 def test_word_block_holds_a_two_qubit_sequence():
-    """The table path's first word block almost always holds every draw of
-    an n = 2 sequence; the last sized call is the rewind."""
+    """The table path's first raw block almost always holds every draw of
+    an n = 2 sequence, and it draws no sized `integers` block."""
     model = ErrorModel(PauliChannel.depolarizing(2, 0.01))
     simulate = _table_simulator("exact", 2, model, None)
     blocks = []
@@ -376,8 +396,49 @@ def test_word_block_holds_a_two_qubit_sequence():
         for seed in range(20):
             rng = _BlockCounter(np.random.default_rng([seed, l]))
             simulate(l, rng)
-            blocks.append(rng.sized - 1)
+            assert rng.sized == 0
+            blocks.append(rng.bit_generator.blocks)
     assert np.mean(blocks) <= 1.1
+
+
+@pytest.mark.parametrize("protocol", ["exact", "interleaved"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_table_path_takes_a_buffered_half_word(n, protocol):
+    """After one scalar uint32 draw, PCG64 holds the high half of its last
+    64-bit word; the table path's first draw takes it, as the general
+    path's does, and both leave the same state, buffer included."""
+    gate = (get_gate({1: "Y90m", 2: "CX"}[n]).tableau
+            if protocol == "interleaved" else None)
+    for model in _models(n):
+        table = _table_simulator(protocol, n, model, gate)
+        general = _general_simulator(protocol, n, model, gate)
+        for seed in range(12):
+            for l in (1, 2, 5, 17):
+                a = np.random.default_rng([seed, l])
+                b = np.random.default_rng([seed, l])
+                a.integers(0, 1 << 32, dtype=np.uint32)
+                b.integers(0, 1 << 32, dtype=np.uint32)
+                assert a.bit_generator.state["has_uint32"] == 1
+                assert table(l, a).hex() == general(l, b).hex()
+                assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_table_path_extends_its_raw_block(n):
+    """Sequences with enough zero X draws overrun the first raw block; the
+    table path draws a second one and still matches the general path."""
+    model = ErrorModel(PauliChannel.depolarizing(n, 0.01))
+    table = _table_simulator("exact", n, model, None)
+    general = _general_simulator("exact", n, model, None)
+    extended = 0
+    for seed in range(40):
+        for l in (2, 5):
+            a = _BlockCounter(np.random.default_rng([seed, l]))
+            b = np.random.default_rng([seed, l])
+            assert table(l, a).hex() == general(l, b).hex()
+            assert a.bit_generator.state == b.bit_generator.state
+            extended += a.bit_generator.blocks > 1
+    assert extended >= 2
 
 
 def test_no_table_built_at_import():
