@@ -83,7 +83,7 @@ def _manifest(seed: Optional[int] = None) -> dict:
             long = next(o for o in p.opts if o.startswith("--"))
             params[long[2:].replace("-", "_")] = ctx.params[p.name]
     man = {"schema_version": SCHEMA_VERSION, "command": ctx.info_name,
-           "parameters": params, "versions": _versions()}
+           "parameters": params, "versions": dict(_versions())}
     if seed is not None:
         man["seed"] = seed
     return man
