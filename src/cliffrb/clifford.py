@@ -60,10 +60,11 @@ as a tableau only when it is read, and `_label_tables` reads the array
 itself.  At n <= 2 the Pauli quotient of the group (6 or 720 elements) has
 one record: `quotient_group(n)` builds, on first use, its elements (the
 same kind of sequence), every element's Pauli-label images, an image-key
-index and the RB table path's draw index, all in rank order.  Its product
-table is filled a row at a time, when `QuotientGroup.rows` is first asked
-for that row: the RB table path asks for every row, `bounds` only for the
-rows of the distributions it convolves.
+index and the RB table path's draw index, all in rank order.  The RB table
+path reads the images and the draw index.  The product table serves
+`bounds`: it is filled a row at a time, when `QuotientGroup.rows` is first
+asked for that row, and `bounds` asks only for the rows of the
+distributions it convolves.
 """
 
 from __future__ import annotations
@@ -567,8 +568,8 @@ def enumerate_group(n: int, quotient: bool = False
 # ---------------------------------------------------------------------------
 # the quotient group as one table record
 
-# the product table has |Q|² entries (518,400 at n = 2), each row filled
-# on first use
+# the product table, which `bounds` reads, has |Q|² entries (518,400 at
+# n = 2), each row filled on first use
 QUOTIENT_TABLE_MAX_QUBITS = 2
 
 
@@ -586,16 +587,16 @@ class QuotientGroup(NamedTuple):
     elements: Sequence[CliffordTableau]  # built on read, see _GroupElements
     images: np.ndarray  # [i, v]: image label of Pauli label v under element i
     index: np.ndarray   # 16-bit image key (`_keys`) -> element index
-    # [i, j]: index of element i applied after element j; read it through
-    # `rows`.  A row not yet filled is all 0 (and, from np.zeros, takes no
+    # [i, j]: index of element i applied after element j, for `bounds`;
+    # read it through `rows`.  A row not yet filled is all 0 (and, from np.zeros, takes no
     # memory until filled); a filled row is a permutation of the indices,
     # so its first two cells are not both 0
     table: np.ndarray
     draws: List[int]    # draw key -> element index, or len(elements)
 
     def rows(self, idx) -> np.ndarray:
-        """Rows idx (an index array or a slice) of the product table,
-        filling each row on its first ask: the images of element i o j are
+        """Rows idx (an index array or a slice) of the product table, which
+        `bounds` reads, filling each row on its first ask: the images of element i o j are
         element i's images of element j's, and a 16-bit image-key lookup
         finds the products' ranks faster than `_rank`."""
         table = self.table
@@ -623,8 +624,8 @@ class QuotientGroup(NamedTuple):
 @lru_cache(maxsize=4)
 def quotient_group(n: int) -> QuotientGroup:
     """The Pauli quotient of C_n as arrays, built on first use but for the
-    product table's rows, which `QuotientGroup.rows` fills as they are
-    asked for; callers keep n <= QUOTIENT_TABLE_MAX_QUBITS."""
+    product table's rows, which `QuotientGroup.rows` fills as `bounds` asks
+    for them; callers keep n <= QUOTIENT_TABLE_MAX_QUBITS."""
     elements = _GroupElements(n, vecs := _unrank(n), 1)
     keys = [0]  # every rank's draw key, in rank order
     for wx, wz in _draw_widths(n):

@@ -16,6 +16,7 @@ Three sequence families:
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, List, Optional, Tuple, Union
@@ -305,10 +306,9 @@ def sequence_factory(protocol: str, n: int,
 # quotient group, and a sequence's fidelity depends on nothing else.  The
 # sampler's image draws have fixed widths (`clifford._draw_widths`), so a
 # step's valid draws pack into one key, which `group.draws` maps to its
-# element.  The running product is a product-table lookup: the path asks the
-# record for every row of the table once, which fills the rows not yet
-# filled, and then reads the table in place.  The measured operators
-# carried back to each stage are Pauli-label images.  The path
+# element.  Each stage holds its step's own Pauli-label image row, and the
+# final loop carries each measured label forward through the rows, so no
+# running product is kept and the product table is not read.  The path
 # makes the same draws, λ lookups and float products in the same order as
 # the general path, so its fidelities and generator states are bit for bit
 # the general path's.
@@ -343,7 +343,6 @@ def _table_simulator(protocol: str, n: int, model: ErrorModel,
         return None
     group = quotient_group(n)
     rows = group.images.tolist()
-    product = group.rows(slice(None)).item
     draw_index = group.draws
     # (X width, X shift, Z width, Z shift) of each step's draws: a k-bit
     # draw is its word shifted right by 32 - k
@@ -360,10 +359,9 @@ def _table_simulator(protocol: str, n: int, model: ErrorModel,
     if protocol == "interleaved":
         if gate.n_qubits != n:
             raise PauliDimensionError("gate size mismatch")
-        lam_gate = lam(model.channel_for("gate", 1))
-        gate_index = group.index_of(gate)
+        gate_stage = (lam(model.channel_for("gate", 1)),
+                      rows[group.index_of(gate)])
     measured = _subset_products([1 << (n + j) for j in range(n)])  # Z_j
-    identity = group.index_of(CliffordTableau.identity(n))
 
     def simulate(l: int, rng: np.random.Generator) -> float:
         bits = rng.bit_generator
@@ -378,8 +376,7 @@ def _table_simulator(protocol: str, n: int, model: ErrorModel,
 
         used = 0
         ahead(2 * n + 1)
-        stages = []  # (λ list, images under the running product) per step
-        total = identity
+        stages = []  # (λ list, the step's label-image row) per step
         for _ in range(l):
             key = 0
             for wx, sx, wz, sz in reads:
@@ -391,11 +388,9 @@ def _table_simulator(protocol: str, n: int, model: ErrorModel,
                 used += 2
             used += 1  # the step's signs leave its element unchanged
             ahead(2 * n + 1)
-            total = product(draw_index[key], total)
-            stages.append((lam_clifford, rows[total]))
+            stages.append((lam_clifford, rows[draw_index[key]]))
             if protocol == "interleaved":
-                total = product(gate_index, total)
-                stages.append((lam_gate, rows[total]))
+                stages.append(gate_stage)
         used += 2  # the inversion's Pauli: its two draws only
         # rewind to the 64-bit outputs used; a used low half leaves its high
         # half buffered
@@ -405,16 +400,17 @@ def _table_simulator(protocol: str, n: int, model: ErrorModel,
         state["has_uint32"], state["uinteger"] = odd, words[used - 1 + odd]
         bits.state = state
         # each subset's product in the general path's stage order: SPAM,
-        # inversion, steps last to first; the measured Z_j carried back to
-        # step t's channel are their images under the product of steps 1..t
+        # inversion, steps last to first (`math.prod` multiplies left to
+        # right); the measured Z_j carried back to step t's channel are their
+        # images under the product of steps 1..t, so m is carried forward
+        # through the steps' rows
         acc = []
         for m in measured:
             a = 1.0
             for lams in head:
                 a *= lams[m]
-            for lams, row in reversed(stages):
-                a *= lams[row[m]]
-            acc.append(a)
+            seen = [lams[m := row[m]] for lams, row in stages]
+            acc.append(math.prod(reversed(seen), start=a))
         return sum(acc) / len(acc)
 
     return simulate

@@ -162,18 +162,54 @@ def test_fidelity_bitwise_under_time_ramp(n, monkeypatch):
     assert [f.hex() for f in got] == [f.hex() for f in want]
 
 
-def test_word_block_draw_identity():
+def _sized_words(gen, count):
+    """A sized uint32 `integers` block, and its rewind to the words used."""
+    state = gen.bit_generator.state
+    words = gen.integers(0, 1 << 32, size=count, dtype=np.uint32).tolist()
+
+    def rewind(used):
+        gen.bit_generator.state = state
+        gen.integers(0, 1 << 32, size=used, dtype=np.uint32)
+
+    return words, rewind
+
+
+def _raw_words(gen, count):
+    """The table path's words: the buffered half-word when there is one,
+    then the uint32 halves of `random_raw` outputs; the rewind goes back
+    with `advance` to the outputs used and writes the half-word buffer."""
+    bits = gen.bit_generator
+    state = bits.state
+    words = [state["uinteger"]] if state["has_uint32"] else []
+    buffered = len(words)
+    words.extend(bits.random_raw(count).view(np.uint32).tolist())
+
+    def rewind(used):
+        odd = (used - buffered) & 1
+        bits.advance((used - buffered + 1) // 2 - (len(words) - buffered) // 2)
+        state = bits.state
+        state["has_uint32"], state["uinteger"] = odd, words[used - 1 + odd]
+        bits.state = state
+
+    return words, rewind
+
+
+@pytest.mark.parametrize("source", [_sized_words, _raw_words],
+                         ids=["integers", "random_raw"])
+def test_word_block_draw_identity(source):
     """`integers(0, 1 << k)` is the top k bits of the next uint32 word for
     1 <= k <= 32 and draws nothing for k = 0, so rewinding a word block to
     the words used leaves the generator, PCG64's half-word buffer included,
-    where the scalar draws leave it."""
+    where the scalar draws leave it; odd seeds start with a half-word in
+    the buffer."""
     widths_rng = np.random.default_rng(2024)
     for seed in range(200):
         widths = widths_rng.integers(0, 33, size=widths_rng.integers(1, 60))
         scalar, block = np.random.default_rng(seed), np.random.default_rng(seed)
-        state = block.bit_generator.state
-        words = block.integers(0, 1 << 32, size=len(widths),
-                               dtype=np.uint32).tolist()
+        if seed & 1:
+            for gen in (scalar, block):
+                gen.integers(0, 1 << 32, dtype=np.uint32)
+        words, rewind = source(block, len(widths))
         used = 0
         for k in widths.tolist():
             before = scalar.bit_generator.state
@@ -183,8 +219,7 @@ def test_word_block_draw_identity():
                 used += 1
             else:
                 assert got == 0 and scalar.bit_generator.state == before
-        block.bit_generator.state = state
-        block.integers(0, 1 << 32, size=used, dtype=np.uint32)
+        rewind(used)
         assert block.bit_generator.state == scalar.bit_generator.state
         assert block.binomial(200, 0.7) == scalar.binomial(200, 0.7)
 

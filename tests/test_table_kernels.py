@@ -30,9 +30,11 @@ from cliffrb.clifford import (
 )
 from cliffrb.decomp import cayley_search
 from cliffrb.dense import DenseSuperoperator, conjugate_by_tableau, group_twirl
+from cliffrb.errors import ErrorModel
 from cliffrb.gates import (GateSet, get_gate, sequence_tableau,
                            standard_gate_set)
-from cliffrb.pauli import PauliOperator, pauli_commutes
+from cliffrb.pauli import PauliChannel, PauliOperator, pauli_commutes
+from cliffrb.protocol import ExperimentDesign, run_experiment
 from cliffrb.subgroups import q_subgroup, verify_twirl_set
 
 import oracles
@@ -440,3 +442,13 @@ class TestProductRows:
         assert len(d.support()) == 8
         filled = np.flatnonzero(table.any(axis=1))
         assert filled.tolist() == d.support().tolist()
+
+    def test_rb_table_path_fills_no_row(self):
+        """The RB table path reads each step's label-image row, so exact
+        and interleaved runs at n = 2 leave the product table unfilled."""
+        quotient_group.cache_clear()
+        model = ErrorModel(PauliChannel.depolarizing(2, 0.01))
+        design = ExperimentDesign((1, 4), 3, 50, 17)
+        run_experiment(design, "exact", model, 2)
+        run_experiment(design, "interleaved", model, 2, get_gate("CX").tableau)
+        assert not quotient_group(2).table.any()
