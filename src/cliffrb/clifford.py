@@ -588,17 +588,17 @@ class QuotientGroup(NamedTuple):
     images: np.ndarray  # [i, v]: image label of Pauli label v under element i
     index: np.ndarray   # 16-bit image key (`_keys`) -> element index
     # [i, j]: index of element i applied after element j, for `bounds`;
-    # read it through `rows`.  A row not yet filled is all 0 (and, from np.zeros, takes no
-    # memory until filled); a filled row is a permutation of the indices,
-    # so its first two cells are not both 0
+    # read it through `rows`.  A row not yet filled is all 0 (and, from
+    # np.zeros, takes no memory until filled); a filled row is a
+    # permutation of the indices, so its first two cells are not both 0
     table: np.ndarray
     draws: List[int]    # draw key -> element index, or len(elements)
 
     def rows(self, idx) -> np.ndarray:
         """Rows idx (an index array or a slice) of the product table, which
-        `bounds` reads, filling each row on its first ask: the images of element i o j are
-        element i's images of element j's, and a 16-bit image-key lookup
-        finds the products' ranks faster than `_rank`."""
+        `bounds` reads, filling each row on its first ask: the images of
+        element i o j are element i's images of element j's, and a 16-bit
+        image-key lookup finds the products' ranks faster than `_rank`."""
         table = self.table
         new = np.arange(len(table))[idx]
         new = new[~table[new, :2].any(axis=1)]

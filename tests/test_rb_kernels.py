@@ -187,9 +187,9 @@ def _raw_words(gen, count):
     def rewind(used):
         odd = (used - buffered) & 1
         bits.advance((used - buffered + 1) // 2 - (len(words) - buffered) // 2)
-        state = bits.state
-        state["has_uint32"], state["uinteger"] = odd, words[used - 1 + odd]
-        bits.state = state
+        after = bits.state
+        after["has_uint32"], after["uinteger"] = odd, words[used - 1 + odd]
+        bits.state = after
 
     return words, rewind
 
