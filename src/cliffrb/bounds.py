@@ -10,17 +10,20 @@ it completely.
 
 Everything here works on the quotient group (Cliffords modulo Pauli factors),
 which is enumerable for n <= 2.  It reads the group as arrays from the one
-cached record per n, `clifford.quotient_group`: Pauli-label images, the
-product table's rows, which the record fills on first use, so a
-distribution of small support pays only for its own rows, and `index_of`,
-which indexes an element by its rank.  Sums run in element order, bit for
-bit as the loops in `tests/oracles.py`.
+cached record per n, `clifford.quotient_group`: Pauli-label images,
+`index_of`, which indexes an element by its rank, and `products`, which
+ranks the products of some elements with every element.  No product table
+is kept: `convolve` asks for the products of a's support only, and keeps
+the last few supports' products, since a chain of convolutions by one step
+distribution asks for the same ones each time.  Sums run in element order,
+bit for bit as the loops in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,6 +37,8 @@ from .clifford import (
 from .pauli import PauliOperator, _pack, _symplectic, _unpack
 
 MAX_QUBITS = QUOTIENT_TABLE_MAX_QUBITS
+# supports whose products `convolve` keeps; a full n = 2 support's take 2 MB
+_PRODUCT_SUPPORTS = 8
 # l·error above which kappa_bounds flags its first-order expansion as unsafe
 FIRST_ORDER_LIMIT = 0.2
 
@@ -51,6 +56,15 @@ def _group(n: int) -> QuotientGroup:
         raise EnumerationUnavailableError(
             f"quotient-group enumeration is limited to n <= {MAX_QUBITS}")
     return quotient_group(n)
+
+
+@lru_cache(maxsize=_PRODUCT_SUPPORTS)
+def _products(n: int, support: bytes) -> np.ndarray:
+    """`QuotientGroup.products` of the support, an intp index array given
+    by its bytes, read-only."""
+    products = _group(n).products(np.frombuffer(support, np.intp))
+    products.setflags(write=False)
+    return products
 
 
 @dataclass(frozen=True)
@@ -97,11 +111,11 @@ def convolve(a: GroupDistribution, b: GroupDistribution) -> GroupDistribution:
     """Distribution of the composition (a-element applied after b-element)."""
     if a.n_qubits != b.n_qubits:
         raise ValueError("size mismatch")
-    # whole rows of a's support, with b's weight 0.0 off its support: each
-    # bin adds its terms in (i, j) order, and a +0.0 term leaves a
-    # nonnegative sum bit for bit as it was
+    # the products of a's support with every element, with b's weight 0.0
+    # off its support: each bin adds its terms in (i, j) order, and a +0.0
+    # term leaves a nonnegative sum bit for bit as it was
     sa = a.support()
-    products = _group(a.n_qubits).rows(sa)
+    products = _products(a.n_qubits, sa.tobytes())
     weights = np.outer(a.probs[sa], np.where(b.probs > 0, b.probs, 0.0))
     out = np.bincount(products.ravel(), weights.ravel(),
                       minlength=a.probs.size)
@@ -199,6 +213,8 @@ def default_measurement(n: int) -> PauliOperator:
 def _hidden(n: int, measured: Optional[PauliOperator]) -> np.ndarray:
     """[i, v]: whether element i's image of Pauli label v commutes with the
     measured operator."""
+    if measured is not None and measured.n_qubits != n:
+        raise ValueError("size mismatch")
     m = _pack(default_measurement(n) if measured is None else measured)
     commutes = np.array([not _symplectic(u, m, n) for u in range(4 ** n)])
     return commutes[_group(n).images]
@@ -214,6 +230,8 @@ def undetected_probability(p_prime: GroupDistribution, r: PauliOperator,
                            measured: Optional[PauliOperator] = None) -> float:
     """Probability that Pauli error r, pushed through an aggregate Clifford
     drawn from p_prime, commutes with the measured operator (goes unseen)."""
+    if r.n_qubits != p_prime.n_qubits:
+        raise ValueError("size mismatch")
     hidden = _hidden(p_prime.n_qubits, measured)
     return float(_undetected(p_prime, hidden)[_pack(r)])
 

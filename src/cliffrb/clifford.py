@@ -59,12 +59,11 @@ images, from `_unrank`, and a count of sign patterns.  An element is built
 as a tableau only when it is read, and `_label_tables` reads the array
 itself.  At n <= 2 the Pauli quotient of the group (6 or 720 elements) has
 one record: `quotient_group(n)` builds, on first use, its elements (the
-same kind of sequence), every element's Pauli-label images, an image-key
-index and the RB table path's draw index, all in rank order.  The RB table
-path reads the images and the draw index.  The product table serves
-`bounds`: it is filled a row at a time, when `QuotientGroup.rows` is first
-asked for that row, and `bounds` asks only for the rows of the
-distributions it convolves.
+same kind of sequence), every element's Pauli-label images and the RB table
+path's draw index, all in rank order.  The RB table path reads the images
+and the draw index.  No product table is kept: `QuotientGroup.products`
+gathers the images of the products of some elements with every element
+and ranks them with one `_rank` call, for `bounds`.
 """
 
 from __future__ import annotations
@@ -568,46 +567,21 @@ def enumerate_group(n: int, quotient: bool = False
 # ---------------------------------------------------------------------------
 # the quotient group as one table record
 
-# the product table, which `bounds` reads, has |Q|² entries (518,400 at
-# n = 2), each row filled on first use
+# at n = 3 `images` would take 93 MB and `draws` would have 2²¹ slots
 QUOTIENT_TABLE_MAX_QUBITS = 2
-
-
-def _keys(columns, n: int) -> np.ndarray:
-    """16-bit keys from the 2n image columns of elements, last image first."""
-    columns = iter(columns)
-    keys = np.array(next(columns), dtype=np.uint16)
-    for col in columns:
-        keys <<= 2 * n
-        keys |= col
-    return keys
 
 
 class QuotientGroup(NamedTuple):
     elements: Sequence[CliffordTableau]  # built on read, see _GroupElements
     images: np.ndarray  # [i, v]: image label of Pauli label v under element i
-    index: np.ndarray   # 16-bit image key (`_keys`) -> element index
-    # [i, j]: index of element i applied after element j, for `bounds`;
-    # read it through `rows`.  A row not yet filled is all 0 (and, from
-    # np.zeros, takes no memory until filled); a filled row is a
-    # permutation of the indices, so its first two cells are not both 0
-    table: np.ndarray
     draws: List[int]    # draw key -> element index, or len(elements)
 
-    def rows(self, idx) -> np.ndarray:
-        """Rows idx (an index array or a slice) of the product table, which
-        `bounds` reads, filling each row on its first ask: the images of
-        element i o j are element i's images of element j's, and a 16-bit
-        image-key lookup finds the products' ranks faster than `_rank`."""
-        table = self.table
-        new = np.arange(len(table))[idx]
-        new = new[~table[new, :2].any(axis=1)]
-        if len(new):
-            images = self.images[new]
-            table[new] = self.index[_keys(
-                (images[:, col] for col in self.elements.vecs.T[::-1]),
-                self.elements.n_qubits)]
-        return table[idx]
+    def products(self, idx) -> np.ndarray:
+        """[i, j]: index of element idx[i] applied after element j.  The
+        product's images are element idx[i]'s label images of element j's
+        images, and one `_rank` call ranks them."""
+        images = self.images[idx]
+        return _rank([images[:, col] for col in self.elements.vecs.T])
 
     def index_of(self, tab: CliffordTableau) -> int:
         """Index, the rank, of the element that tab is a signed form of.
@@ -623,10 +597,10 @@ class QuotientGroup(NamedTuple):
 
 @lru_cache(maxsize=4)
 def quotient_group(n: int) -> QuotientGroup:
-    """The Pauli quotient of C_n as arrays, built on first use but for the
-    product table's rows, which `QuotientGroup.rows` fills as `bounds` asks
-    for them; callers keep n <= QUOTIENT_TABLE_MAX_QUBITS."""
-    elements = _GroupElements(n, vecs := _unrank(n), 1)
+    """The Pauli quotient of C_n as arrays, in rank order: its elements,
+    every element's Pauli-label images and the draw index; callers keep
+    n <= QUOTIENT_TABLE_MAX_QUBITS."""
+    elements = _GroupElements(n, _unrank(n), 1)
     keys = [0]  # every rank's draw key, in rank order
     for wx, wz in _draw_widths(n):
         keys = [key << wx + wz | (i ^ i >> 1) << wz | j ^ j >> 1
@@ -636,10 +610,7 @@ def quotient_group(n: int) -> QuotientGroup:
     for i, key in enumerate(keys):
         draws[key] = i
     images, _ = _label_tables(elements)
-    index = np.full(1 << (4 * n * n), len(elements), dtype=np.uint16)
-    index[_keys(vecs.T[::-1], n)] = np.arange(len(elements))
-    table = np.zeros((len(elements),) * 2, dtype=np.uint16)
-    return QuotientGroup(elements, images, index, table, draws)
+    return QuotientGroup(elements, images, draws)
 
 
 # ---------------------------------------------------------------------------

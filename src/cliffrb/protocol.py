@@ -308,10 +308,10 @@ def sequence_factory(protocol: str, n: int,
 # step's valid draws pack into one key, which `group.draws` maps to its
 # element.  Each stage holds its step's own Pauli-label image row, and the
 # final loop carries each measured label forward through the rows, so no
-# running product is kept and the product table is not read.  The path
-# makes the same draws, λ lookups and float products in the same order as
-# the general path, so its fidelities and generator states are bit for bit
-# the general path's.
+# running product is kept and no product of two elements is formed.  The
+# path makes the same draws, λ lookups and float products in the same order
+# as the general path, so its fidelities and generator states are bit for
+# bit the general path's.
 #
 # The draws come from raw words.  A k-bit `integers(0, 1 << k)` draw is the
 # top k bits of the next uint32 word (numpy's power-of-two draws never

@@ -25,11 +25,11 @@ dense superoperator engine are the paths that the signed Pauli-label tables
 `clifford._label_tables`.
 
 The quotient-group loops are the element-by-element `bounds` convolution
-and undetected-error probability that the product table and the image array
-replaced, the product table composed pair by pair, against which the
-record's row fill (`QuotientGroup.rows`) is checked, and the image array
-built by GF(2) linearity, which the batched signed-label tables
-(`clifford._label_tables`) replaced.
+and undetected-error probability that the ranked products and the image
+array replaced, the product table composed pair by pair, against which
+`QuotientGroup.products` is checked, and the image array built by GF(2)
+linearity, which the batched signed-label tables (`clifford._label_tables`)
+replaced.
 
 `q_subgroup` is the subgroup builder that decoded every image of every
 element with field arithmetic; `subgroups.q_subgroup` reads them off
@@ -617,17 +617,6 @@ def product_table(n):
     index = {v: i for i, v in enumerate(vecs)}
     return [[index[tuple(row[v] for v in vj)] for vj in vecs]
             for row in images]
-
-
-def eager_product_table(n):
-    """The product table as `clifford.quotient_group` built it up front,
-    before its rows were filled on first use: the 16-bit image keys of all
-    |Q|² products, looked up at once."""
-    vecs = packed._unrank(n)
-    images, _ = packed._label_tables(packed.enumerate_group(n, quotient=True))
-    index = np.full(1 << (4 * n * n), len(vecs), dtype=np.uint16)
-    index[packed._keys(vecs.T[::-1], n)] = np.arange(len(vecs))
-    return index[packed._keys((images[:, col] for col in vecs.T[::-1]), n)]
 
 
 def group_convolve(a, b):

@@ -324,3 +324,20 @@ class TestKappaBounds:
         with pytest.raises(ValueError):
             kappa_bounds([GroupDistribution.uniform(1),
                           GroupDistribution.uniform(2)], 0.1)
+
+    @pytest.mark.parametrize("n, r, measured", [
+        (2, "Z", None),     # packs to label 2, the 2-qubit IX
+        (2, "ZI", "ZZZ"),
+        (1, "ZI", None),
+        (1, "Z", "ZI"),
+    ])
+    def test_pauli_size_mismatch(self, n, r, measured):
+        """A Pauli error or measured operator on another qubit count than
+        the distributions is rejected, not read as another label."""
+        d = GroupDistribution.uniform(n)
+        m = None if measured is None else PauliOperator.from_string(measured)
+        with pytest.raises(ValueError, match="size mismatch"):
+            undetected_probability(d, PauliOperator.from_string(r), m)
+        if m is not None:
+            with pytest.raises(ValueError, match="size mismatch"):
+                kappa_bounds([d], 0.05, measured=m)

@@ -478,18 +478,18 @@ def test_table_path_extends_its_raw_block(n):
 
 def test_no_table_built_at_import():
     """`import cliffrb.cli` builds neither the quotient group nor the draw
-    index, nor the dense engine's basis matrices, nor the rank tables, so a
-    command that needs none of them does not pay for them; building the
-    quotient group then fills no row of its product table."""
+    index, nor the dense engine's basis matrices, nor the rank tables, nor
+    any products that `bounds` keeps, so a command that needs none of them
+    does not pay for them."""
     code = ("import cliffrb.cli\n"
+            "from cliffrb.bounds import _products\n"
             "from cliffrb.clifford import _rank_tables, quotient_group\n"
             "from cliffrb.dense import _basis_stack, _vec_basis\n"
             "print(quotient_group.cache_info().currsize,"
             " _basis_stack.cache_info().currsize,"
             " _vec_basis.cache_info().currsize,"
-            " _rank_tables.cache_info().currsize)\n"
-            "table = quotient_group(2).table\n"
-            "print(table.any(axis=1).sum())")
+            " _rank_tables.cache_info().currsize,"
+            " _products.cache_info().currsize)")
     src = str(Path(cliffrb.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120,

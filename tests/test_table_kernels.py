@@ -3,7 +3,7 @@ they replaced (kept in tests/oracles.py): the packed Cayley-graph Dijkstra,
 the batched signed-label tables against the per-tableau `local_table`, the
 basis-change dense representations, the signed-permutation conjugation and
 twirls, the image lookups of `subgroups` and `bounds`, and the `bounds`
-product table and commutation array against the element-by-element loops."""
+products and commutation array against the element-by-element loops."""
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from cliffrb import decomp, dense
 from cliffrb.bounds import (
     GroupDistribution,
     _group,
+    _products,
     convolve,
     default_measurement,
     kappa_bounds,
@@ -30,11 +31,9 @@ from cliffrb.clifford import (
 )
 from cliffrb.decomp import cayley_search
 from cliffrb.dense import DenseSuperoperator, conjugate_by_tableau, group_twirl
-from cliffrb.errors import ErrorModel
 from cliffrb.gates import (GateSet, get_gate, sequence_tableau,
                            standard_gate_set)
-from cliffrb.pauli import PauliChannel, PauliOperator, pauli_commutes
-from cliffrb.protocol import ExperimentDesign, run_experiment
+from cliffrb.pauli import PauliOperator, pauli_commutes
 from cliffrb.subgroups import q_subgroup, verify_twirl_set
 
 import oracles
@@ -407,48 +406,28 @@ class TestBoundsAgainstLoops:
         assert_bounds_match_loops(aggregates)
 
 
-class TestProductRows:
-    """`QuotientGroup.rows` fills the product table a row at a time, on
-    first ask; in any order of asking, the rows are those of the table built
-    up front and of the table composed pair by pair."""
+class TestProducts:
+    """`QuotientGroup.products` ranks the products of some elements with
+    every element; `bounds` keeps them per support."""
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_rows_in_any_order(self, n):
-        want = oracles.eager_product_table(n)
-        assert want.tolist() == oracles.product_table(n)
-        count = len(want)
+    def test_products_equal_composed_table(self, n):
+        """Rows of the table composed pair by pair, for random index
+        subsets in any order and for all indices."""
+        want = np.array(oracles.product_table(n))
+        group, count = quotient_group(n), len(want)
         rng = np.random.default_rng(70 + n)
-        for _ in range(2):
-            group = quotient_group.__wrapped__(n)  # uncached: nothing filled
-            assert not group.table.any()
-            part = rng.choice(count, count // 3, replace=False)
-            assert np.array_equal(group.rows(part), want[part])
-            filled = np.flatnonzero(group.table.any(axis=1))
-            assert filled.tolist() == sorted(part.tolist())
-            # the rest, in another order and in pieces that overlap the part
-            for piece in np.array_split(rng.permutation(count), 5):
-                assert np.array_equal(group.rows(piece), want[piece])
-            assert np.array_equal(group.rows(slice(None)), want)
-            assert group.table.flags.c_contiguous
+        for size in (1, count // 3, count):
+            idx = rng.choice(count, size, replace=False)
+            assert np.array_equal(group.products(idx), want[idx])
+        assert np.array_equal(group.products(np.arange(count)), want)
 
-    def test_bounds_fill_only_the_support_rows(self):
-        """A distribution of eight elements makes from_weights, tv_series
-        and kappa_bounds fill only its eight rows."""
-        quotient_group.cache_clear()
+    def test_one_memo_miss_per_support(self):
+        """tv_series and kappa_bounds over one eight-element step compute
+        its products once."""
         d = embedded_gate_steps(np.random.default_rng(63))
+        _products.cache_clear()
         tv_series(d, 6)
         kappa_bounds(step_aggregates(d, 6), 0.05)
-        table = quotient_group(2).table
         assert len(d.support()) == 8
-        filled = np.flatnonzero(table.any(axis=1))
-        assert filled.tolist() == d.support().tolist()
-
-    def test_rb_table_path_fills_no_row(self):
-        """The RB table path reads each step's label-image row, so exact
-        and interleaved runs at n = 2 leave the product table unfilled."""
-        quotient_group.cache_clear()
-        model = ErrorModel(PauliChannel.depolarizing(2, 0.01))
-        design = ExperimentDesign((1, 4), 3, 50, 17)
-        run_experiment(design, "exact", model, 2)
-        run_experiment(design, "interleaved", model, 2, get_gate("CX").tableau)
-        assert not quotient_group(2).table.any()
+        assert _products.cache_info().misses == 1
